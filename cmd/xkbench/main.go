@@ -75,8 +75,6 @@ func main() {
 		"print the policy-decision counters (transfer sources by link class, optimistic chains, evictions, steals) of each sweep point")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker goroutines for independent simulated runs (1 = sequential; results are bit-identical at any level)")
-	simWorkers := flag.Int("sim-workers", 1,
-		"event-loop workers inside each simulated run: values above 1 partition the engine by platform resource under conservative lookahead (1 = sequential engine; results are bit-identical at any count)")
 	checkFlag := flag.Bool("check", false,
 		"run every simulation under the coherence-invariant auditor (internal/check); violations surface as per-point errors and a non-zero exit")
 	timeout := flag.Duration("timeout", 0,
@@ -105,7 +103,7 @@ func main() {
 		"batch experiment: pin the square instance dimension instead of sweeping the default grid (0 = sweep)")
 	flag.Parse()
 
-	if msg := flagProblem(*window, *parallel, *simWorkers, *batchCount, *batchN); msg != "" {
+	if msg := flagProblem(*window, *parallel, *runs, *batchCount, *batchN, *sizesFlag, *tilesFlag); msg != "" {
 		fmt.Fprintf(os.Stderr, "xkbench: %s\n", msg)
 		flag.Usage()
 		os.Exit(2)
@@ -122,7 +120,6 @@ func main() {
 	bench.ForceStreamWindow = *window
 	bench.ForceStreamWhole = *streamWhole
 	bench.DefaultParallelism = *parallel
-	bench.SimWorkers = *simWorkers
 	bench.CheckRuns = *checkFlag
 	var liveSrv *metrics.LiveServer
 	if *serve != "" {
@@ -306,23 +303,28 @@ func main() {
 	}
 }
 
-// flagProblem validates the concurrency/window/batch flags, returning a
-// diagnostic message (empty = valid). -window 0 means "whole graph" and
-// -batch-count/-batch-n 0 mean "sweep the default grid", so only negatives
-// are nonsense there; a parallelism or engine-worker count below 1 has no
-// meaning at all and used to be accepted silently.
-func flagProblem(window, parallel, simWorkers, batchCount, batchN int) string {
+// flagProblem validates the numeric flags before any simulation starts,
+// returning a diagnostic message (empty = valid). -window 0 means "whole
+// graph" and -batch-count/-batch-n 0 mean "sweep the default grid", so only
+// negatives are nonsense there; a parallelism or repetition count below 1
+// and a nonpositive -sizes/-tiles entry have no meaning at all.
+func flagProblem(window, parallel, runs, batchCount, batchN int, sizes, tiles string) string {
 	switch {
 	case window < 0:
 		return fmt.Sprintf("-window must be >= 0, got %d", window)
 	case parallel < 1:
 		return fmt.Sprintf("-parallel must be >= 1, got %d", parallel)
-	case simWorkers < 1:
-		return fmt.Sprintf("-sim-workers must be >= 1, got %d", simWorkers)
+	case runs < 1:
+		return fmt.Sprintf("-runs must be >= 1, got %d", runs)
 	case batchCount < 0:
 		return fmt.Sprintf("-batch-count must be >= 0, got %d", batchCount)
 	case batchN < 0:
 		return fmt.Sprintf("-batch-n must be >= 0, got %d", batchN)
+	}
+	for _, f := range [...]struct{ name, spec string }{{"-sizes", sizes}, {"-tiles", tiles}} {
+		if _, err := parseInts(f.spec); err != nil {
+			return fmt.Sprintf("%s: %v", f.name, err)
+		}
 	}
 	return ""
 }
@@ -499,12 +501,17 @@ func customSweep(w *os.File, libsSpec, routinesSpec, sizesSpec, tilesSpec string
 	return bench.RunSweep(cfg), nil
 }
 
+// parseInts parses a comma-separated list of positive integers (matrix
+// dimensions or tile sizes).
 func parseInts(spec string) ([]int, error) {
 	var out []int
 	for _, s := range strings.Split(spec, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
 			return nil, err
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("entries must be >= 1, got %d", v)
 		}
 		out = append(out, v)
 	}

@@ -341,35 +341,40 @@ func TestServeConfigRejectsBadFlags(t *testing.T) {
 }
 
 // TestFlagProblemRejectsBadConcurrency locks the flag validation behind the
-// exit-2 path of main: zero/negative -parallel and -sim-workers (and a
-// negative -window) used to be accepted silently; now each produces a
-// usage diagnostic. -window 0 stays valid — it means "whole graph".
+// exit-2 path of main: zero/negative -parallel and -runs, nonpositive
+// -sizes/-tiles entries (and a negative -window) used to be accepted
+// silently; now each produces a usage diagnostic. -window 0 stays valid —
+// it means "whole graph".
 func TestFlagProblemRejectsBadConcurrency(t *testing.T) {
+	const sizes, tiles = "8192,16384,32768", "1024,2048,4096"
 	for _, tc := range []struct {
-		window, parallel, simWorkers, batchCount, batchN int
-		bad                                              string // substring of the expected message; "" = valid
+		window, parallel, runs, batchCount, batchN int
+		sizes, tiles                               string
+		bad                                        string // substring of the expected message; "" = valid
 	}{
-		{0, 1, 1, 0, 0, ""},
-		{16, 8, 8, 64, 256, ""},
-		{-1, 1, 1, 0, 0, "-window"},
-		{0, 0, 1, 0, 0, "-parallel"},
-		{0, -3, 1, 0, 0, "-parallel"},
-		{0, 1, 0, 0, 0, "-sim-workers"},
-		{0, 1, -8, 0, 0, "-sim-workers"},
-		{0, 1, 1, -1, 0, "-batch-count"},
-		{0, 1, 1, 0, -64, "-batch-n"},
+		{0, 1, 3, 0, 0, sizes, tiles, ""},
+		{16, 8, 1, 64, 256, "8192", "512", ""},
+		{-1, 1, 3, 0, 0, sizes, tiles, "-window"},
+		{0, 0, 3, 0, 0, sizes, tiles, "-parallel"},
+		{0, -3, 3, 0, 0, sizes, tiles, "-parallel"},
+		{0, 1, 3, -1, 0, sizes, tiles, "-batch-count"},
+		{0, 1, 3, 0, -64, sizes, tiles, "-batch-n"},
+		{0, 1, 0, 0, 0, sizes, tiles, "-runs"},
+		{0, 1, -2, 0, 0, sizes, tiles, "-runs"},
+		{0, 1, 3, 0, 0, "-8192", tiles, "-sizes"},
+		{0, 1, 3, 0, 0, "8192,0", tiles, "-sizes"},
+		{0, 1, 3, 0, 0, sizes, "0", "-tiles"},
+		{0, 1, 3, 0, 0, sizes, "1024,-2048", "-tiles"},
 	} {
-		msg := flagProblem(tc.window, tc.parallel, tc.simWorkers, tc.batchCount, tc.batchN)
+		msg := flagProblem(tc.window, tc.parallel, tc.runs, tc.batchCount, tc.batchN, tc.sizes, tc.tiles)
 		if tc.bad == "" {
 			if msg != "" {
-				t.Errorf("flagProblem(%d,%d,%d,%d,%d) = %q, want valid",
-					tc.window, tc.parallel, tc.simWorkers, tc.batchCount, tc.batchN, msg)
+				t.Errorf("flagProblem(%+v) = %q, want valid", tc, msg)
 			}
 			continue
 		}
 		if !strings.Contains(msg, tc.bad) {
-			t.Errorf("flagProblem(%d,%d,%d,%d,%d) = %q, want mention of %s",
-				tc.window, tc.parallel, tc.simWorkers, tc.batchCount, tc.batchN, msg, tc.bad)
+			t.Errorf("flagProblem(%+v) = %q, want mention of %s", tc, msg, tc.bad)
 		}
 	}
 }

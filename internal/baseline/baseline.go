@@ -98,12 +98,6 @@ type Request struct {
 	// run against it. Ignored when StreamWindow is 0.
 	StreamWhole bool
 
-	// SimWorkers selects the engine mode (core.Config.SimWorkers): above 1
-	// the partitioned event loop runs the simulation with that many
-	// workers, bit-identical to the sequential engine. Requests sharing a
-	// HandlePool must agree on it, like every other handle-shape field.
-	SimWorkers int
-
 	// Handles, when non-nil, recycles library contexts across runs instead
 	// of rebuilding engine, platform, runtime and every pool per
 	// repetition. A pool must only be shared by requests that agree on
@@ -230,7 +224,7 @@ func newHandle(req Request, opts xkrt.Options) (h *core.Handle, fresh bool) {
 		if plat == nil {
 			plat = topology.DGX1()
 		}
-		h = core.NewHandle(core.Config{Platform: plat, TileSize: req.NB, Options: opts, Links: req.Links, Check: req.Check, SimWorkers: req.SimWorkers})
+		h = core.NewHandle(core.Config{Platform: plat, TileSize: req.NB, Options: opts, Links: req.Links, Check: req.Check})
 		fresh = true
 	}
 	if req.NoiseAmp > 0 || !fresh {

@@ -156,7 +156,7 @@ func TestRunBatchedCrossoverParity(t *testing.T) {
 }
 
 // TestRunBatchedDeterministic pins bit-identical batched timelines across a
-// rerun, a recycled pooled handle, and the partitioned event loop.
+// rerun and a recycled pooled handle.
 func TestRunBatchedDeterministic(t *testing.T) {
 	lib := XKBlas().(*StdLib)
 	batch := blasops.UniformBatch(blasops.Gemm, 12, 96, 96, 96)
@@ -175,13 +175,7 @@ func TestRunBatchedDeterministic(t *testing.T) {
 	if pooled.Err != nil {
 		t.Fatal(pooled.Err)
 	}
-	pdes := batchReq(512)
-	pdes.SimWorkers = 8
-	part := lib.RunBatched(pdes, batch, DispatchAuto)
-	if part.Err != nil {
-		t.Fatal(part.Err)
-	}
-	for name, r := range map[string]Result{"rerun": warm, "pooled": pooled, "sim-workers": part} {
+	for name, r := range map[string]Result{"rerun": warm, "pooled": pooled} {
 		if r.Elapsed != base.Elapsed || r.GFlops != base.GFlops || r.Decisions != base.Decisions {
 			t.Fatalf("%s diverged: elapsed %v vs %v, gflops %v vs %v, decisions %+v vs %+v",
 				name, r.Elapsed, base.Elapsed, r.GFlops, base.GFlops, r.Decisions, base.Decisions)

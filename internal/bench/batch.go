@@ -70,8 +70,7 @@ func BatchSweep(w io.Writer, quick bool, forceCount, forceN int) {
 			cl := &cells[ci]
 			req := baseline.Request{
 				Routine: blasops.Gemm, N: cl.n, NB: 512, Platform: plat,
-				Scenario: baseline.DataOnHost, Check: CheckRuns, Ctx: SweepContext,
-				SimWorkers: simWorkers(Config{}), Handles: pool,
+				Scenario: baseline.DataOnHost, Check: CheckRuns, Ctx: SweepContext, Handles: pool,
 			}
 			cl.legs[li] = lib.RunBatched(req,
 				blasops.UniformBatch(blasops.Gemm, cl.count, cl.n, cl.n, cl.n), modes[li])

@@ -101,12 +101,6 @@ type Config struct {
 	// the window (parity testing).
 	StreamWindow int
 	StreamWhole  bool
-
-	// SimWorkers selects the simulation engine's event-loop mode for every
-	// run of the sweep: above 1, each run's engine uses the partitioned
-	// conservative-lookahead loop with that many workers. Results are
-	// bit-identical at any value; 0 defers to the process-wide SimWorkers.
-	SimWorkers int
 }
 
 // CheckRuns mirrors Config.Check for the experiment drivers that build
@@ -164,20 +158,6 @@ func streamWindow(cfg Config) (win int, whole bool) {
 		win = ForceStreamWindow
 	}
 	return win, whole || ForceStreamWhole
-}
-
-// SimWorkers mirrors Config.SimWorkers for the experiment drivers that
-// build their own Config/Request values internally (xkbench -exp); the
-// -sim-workers flag sets it process-wide. Values ≤ 1 keep every engine on
-// the sequential event loop.
-var SimWorkers int
-
-// simWorkers resolves a config's effective engine worker count.
-func simWorkers(cfg Config) int {
-	if cfg.SimWorkers > 0 {
-		return cfg.SimWorkers
-	}
-	return SimWorkers
 }
 
 // GlobalMetrics, when non-nil, receives every leaf run's snapshot merged in
@@ -296,7 +276,6 @@ func runRep(cfg Config, pool *baseline.HandlePool, lib baseline.Library, r blaso
 		Ctx:          cfg.Ctx,
 		StreamWindow: win,
 		StreamWhole:  whole,
-		SimWorkers:   simWorkers(cfg),
 		Handles:      pool,
 	})
 	if GlobalMetrics != nil && res.Metrics != nil {

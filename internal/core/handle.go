@@ -58,12 +58,6 @@ type Config struct {
 	// transition is verified and the first violation panics, which the
 	// measurement harness converts into a per-point error.
 	Check bool
-	// SimWorkers selects the engine's event-loop mode: values above 1
-	// enable the partitioned conservative-lookahead loop with that many
-	// workers (one coordinator plus SimWorkers-1 partition workers). The
-	// merged event order — and so every timing, decision and metric — is
-	// bit-identical at any worker count; 0/1 keep the sequential engine.
-	SimWorkers int
 }
 
 // Handle is an XKBLAS library context bound to one simulated platform.
@@ -87,11 +81,6 @@ func NewHandle(cfg Config) *Handle {
 		cfg.Options = xkrt.DefaultOptions()
 	}
 	eng := sim.NewEngine()
-	if cfg.SimWorkers > 1 {
-		// Must precede the platform build: partitions are declared while
-		// the resources are created.
-		eng.SetWorkers(cfg.SimWorkers)
-	}
 	plat := device.NewPlatformWithLinks(eng, cfg.Platform, cfg.Links)
 	rt := xkrt.New(eng, plat, cfg.Functional, cfg.Options)
 	if cfg.Check {

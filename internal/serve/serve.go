@@ -216,6 +216,9 @@ func (c *Config) validate() error {
 	if c.QueueDepth < 1 || c.MaxInflight < 1 {
 		return errors.New("serve: queue depth and max inflight must be at least 1")
 	}
+	if c.Parallel < 0 {
+		return fmt.Errorf("serve: parallel must be >= 0 (0 = GOMAXPROCS), got %d", c.Parallel)
+	}
 	if c.Parallel == 0 {
 		c.Parallel = runtime.GOMAXPROCS(0)
 	}

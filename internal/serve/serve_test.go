@@ -323,6 +323,7 @@ func TestConfigValidation(t *testing.T) {
 		"bad rate":         func(c *Config) { c.RatePerSec = 0 },
 		"bad queue":        func(c *Config) { c.QueueDepth = 0 },
 		"bad inflight":     func(c *Config) { c.MaxInflight = 0 },
+		"bad parallel":     func(c *Config) { c.Parallel = -1 },
 	} {
 		cfg := testConfig()
 		mod(&cfg)

@@ -6,16 +6,12 @@
 // simulation reproducible bit-for-bit: the platform model, the runtime
 // schedulers and the benchmark harness all rely on this property.
 //
-// The engine is single-threaded by default: handlers run one at a time on
+// The engine is intentionally single-threaded: handlers run one at a time on
 // the caller's goroutine during Run. Concurrency of the modelled hardware
 // (copy engines, links, kernel streams) is expressed with Server resources,
 // not with goroutines. Distinct Engine instances are independent, so whole
 // simulations can run concurrently on separate goroutines (one engine each);
 // the bench harness exploits this to fan independent runs across host cores.
-// SetWorkers additionally enables a partitioned event loop *inside* one
-// engine — per-resource logical processes advancing under conservative
-// lookahead — that reproduces the sequential merged event order bit for bit
-// at any worker count (see par.go).
 package sim
 
 import (
@@ -72,17 +68,6 @@ type Engine struct {
 	fired   uint64
 	running bool
 
-	// curSeq is the sequence number of the event currently (or most
-	// recently) fired; together with now it is the engine's position in the
-	// merged (time, sequence) order. The partitioned mode compares pending
-	// resource-completion keys against it to reproduce the sequential
-	// engine's in-flight accounting exactly.
-	curSeq uint64
-
-	// par holds partitioned-mode state (SetWorkers with n > 1); nil keeps
-	// every run on the sequential byte path.
-	par *parState
-
 	// stop is the abort flag. It is the engine's single cross-goroutine
 	// entry point: a watchdog may set it while Run executes on another
 	// goroutine, so it is atomic where every other field is confined to the
@@ -98,30 +83,11 @@ func NewEngine() *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired reports how many events have been executed so far, across the
-// coordinator and (in partitioned mode) every partition.
-func (e *Engine) Fired() uint64 {
-	n := e.fired
-	if e.par != nil {
-		for _, lp := range e.par.lps {
-			n += lp.fired
-		}
-	}
-	return n
-}
+// Fired reports how many events have been executed so far.
+func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are waiting to fire, including events
-// parked on partition heaps and completions forwarded to the coordinator
-// but not yet fired. Call only with the engine quiescent (not mid-Run).
-func (e *Engine) Pending() int {
-	n := len(e.events)
-	if e.par != nil {
-		for _, lp := range e.par.lps {
-			n += len(lp.heap) + len(lp.inbox)
-		}
-	}
-	return n
-}
+// Pending reports how many events are waiting to fire.
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Stop requests an abort: the run loop finishes the handler in progress and
 // returns with the clock at the current virtual time, leaving the pending
@@ -166,12 +132,8 @@ func (e *Engine) Reset() {
 	}
 	e.now = 0
 	e.seq = 0
-	e.curSeq = 0
 	e.fired = 0
 	e.stop.Store(false)
-	if e.par != nil {
-		e.par.reset()
-	}
 }
 
 // acquire takes an event from the free list, or allocates one.
@@ -210,10 +172,9 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// heapPush inserts an event into a four-ary heap (sift-up) and returns the
-// updated slice. Shared by the coordinator queue and the partition heaps.
-func heapPush(h []*event, ev *event) []*event {
-	h = append(h, ev)
+// push inserts an event into the four-ary heap (sift-up).
+func (e *Engine) push(ev *event) {
+	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
@@ -223,17 +184,18 @@ func heapPush(h []*event, ev *event) []*event {
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	return h
+	e.events = h
 }
 
-// heapPop removes the earliest event from a four-ary heap (sift-down) and
-// returns the updated slice and the event.
-func heapPop(h []*event) ([]*event, *event) {
+// pop removes and returns the earliest event (sift-down).
+func (e *Engine) pop() *event {
+	h := e.events
 	root := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = nil
 	h = h[:n]
+	e.events = h
 	i := 0
 	for {
 		min := i
@@ -253,16 +215,6 @@ func heapPop(h []*event) ([]*event, *event) {
 		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	return h, root
-}
-
-// push inserts an event into the coordinator heap.
-func (e *Engine) push(ev *event) { e.events = heapPush(e.events, ev) }
-
-// pop removes and returns the earliest coordinator event.
-func (e *Engine) pop() *event {
-	var root *event
-	e.events, root = heapPop(e.events)
 	return root
 }
 
@@ -317,28 +269,21 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if e.par != nil {
-		e.runPar(deadline, nil)
-	} else {
-		for len(e.events) > 0 && !e.stop.Load() {
-			next := e.events[0]
-			if next.at > deadline {
-				break
-			}
-			e.pop()
-			e.now = next.at
-			e.curSeq = next.seq
-			e.fired++
-			next.fire()
-			e.recycle(next)
+	for len(e.events) > 0 && !e.stop.Load() {
+		next := e.events[0]
+		if next.at > deadline {
+			break
 		}
+		e.pop()
+		e.now = next.at
+		e.fired++
+		next.fire()
+		e.recycle(next)
 	}
 	if deadline != Infinity && e.now < deadline && !e.stop.Load() {
-		// The stint covered the whole interval, so the clock advances to
-		// the deadline. curSeq tracks seq so every event fired so far
-		// compares as before the engine's new merged position.
+		// The run covered the whole interval, so the clock advances to the
+		// deadline.
 		e.now = deadline
-		e.curSeq = e.seq
 	}
 	return e.now
 }
@@ -346,22 +291,16 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // RunWhile fires events while cond() remains true, events remain and Stop
 // has not been called. It is the engine-level building block for "run until
 // this operation completes" style synchronisation used by the runtimes
-// built on top of the simulator. cond runs on the engine goroutine between
-// events, exactly as in the sequential engine, in partitioned mode too.
+// built on top of the simulator.
 func (e *Engine) RunWhile(cond func() bool) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly from an event handler")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if e.par != nil {
-		e.runPar(Infinity, cond)
-		return e.now
-	}
 	for cond() && len(e.events) > 0 && !e.stop.Load() {
 		next := e.pop()
 		e.now = next.at
-		e.curSeq = next.seq
 		e.fired++
 		next.fire()
 		e.recycle(next)

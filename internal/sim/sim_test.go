@@ -78,6 +78,53 @@ func TestEngineRunUntilStopsClock(t *testing.T) {
 	}
 }
 
+// TestRunUntilAdvancesClockOnDrain locks the uniform clock contract of
+// RunUntil: both exit paths — queue drained, and next event beyond the
+// deadline — leave the clock exactly on a finite deadline. Before the fix
+// the drain path returned with the clock stuck at the last event (or 0),
+// while the other path advanced, so callers saw two different contracts.
+func TestRunUntilAdvancesClockOnDrain(t *testing.T) {
+	e := NewEngine()
+	e.At(1, func() {})
+	if got := e.RunUntil(5); got != 5 {
+		t.Errorf("drained RunUntil(5) returned %v, want 5", got)
+	}
+	if e.Now() != 5 {
+		t.Errorf("drained RunUntil(5) left clock at %v, want 5", e.Now())
+	}
+
+	// Empty queue from the start: same contract.
+	e2 := NewEngine()
+	if got := e2.RunUntil(3); got != 3 {
+		t.Errorf("empty RunUntil(3) returned %v, want 3", got)
+	}
+
+	// Next-event-later path, unchanged behavior.
+	e3 := NewEngine()
+	e3.At(10, func() {})
+	if got := e3.RunUntil(4); got != 4 {
+		t.Errorf("RunUntil(4) with event at 10 returned %v, want 4", got)
+	}
+	if e3.Pending() != 1 {
+		t.Errorf("event beyond deadline dropped: pending = %d", e3.Pending())
+	}
+
+	// Infinite deadline still parks the clock at the last event.
+	e4 := NewEngine()
+	e4.At(2, func() {})
+	if got := e4.Run(); got != 2 {
+		t.Errorf("Run() returned %v, want 2", got)
+	}
+
+	// A stop pins the clock at the stop point, not the deadline.
+	e5 := NewEngine()
+	e5.At(1, func() { e5.Stop() })
+	e5.At(2, func() {})
+	if got := e5.RunUntil(5); got != 1 {
+		t.Errorf("stopped RunUntil(5) returned %v, want 1", got)
+	}
+}
+
 func TestEngineRunWhile(t *testing.T) {
 	e := NewEngine()
 	n := 0

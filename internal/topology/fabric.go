@@ -539,26 +539,6 @@ func (p *Platform) HostDMAEdges(g DeviceID) (h2d, d2h *Edge) {
 	return p.edges[p.gpuH2D[g]], p.edges[p.gpuD2H[g]]
 }
 
-// EdgeLookaheads extracts the conservative lookahead horizon of every fabric
-// edge for the partitioned event loop, indexed by Edge.ID. classFloor maps
-// an edge class to the minimum delay (seconds) between submitting a job to
-// that edge and its completion — in this simulator the per-transfer fixed
-// overhead, which lower-bounds every service interval regardless of payload
-// size. Virtual edges are structural, never charged as resources, and
-// report 0 (no partition may be built on them). A logical process owning an
-// edge may safely run ahead of the rest of the simulation by exactly this
-// horizon: no future submission can produce a completion inside it.
-func (p *Platform) EdgeLookaheads(classFloor func(EdgeClass) float64) []float64 {
-	la := make([]float64, len(p.edges))
-	for i, e := range p.edges {
-		if e.Class == EdgeVirtual {
-			continue
-		}
-		la[i] = classFloor(e.Class)
-	}
-	return la
-}
-
 // GPUSpecOf reports the spec of one GPU; on uniform platforms every GPU
 // shares the reference spec.
 func (p *Platform) GPUSpecOf(g DeviceID) GPUSpec { return p.gpuSpecs[g] }

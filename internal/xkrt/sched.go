@@ -205,17 +205,6 @@ func (rt *Runtime) launchKernel(t *Task) {
 	}
 	g := rt.Plat.GPU(dev)
 	eff := rt.Plat.Model.EffectiveFlops(t.kern.Routine, t.kern.Flops, t.kern.M, t.kern.N, t.kern.K)
-	// Partitioned functional mode: resolve the device buffers now — the
-	// accesses are pinned until completion, so the views are stable — and
-	// let the kernel body run on the device's partition (Task.JobDoneLocal)
-	// instead of the coordinator.
-	if rt.Cache.Functional && t.kern.Body != nil && rt.Eng.Partitioned() {
-		bufs := t.bufStore[:0]
-		for _, a := range t.acc {
-			bufs = append(bufs, rt.Cache.DeviceBuf(a.Tile, dev))
-		}
-		t.bufs = bufs
-	}
 	// The task itself is the completion callback (sim.JobDone): the hot
 	// launch path allocates neither a closure here nor an event record in
 	// the engine.
@@ -224,19 +213,14 @@ func (rt *Runtime) launchKernel(t *Task) {
 
 func (rt *Runtime) completeKernel(t *Task, start, end sim.Time) {
 	dev := t.dev
-	// Functional mode: run the real arithmetic on the device buffers —
-	// unless the partitioned engine already ran the body on the device's
-	// logical process (Task.JobDoneLocal).
-	if t.kern.Body != nil && rt.Cache.Functional && !t.bodyDone {
+	// Functional mode: run the real arithmetic on the device buffers.
+	if t.kern.Body != nil && rt.Cache.Functional {
 		bufs := make([]matrix.View, len(t.acc))
 		for i, a := range t.acc {
 			bufs[i] = rt.Cache.DeviceBuf(a.Tile, dev)
 		}
 		t.kern.Body(bufs)
 	}
-	t.bufs = nil
-	t.bufStore = [4]matrix.View{}
-	t.bodyDone = false
 	for _, a := range t.acc {
 		if a.Mode.writes() {
 			rt.Cache.MarkDirty(a.Tile, dev)
