@@ -81,7 +81,7 @@ batch-check: golden-check
 	$(GO) test -count=1 -run 'TestFlagProblem|TestBatch' ./cmd/xkbench/
 
 # Default verification gate: build, vet, formatting, tests, stress, race,
-# the steady-state allocation budget, the golden quick-sweep diff (run
+# the allocation gates, the golden quick-sweep diff (run
 # once), the fabric-graph parity gate, the serving-path gate and the
 # batched-dispatch gate.
 check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc golden-check topo-check serve-check batch-check
@@ -90,12 +90,13 @@ check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Task-layer allocation gate: the steady-state submit/run/retire path must
-# stay within its per-wave allocation budget (the arena contract behind
-# million-task runs), then report the allocs/op benchmarks.
+# Allocation gates: the steady-state submit/run/retire path must stay
+# within its per-wave allocation budget (the arena contract behind
+# million-task runs), and DMDAS placement and source selection must not
+# allocate at all; then report the ns/op and allocs/op benchmarks.
 bench-alloc:
-	$(GO) test -count=1 -run TestSubmitSteadyStateAllocBudget ./internal/xkrt/
-	$(GO) test -run '^$$' -bench 'BenchmarkSubmitComplete|BenchmarkDAGBuild' -benchmem ./internal/xkrt/
+	$(GO) test -count=1 -run 'TestSubmitSteadyStateAllocBudget|TestTileQueriesAllocFree' ./internal/xkrt/
+	$(GO) test -run '^$$' -bench 'BenchmarkSubmitComplete|BenchmarkDAGBuild|BenchmarkDMDASAssign|BenchmarkSelectSource' -benchmem ./internal/xkrt/
 
 # Beyond-paper-scale demonstration: 1.4M-task GEMM (N=229376) streamed
 # through a bounded admission window with interleaved coherency, plus the

@@ -10,6 +10,7 @@
 //	xkserve -arrival poisson -backpressure block
 //	xkserve -json - -quiet                    # metrics snapshot JSON on stdout, nothing else
 //	xkserve -listen :9090                     # after the replay, serve the snapshot until Ctrl-C
+//	xkserve -cpuprofile cpu.pprof             # profile the replay's host time (-memprofile: allocations)
 //
 // Two invocations with the same flags produce byte-identical reports: the
 // workload is a pure function of the seed and the serving simulation runs
@@ -50,6 +51,8 @@ func main() {
 	listen := flag.String("listen", "",
 		"after the replay, publish the snapshot on this address (/metrics, /debug/pprof/) until interrupted")
 	quiet := flag.Bool("quiet", false, "suppress the human-readable report")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this process to this path")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of this process to this path at exit")
 	flag.Parse()
 
 	cfg := serve.Defaults()
@@ -84,9 +87,28 @@ func main() {
 	defer stopSignals()
 	cfg.Ctx = ctx
 
+	stopProfiles, err := metrics.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fail(2, fmt.Errorf("xkserve: %w", err))
+	}
+	// exit ends the process through the profile writers: os.Exit skips
+	// deferred calls, so every exit from here on goes through it.
+	exit := func(code int, err error) {
+		if perr := stopProfiles(); perr != nil {
+			fmt.Fprintf(os.Stderr, "xkserve: %v\n", perr)
+			if code == 0 {
+				code = 1
+			}
+		}
+		if err != nil {
+			fail(code, err)
+		}
+		os.Exit(code)
+	}
+
 	rep, err := serve.Run(cfg)
 	if err != nil {
-		fail(1, fmt.Errorf("xkserve: %w", err))
+		exit(1, fmt.Errorf("xkserve: %w", err))
 	}
 	if !*quiet {
 		rep.WriteText(os.Stdout)
@@ -96,7 +118,7 @@ func main() {
 		if *jsonPath != "-" {
 			f, err := os.Create(*jsonPath)
 			if err != nil {
-				fail(1, err)
+				exit(1, err)
 			}
 			w = f
 		}
@@ -107,7 +129,7 @@ func main() {
 			}
 		}
 		if werr != nil {
-			fail(1, werr)
+			exit(1, werr)
 		}
 	}
 
@@ -115,14 +137,15 @@ func main() {
 		metrics.Default().MergeSnapshot(rep.Snapshot())
 		srv, err := metrics.ServeLive(*listen, metrics.Default())
 		if err != nil {
-			fail(1, fmt.Errorf("xkserve: -listen %s: %v", *listen, err))
+			exit(1, fmt.Errorf("xkserve: -listen %s: %v", *listen, err))
 		}
 		fmt.Fprintf(os.Stderr, "xkserve: serving /metrics and /debug/pprof/ on %s (Ctrl-C to stop)\n", srv.Addr())
 		<-ctx.Done()
 		if err := srv.Close(); err != nil {
-			fail(1, fmt.Errorf("xkserve: metrics server: %v", err))
+			exit(1, fmt.Errorf("xkserve: metrics server: %v", err))
 		}
 	}
+	exit(0, nil)
 }
 
 func fail(code int, err error) {

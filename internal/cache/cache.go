@@ -160,6 +160,11 @@ type Tile struct {
 	M, N  int
 	Bytes int64
 
+	// Slot is the tile's dense index in the cache's arena: unique among the
+	// cache's live tiles and stable until Cache.Reset, which restarts the
+	// numbering at 0. The runtime indexes its per-tile dependency rows by it.
+	Slot int
+
 	// Host is the authoritative LAPACK-layout sub-view in host memory
 	// (nil data in timing mode).
 	Host matrix.View
@@ -168,8 +173,17 @@ type Tile struct {
 	Owner topology.DeviceID
 
 	hostValid bool
-	reps      map[topology.DeviceID]*replica
-	inflight  map[topology.DeviceID]*Inflight
+
+	// reps[d] is GPU d's replica record and inflight[d] the under-transfer
+	// record to GPU d, nil when absent. Both are sized to the platform's GPU
+	// count once, when the arena first builds the tile. valid holds the GPUs
+	// whose replica is present and valid, moving the GPUs with an
+	// under-transfer record, so set queries never scan the slices.
+	reps     []*replica
+	inflight []*Inflight
+	valid    topology.DeviceSet
+	moving   topology.DeviceSet
+
 	flushing  bool
 	flushWait []func()
 }
@@ -248,13 +262,18 @@ func New(plat *device.Platform, functional bool) *Cache {
 func (c *Cache) Reset() {
 	for _, t := range c.allTiles {
 		for d, r := range t.reps {
-			delete(t.reps, d)
-			c.recycleReplica(r)
+			if r != nil {
+				t.reps[d] = nil
+				c.recycleReplica(r)
+			}
 		}
 		for d, inf := range t.inflight {
-			delete(t.inflight, d)
-			c.recycleInflight(inf)
+			if inf != nil {
+				t.inflight[d] = nil
+				c.recycleInflight(inf)
+			}
 		}
+		t.valid, t.moving = 0, 0
 		t.flushWait = nil
 		t.Host = matrix.View{}
 		c.tileFree = append(c.tileFree, t)
@@ -354,10 +373,11 @@ func (c *Cache) NewMatrixID() MatrixID {
 	return id
 }
 
-// NewTile registers a tile backed by the given host sub-view. Host data is
-// initially valid on the host only. Tiles come from the cache's arena: a
-// record recycled by Reset is reused (with its map storage), so repeated
-// registrations on a reused runtime allocate nothing in steady state.
+// NewTile registers a tile backed by the given host sub-view and assigns
+// it the next arena slot. Host data is initially valid on the host only.
+// Tiles come from the cache's arena: a record recycled by Reset is reused
+// (with its per-device slices), so repeated registrations on a reused
+// runtime allocate nothing in steady state.
 func (c *Cache) NewTile(key TileKey, host matrix.View) *Tile {
 	var t *Tile
 	if n := len(c.tileFree); n > 0 {
@@ -369,6 +389,7 @@ func (c *Cache) NewTile(key TileKey, host matrix.View) *Tile {
 		t.hostValid = true
 		t.flushing = false
 	} else {
+		n := len(c.Plat.GPUs)
 		t = &Tile{
 			Key:       key,
 			M:         host.M,
@@ -377,10 +398,11 @@ func (c *Cache) NewTile(key TileKey, host matrix.View) *Tile {
 			Host:      host,
 			Owner:     -1,
 			hostValid: true,
-			reps:      make(map[topology.DeviceID]*replica),
-			inflight:  make(map[topology.DeviceID]*Inflight),
+			reps:      make([]*replica, n),
+			inflight:  make([]*Inflight, n),
 		}
 	}
+	t.Slot = len(c.allTiles)
 	c.allTiles = append(c.allTiles, t)
 	if len(c.allTiles) > c.tilesLiveMax {
 		c.tilesLiveMax = len(c.allTiles)
@@ -392,62 +414,26 @@ func (c *Cache) NewTile(key TileKey, host matrix.View) *Tile {
 func (t *Tile) HostValid() bool { return t.hostValid }
 
 // ValidOn reports whether dev holds a valid replica.
-func (t *Tile) ValidOn(dev topology.DeviceID) bool {
-	r, ok := t.reps[dev]
-	return ok && r.valid
-}
+func (t *Tile) ValidOn(dev topology.DeviceID) bool { return t.valid.Has(dev) }
 
 // DirtyOn reports the device holding the sole modified replica, or -1.
 func (t *Tile) DirtyOn() topology.DeviceID {
-	for d, r := range t.reps {
-		if r.valid && r.dirty {
+	for s := t.valid; !s.Empty(); s = s.Rest() {
+		if d := s.First(); t.reps[d].dirty {
 			return d
 		}
 	}
 	return -1
 }
 
-// ValidGPUs lists devices holding valid replicas in ascending id order.
-func (t *Tile) ValidGPUs() []topology.DeviceID {
-	var out []topology.DeviceID
-	for d := topology.DeviceID(0); int(d) < len(t.repsUpper()); d++ {
-		if t.ValidOn(d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
+// ValidGPUs reports the devices holding a valid replica.
+func (t *Tile) ValidGPUs() topology.DeviceSet { return t.valid }
 
-// repsUpper gives an iteration bound: device ids are dense starting at 0.
-func (t *Tile) repsUpper() []struct{} {
-	max := 0
-	for d := range t.reps {
-		if int(d)+1 > max {
-			max = int(d) + 1
-		}
-	}
-	return make([]struct{}, max)
-}
-
-// InflightDsts lists devices with a replica under transfer, ascending.
-func (t *Tile) InflightDsts() []topology.DeviceID {
-	var out []topology.DeviceID
-	for d := range t.inflight {
-		out = append(out, d)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort: tiny slices
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+// InflightDsts reports the devices with a replica under transfer.
+func (t *Tile) InflightDsts() topology.DeviceSet { return t.moving }
 
 // InflightTo reports whether a transfer to dev is in progress.
-func (t *Tile) InflightTo(dev topology.DeviceID) bool {
-	_, ok := t.inflight[dev]
-	return ok
-}
+func (t *Tile) InflightTo(dev topology.DeviceID) bool { return t.moving.Has(dev) }
 
 // InflightStarted reports whether the under-transfer record to dev exists
 // and its physical transfer is already on the wire. A registered record
@@ -455,8 +441,24 @@ func (t *Tile) InflightTo(dev topology.DeviceID) bool {
 // CancelInflight may remove; the cancellation sweep uses this to tell the
 // two apart.
 func (t *Tile) InflightStarted(dev topology.DeviceID) bool {
-	inf, ok := t.inflight[dev]
-	return ok && inf.started
+	return t.moving.Has(dev) && t.inflight[dev].started
+}
+
+// setValid marks dev's replica valid, keeping the valid set in step.
+func (t *Tile) setValid(dev topology.DeviceID, r *replica) {
+	r.valid = true
+	t.valid = t.valid.With(dev)
+}
+
+// setInflight registers (inf != nil) or clears (inf == nil) the
+// under-transfer record to dev, keeping the moving set in step.
+func (t *Tile) setInflight(dev topology.DeviceID, inf *Inflight) {
+	t.inflight[dev] = inf
+	if inf != nil {
+		t.moving = t.moving.With(dev)
+	} else {
+		t.moving = t.moving.Without(dev)
+	}
 }
 
 // SizeBytes implements policy.TileView.
@@ -480,8 +482,8 @@ func (t *Tile) CheckID() check.TileID {
 // completes (err == nil) or the chain feeding it is cancelled (err !=
 // nil). It panics if no transfer to dev is in flight.
 func (t *Tile) AddInflightWaiter(dev topology.DeviceID, fn func(err error)) {
-	inf, ok := t.inflight[dev]
-	if !ok {
+	inf := t.inflight[dev]
+	if inf == nil {
 		panic(fmt.Sprintf("cache: no inflight to %d for %v", dev, t.Key))
 	}
 	inf.waiters = append(inf.waiters, fn)
@@ -533,7 +535,7 @@ func (c *Cache) DeviceBuf(t *Tile, dev topology.DeviceID) matrix.View {
 // with buffer space on dev. A failure is always an *OOMError (matched by
 // errors.Is against ErrDeviceOOM): nothing evictable remained.
 func (c *Cache) ensureReplica(t *Tile, dev topology.DeviceID) (*replica, error) {
-	if r, ok := t.reps[dev]; ok {
+	if r := t.reps[dev]; r != nil {
 		return r, nil
 	}
 	pool := c.Plat.GPU(dev).Mem
@@ -614,7 +616,8 @@ func (c *Cache) dropReplica(t *Tile, dev topology.DeviceID, reason string) {
 	c.lru[dev].remove(r)
 	pool := c.Plat.GPU(dev).Mem
 	pool.Free(t.Bytes)
-	delete(t.reps, dev)
+	t.reps[dev] = nil
+	t.valid = t.valid.Without(dev)
 	c.recycleReplica(r)
 	if c.Audit != nil {
 		c.Audit.OnDrop(t.CheckID(), dev, pool.Used(), reason)
@@ -632,7 +635,7 @@ func (c *Cache) StartTransfer(t *Tile, src, dst topology.DeviceID, done func()) 
 	if t.ValidOn(dst) {
 		panic(fmt.Sprintf("cache: transfer to already-valid replica %v on %d", t.Key, dst))
 	}
-	if inf := t.inflight[dst]; inf != nil && inf.started {
+	if t.InflightStarted(dst) {
 		panic(fmt.Sprintf("cache: duplicate transfer of %v to %d", t.Key, dst))
 	}
 	if src == topology.Host {
@@ -651,7 +654,7 @@ func (c *Cache) StartTransfer(t *Tile, src, dst topology.DeviceID, done func()) 
 	inf := t.inflight[dst]
 	if inf == nil {
 		inf = c.newInflight(dst)
-		t.inflight[dst] = inf
+		t.setInflight(dst, inf)
 		if c.Audit != nil {
 			c.Audit.OnInflightMark(t.CheckID(), dst, false)
 		}
@@ -687,7 +690,7 @@ func (c *Cache) completeTransfer(t *Tile, src, dst topology.DeviceID, kind Trans
 			r.buf.CopyFrom(c.DeviceBuf(t, src))
 		}
 	}
-	r.valid = true
+	t.setValid(dst, r)
 	if c.Audit != nil {
 		c.Audit.OnReplicaValid(t.CheckID(), dst, "transfer")
 	}
@@ -707,7 +710,7 @@ func (c *Cache) completeTransfer(t *Tile, src, dst topology.DeviceID, kind Trans
 		c.Observer.OnTransfer(kind, src, dst, t.Bytes, c.serviceStart(src, dst, t.Bytes, start, end), end)
 	}
 	inf := t.inflight[dst]
-	delete(t.inflight, dst)
+	t.setInflight(dst, nil)
 	if c.Audit != nil {
 		c.Audit.OnInflightResolve(t.CheckID(), dst)
 	}
@@ -752,7 +755,7 @@ func (c *Cache) MarkInflight(t *Tile, dst topology.DeviceID) *Inflight {
 		panic(fmt.Sprintf("cache: duplicate inflight mark for %v on %d", t.Key, dst))
 	}
 	inf := c.newInflight(dst)
-	t.inflight[dst] = inf
+	t.setInflight(dst, inf)
 	if c.Audit != nil {
 		c.Audit.OnInflightMark(t.CheckID(), dst, true)
 	}
@@ -775,7 +778,7 @@ func (c *Cache) CancelInflight(t *Tile, dst topology.DeviceID, err error) {
 	if inf.started {
 		panic(fmt.Sprintf("cache: cancel of started transfer %v to %d", t.Key, dst))
 	}
-	delete(t.inflight, dst)
+	t.setInflight(dst, nil)
 	if c.Audit != nil {
 		c.Audit.OnInflightCancel(t.CheckID(), dst)
 	}
@@ -796,7 +799,7 @@ func (c *Cache) AllocRaw(t *Tile, dev topology.DeviceID) error {
 	if err != nil {
 		return err
 	}
-	r.valid = true
+	t.setValid(dev, r)
 	if c.Audit != nil {
 		c.Audit.OnReplicaValid(t.CheckID(), dev, "alloc-raw")
 	}
@@ -811,7 +814,7 @@ func (c *Cache) AllocForWrite(t *Tile, dev topology.DeviceID) error {
 	if err != nil {
 		return err
 	}
-	r.valid = true
+	t.setValid(dev, r)
 	if c.Audit != nil {
 		c.Audit.OnReplicaValid(t.CheckID(), dev, "alloc-write")
 	}
@@ -826,8 +829,9 @@ func (c *Cache) MarkDirty(t *Tile, dev topology.DeviceID) {
 	if r == nil || !r.valid {
 		panic(fmt.Sprintf("cache: MarkDirty on invalid replica %v@%d", t.Key, dev))
 	}
-	for d, other := range t.reps {
-		if d == dev {
+	for i, other := range t.reps {
+		d := topology.DeviceID(i)
+		if other == nil || d == dev {
 			continue
 		}
 		if other.pins > 0 || t.InflightTo(d) {
@@ -913,7 +917,11 @@ func (c *Cache) Invalidate(t *Tile) {
 	if !t.hostValid {
 		panic(fmt.Sprintf("cache: invalidating %v whose only copy is on-device", t.Key))
 	}
-	for d, r := range t.reps {
+	for i, r := range t.reps {
+		if r == nil {
+			continue
+		}
+		d := topology.DeviceID(i)
 		if r.pins > 0 || t.InflightTo(d) {
 			panic(fmt.Sprintf("cache: invalidating in-use replica %v@%d", t.Key, d))
 		}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xkblas/internal/device"
@@ -257,6 +258,15 @@ func TestEvictionSkipsDirtyAndPinned(t *testing.T) {
 	}
 }
 
+// members lists a device set in its First/Rest iteration order.
+func members(s topology.DeviceSet) []topology.DeviceID {
+	var out []topology.DeviceID
+	for ; !s.Empty(); s = s.Rest() {
+		out = append(out, s.First())
+	}
+	return out
+}
+
 func TestValidGPUsSortedAndComplete(t *testing.T) {
 	eng, c := newTestCache(false)
 	tl := hostTile(c, 8, 8)
@@ -265,16 +275,19 @@ func TestValidGPUsSortedAndComplete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.Run()
-	got := tl.ValidGPUs()
 	want := []topology.DeviceID{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("ValidGPUs = %v", got)
+	if got := members(tl.InflightDsts()); !slices.Equal(got, want) {
+		t.Fatalf("in flight: InflightDsts = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ValidGPUs = %v, want %v", got, want)
-		}
+	if got := tl.ValidGPUs(); !got.Empty() {
+		t.Fatalf("in flight: ValidGPUs = %v, want empty", members(got))
+	}
+	eng.Run()
+	if got := members(tl.ValidGPUs()); !slices.Equal(got, want) {
+		t.Fatalf("ValidGPUs = %v, want %v", got, want)
+	}
+	if got := tl.InflightDsts(); !got.Empty() {
+		t.Fatalf("InflightDsts = %v after the transfers landed, want empty", members(got))
 	}
 }
 

@@ -20,7 +20,10 @@ import (
 //  2. memory accounting: per-device pool usage equals the sum of resident
 //     replica footprints;
 //  3. functional coherence: any valid replica holds the same bytes as the
-//     latest version.
+//     latest version;
+//  4. set bookkeeping: a tile's valid bit for GPU d is set exactly when a
+//     replica record is present on d and valid, and its moving bit exactly
+//     when an under-transfer record to d is present.
 func TestCacheCoherenceFuzz(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		fuzzOnce(t, seed)
@@ -72,8 +75,9 @@ func fuzzOnce(t *testing.T, seed int64) {
 				break
 			}
 			src := topology.Host
-			if gs := tl.ValidGPUs(); len(gs) > 0 && rng.Intn(2) == 0 {
-				src = gs[rng.Intn(len(gs))]
+			if gs := tl.ValidGPUs(); !gs.Empty() && rng.Intn(2) == 0 {
+				ms := members(gs)
+				src = ms[rng.Intn(len(ms))]
 			} else if !tl.HostValid() {
 				if d := tl.DirtyOn(); d >= 0 {
 					src = d
@@ -89,12 +93,12 @@ func fuzzOnce(t *testing.T, seed int64) {
 			// The dependency layer guarantees a writer never races an
 			// in-flight read or flush of the same tile; the fuzzer must
 			// respect the same precondition.
-			if len(tl.InflightDsts()) > 0 || tl.flushing {
+			if !tl.InflightDsts().Empty() || tl.flushing {
 				break
 			}
 			pinned := false
 			for d, r := range tl.reps {
-				if d != dev && r.pins > 0 {
+				if r != nil && topology.DeviceID(d) != dev && r.pins > 0 {
 					pinned = true
 				}
 			}
@@ -111,12 +115,12 @@ func fuzzOnce(t *testing.T, seed int64) {
 		case 2: // flush
 			c.FlushToHost(tl, nil)
 		case 3: // invalidate (host must be valid, no replica busy)
-			if !tl.HostValid() || len(tl.InflightDsts()) > 0 {
+			if !tl.HostValid() || !tl.InflightDsts().Empty() {
 				break
 			}
 			busy := false
-			for _, g := range tl.ValidGPUs() {
-				if tl.reps[g].pins > 0 {
+			for gs := tl.ValidGPUs(); !gs.Empty(); gs = gs.Rest() {
+				if tl.reps[gs.First()].pins > 0 {
 					busy = true
 				}
 			}
@@ -170,8 +174,27 @@ func checkInvariants(t *testing.T, st *fuzzState, seed int64, step int) {
 	t.Helper()
 	used := make(map[topology.DeviceID]int64)
 	for i, tl := range st.tiles {
+		for d := topology.DeviceID(0); d < topology.MaxGPUs; d++ {
+			var r *replica
+			var inf *Inflight
+			if int(d) < len(tl.reps) {
+				r, inf = tl.reps[d], tl.inflight[d]
+			}
+			if got, want := tl.valid.Has(d), r != nil && r.valid; got != want {
+				t.Fatalf("seed %d step %d: tile %d valid bit %v on %d, replica present and valid %v",
+					seed, step, i, got, d, want)
+			}
+			if got, want := tl.moving.Has(d), inf != nil; got != want {
+				t.Fatalf("seed %d step %d: tile %d moving bit %v on %d, inflight record present %v",
+					seed, step, i, got, d, want)
+			}
+		}
 		dirty := 0
-		for d, r := range tl.reps {
+		for di, r := range tl.reps {
+			if r == nil {
+				continue
+			}
+			d := topology.DeviceID(di)
 			used[d] += tl.Bytes
 			if r.dirty {
 				if !r.valid {

@@ -227,16 +227,17 @@ func (d Decisions) String() string {
 
 // TileView is the replica-placement view the policies consume: which
 // devices hold a valid copy, where the host copy stands, and which
-// transfers are in flight. *cache.Tile implements it.
+// transfers are in flight. The two device sets are values, so reading them
+// allocates nothing. *cache.Tile implements it.
 type TileView interface {
-	// ValidGPUs lists devices holding valid replicas in ascending id order.
-	ValidGPUs() []topology.DeviceID
+	// ValidGPUs reports the devices holding a valid replica.
+	ValidGPUs() topology.DeviceSet
 	// HostValid reports whether the host copy is current.
 	HostValid() bool
 	// DirtyOn reports the device holding the sole modified replica, or -1.
 	DirtyOn() topology.DeviceID
-	// InflightDsts lists devices with a replica under transfer, ascending.
-	InflightDsts() []topology.DeviceID
+	// InflightDsts reports the devices with a replica under transfer.
+	InflightDsts() topology.DeviceSet
 	// ValidOn reports whether dev holds a valid replica.
 	ValidOn(dev topology.DeviceID) bool
 	// InflightTo reports whether a transfer to dev is in progress.

@@ -9,38 +9,31 @@ import (
 
 // fakeTile is a minimal TileView for driving the selectors directly.
 type fakeTile struct {
-	valid    []topology.DeviceID
+	valid    topology.DeviceSet
 	host     bool
 	dirty    topology.DeviceID
-	inflight []topology.DeviceID
+	inflight topology.DeviceSet
 	owner    topology.DeviceID
 	i, j     int
 }
 
 func newFakeTile() *fakeTile { return &fakeTile{dirty: -1, owner: -1} }
 
-func (t *fakeTile) ValidGPUs() []topology.DeviceID    { return t.valid }
-func (t *fakeTile) HostValid() bool                   { return t.host }
-func (t *fakeTile) DirtyOn() topology.DeviceID        { return t.dirty }
-func (t *fakeTile) InflightDsts() []topology.DeviceID { return t.inflight }
-
-func (t *fakeTile) ValidOn(dev topology.DeviceID) bool {
-	for _, d := range t.valid {
-		if d == dev {
-			return true
-		}
+// devs builds a device set from ids.
+func devs(ids ...topology.DeviceID) topology.DeviceSet {
+	var s topology.DeviceSet
+	for _, d := range ids {
+		s = s.With(d)
 	}
-	return false
+	return s
 }
 
-func (t *fakeTile) InflightTo(dev topology.DeviceID) bool {
-	for _, d := range t.inflight {
-		if d == dev {
-			return true
-		}
-	}
-	return false
-}
+func (t *fakeTile) ValidGPUs() topology.DeviceSet         { return t.valid }
+func (t *fakeTile) HostValid() bool                       { return t.host }
+func (t *fakeTile) DirtyOn() topology.DeviceID            { return t.dirty }
+func (t *fakeTile) InflightDsts() topology.DeviceSet      { return t.inflight }
+func (t *fakeTile) ValidOn(dev topology.DeviceID) bool    { return t.valid.Has(dev) }
+func (t *fakeTile) InflightTo(dev topology.DeviceID) bool { return t.inflight.Has(dev) }
 
 func (t *fakeTile) SizeBytes() int64                   { return 1 << 20 }
 func (t *fakeTile) HomeOwner() topology.DeviceID       { return t.owner }
@@ -64,7 +57,7 @@ func TestSameSwitchOnDGX2(t *testing.T) {
 	sel := SameSwitch{Base: LowestID{}}
 
 	tile := newFakeTile()
-	tile.valid = []topology.DeviceID{1, 2, 3}
+	tile.valid = devs(1, 2, 3)
 	tile.host = true
 	if src, chained := pick(t, sel, tile, 0, topo, nil); chained || src != 1 {
 		t.Fatalf("dst 0 with valid {1,2,3}: got (%d,%v), want (1,false): only GPU 1 shares switch 0", src, chained)
@@ -72,7 +65,7 @@ func TestSameSwitchOnDGX2(t *testing.T) {
 
 	// No replica behind the destination's switch: fall back to the host
 	// read even though peers 2 and 3 hold valid copies.
-	tile.valid = []topology.DeviceID{2, 3}
+	tile.valid = devs(2, 3)
 	if src, chained := pick(t, sel, tile, 0, topo, nil); chained || src != topology.Host {
 		t.Fatalf("dst 0 with valid {2,3}: got (%d,%v), want host", src, chained)
 	}
@@ -88,7 +81,7 @@ func TestSameSwitchEveryPeerOneSwitch(t *testing.T) {
 	}
 	sel := SameSwitch{Base: LowestID{}}
 	tile := newFakeTile()
-	tile.valid = []topology.DeviceID{1}
+	tile.valid = devs(1)
 	tile.host = true
 	if src, chained := pick(t, sel, tile, 0, topo, nil); chained || src != 1 {
 		t.Fatalf("got (%d,%v), want (1,false): the single peer shares the switch", src, chained)
@@ -101,7 +94,7 @@ func TestTopoRankFlatFabricTieBreaksLowestID(t *testing.T) {
 	// (lowest id) — the determinism the parity harness depends on.
 	topo := topology.DGX2()
 	tile := newFakeTile()
-	tile.valid = []topology.DeviceID{3, 5, 9}
+	tile.valid = devs(3, 5, 9)
 	tile.host = true
 	if src, chained := pick(t, TopoRank{}, tile, 0, topo, nil); chained || src != 3 {
 		t.Fatalf("flat-fabric tie: got (%d,%v), want (3,false)", src, chained)
@@ -111,7 +104,7 @@ func TestTopoRankFlatFabricTieBreaksLowestID(t *testing.T) {
 func TestHostOnlyRejectsAllPeers(t *testing.T) {
 	topo := topology.DGX1()
 	tile := newFakeTile()
-	tile.valid = []topology.DeviceID{1, 3}
+	tile.valid = devs(1, 3)
 	tile.host = true
 	if src, chained := pick(t, HostOnly{}, tile, 0, topo, nil); chained || src != topology.Host {
 		t.Fatalf("got (%d,%v), want host read", src, chained)
@@ -124,7 +117,7 @@ func TestOptimisticChainHitCountsTaken(t *testing.T) {
 	c := NewCounters(metrics.NewRegistry())
 	tile := newFakeTile()
 	tile.host = true
-	tile.inflight = []topology.DeviceID{1, 3} // 3 is 2xNVLink to 0
+	tile.inflight = devs(1, 3) // 3 is 2xNVLink to 0
 	src, chained := pick(t, sel, tile, 0, topo, c)
 	if !chained || src != 3 {
 		t.Fatalf("got (%d,%v), want (3,true): ranked chain onto the best in-flight peer", src, chained)
@@ -146,7 +139,7 @@ func TestOptimisticChainMissCountsMissed(t *testing.T) {
 		t.Fatalf("got (%d,%v), want host fallback", src, chained)
 	}
 	// The only in-flight destination is the requester itself: still a miss.
-	tile.inflight = []topology.DeviceID{2}
+	tile.inflight = devs(2)
 	if src, chained := pick(t, sel, tile, 2, topo, c); chained || src != topology.Host {
 		t.Fatalf("got (%d,%v), want host fallback (cannot chain onto self)", src, chained)
 	}
@@ -168,7 +161,7 @@ func TestSelectSourceDirtyAndForcedChainFallbacks(t *testing.T) {
 
 	// Only copy is in flight: wait on its first destination (forced chain).
 	tile = newFakeTile()
-	tile.inflight = []topology.DeviceID{4}
+	tile.inflight = devs(4)
 	if src, chained := pick(t, LowestID{}, tile, 0, topo, nil); !chained || src != 4 {
 		t.Fatalf("got (%d,%v), want forced chain on 4", src, chained)
 	}

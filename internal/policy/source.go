@@ -13,11 +13,11 @@ type SourceSelector interface {
 	Name() string
 
 	// PickPeer chooses the transfer source among the devices holding a
-	// valid replica (cands is non-empty, ascending). ok=false rejects
-	// every peer and falls through to the host-read path — how host-only
-	// (cuBLAS-XT, SLATE) and filtered (BLASX same-switch) policies are
-	// expressed.
-	PickPeer(topo *topology.Platform, cands []topology.DeviceID, dst topology.DeviceID) (src topology.DeviceID, ok bool)
+	// valid replica (cands is non-empty; ties go to the lowest id).
+	// ok=false rejects every peer and falls through to the host-read path —
+	// how host-only (cuBLAS-XT, SLATE) and filtered (BLASX same-switch)
+	// policies are expressed.
+	PickPeer(topo *topology.Platform, cands topology.DeviceSet, dst topology.DeviceID) (src topology.DeviceID, ok bool)
 
 	// PickInflight chooses an in-flight destination to chain on when the
 	// host copy is valid but no acceptable peer exists. ok=false reads
@@ -40,7 +40,7 @@ type SourceSelector interface {
 // on", not a valid holder. ok=false means the tile has no copy anywhere —
 // a runtime invariant violation the caller should panic on.
 func SelectSource(sel SourceSelector, topo *topology.Platform, tile TileView, dst topology.DeviceID, c *Counters) (src topology.DeviceID, chained, ok bool) {
-	if cands := tile.ValidGPUs(); len(cands) > 0 {
+	if cands := tile.ValidGPUs(); !cands.Empty() {
 		if src, ok := sel.PickPeer(topo, cands, dst); ok {
 			return src, false, true
 		}
@@ -54,8 +54,8 @@ func SelectSource(sel SourceSelector, topo *topology.Platform, tile TileView, ds
 	if dirty := tile.DirtyOn(); dirty >= 0 {
 		return dirty, false, true
 	}
-	if infl := tile.InflightDsts(); len(infl) > 0 {
-		return infl[0], true, true
+	if infl := tile.InflightDsts(); !infl.Empty() {
+		return infl.First(), true, true
 	}
 	return -1, false, false
 }
@@ -77,10 +77,11 @@ type TopoRank struct{ noChain }
 func (TopoRank) Name() string { return "topo-rank" }
 
 // PickPeer implements SourceSelector.
-func (TopoRank) PickPeer(topo *topology.Platform, cands []topology.DeviceID, dst topology.DeviceID) (topology.DeviceID, bool) {
-	best := cands[0]
+func (TopoRank) PickPeer(topo *topology.Platform, cands topology.DeviceSet, dst topology.DeviceID) (topology.DeviceID, bool) {
+	best := cands.First()
 	bestRank := topo.P2PPerformanceRank(best, dst)
-	for _, c := range cands[1:] {
+	for s := cands.Rest(); !s.Empty(); s = s.Rest() {
+		c := s.First()
 		if r := topo.P2PPerformanceRank(c, dst); r > bestRank {
 			best, bestRank = c, r
 		}
@@ -103,11 +104,12 @@ type NearestFirst struct{ noChain }
 func (NearestFirst) Name() string { return "nearest-first" }
 
 // PickPeer implements SourceSelector.
-func (NearestFirst) PickPeer(topo *topology.Platform, cands []topology.DeviceID, dst topology.DeviceID) (topology.DeviceID, bool) {
-	best := cands[0]
+func (NearestFirst) PickPeer(topo *topology.Platform, cands topology.DeviceSet, dst topology.DeviceID) (topology.DeviceID, bool) {
+	best := cands.First()
 	bestHops := topo.HopDistance(best, dst)
 	bestBW := topo.GPULink(best, dst).BandwidthGBs
-	for _, c := range cands[1:] {
+	for s := cands.Rest(); !s.Empty(); s = s.Rest() {
+		c := s.First()
 		h, bw := topo.HopDistance(c, dst), topo.GPULink(c, dst).BandwidthGBs
 		if h < bestHops || (h == bestHops && bw > bestBW) {
 			best, bestHops, bestBW = c, h, bw
@@ -124,8 +126,8 @@ type LowestID struct{ noChain }
 func (LowestID) Name() string { return "lowest-id" }
 
 // PickPeer implements SourceSelector.
-func (LowestID) PickPeer(_ *topology.Platform, cands []topology.DeviceID, _ topology.DeviceID) (topology.DeviceID, bool) {
-	return cands[0], true
+func (LowestID) PickPeer(_ *topology.Platform, cands topology.DeviceSet, _ topology.DeviceID) (topology.DeviceID, bool) {
+	return cands.First(), true
 }
 
 // HostOnly never reads from a peer GPU while the host copy is valid:
@@ -137,7 +139,7 @@ type HostOnly struct{ noChain }
 func (HostOnly) Name() string { return "host-only" }
 
 // PickPeer implements SourceSelector.
-func (HostOnly) PickPeer(*topology.Platform, []topology.DeviceID, topology.DeviceID) (topology.DeviceID, bool) {
+func (HostOnly) PickPeer(*topology.Platform, topology.DeviceSet, topology.DeviceID) (topology.DeviceID, bool) {
 	return -1, false
 }
 
@@ -154,14 +156,14 @@ type SameSwitch struct {
 func (s SameSwitch) Name() string { return "same-switch(" + s.Base.Name() + ")" }
 
 // PickPeer implements SourceSelector.
-func (s SameSwitch) PickPeer(topo *topology.Platform, cands []topology.DeviceID, dst topology.DeviceID) (topology.DeviceID, bool) {
-	var local []topology.DeviceID
-	for _, c := range cands {
-		if topo.SameSwitch(c, dst) {
-			local = append(local, c)
+func (s SameSwitch) PickPeer(topo *topology.Platform, cands topology.DeviceSet, dst topology.DeviceID) (topology.DeviceID, bool) {
+	var local topology.DeviceSet
+	for rest := cands; !rest.Empty(); rest = rest.Rest() {
+		if c := rest.First(); topo.SameSwitch(c, dst) {
+			local = local.With(c)
 		}
 	}
-	if len(local) == 0 {
+	if local.Empty() {
 		return -1, false
 	}
 	return s.Base.PickPeer(topo, local, dst)
@@ -182,7 +184,7 @@ type Optimistic struct {
 func (o Optimistic) Name() string { return "optimistic(" + o.Base.Name() + ")" }
 
 // PickPeer implements SourceSelector.
-func (o Optimistic) PickPeer(topo *topology.Platform, cands []topology.DeviceID, dst topology.DeviceID) (topology.DeviceID, bool) {
+func (o Optimistic) PickPeer(topo *topology.Platform, cands topology.DeviceSet, dst topology.DeviceID) (topology.DeviceID, bool) {
 	return o.Base.PickPeer(topo, cands, dst)
 }
 
@@ -192,10 +194,8 @@ func (o Optimistic) PickPeer(topo *topology.Platform, cands []topology.DeviceID,
 func (o Optimistic) PickInflight(topo *topology.Platform, tile TileView, dst topology.DeviceID, c *Counters) (topology.DeviceID, bool) {
 	var best topology.DeviceID = -1
 	bestRank := -1
-	for _, g := range tile.InflightDsts() {
-		if g == dst {
-			continue
-		}
+	for s := tile.InflightDsts().Without(dst); !s.Empty(); s = s.Rest() {
+		g := s.First()
 		r := 0
 		if o.Ranked {
 			r = topo.P2PPerformanceRank(g, dst)

@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -210,7 +211,9 @@ func (c *Config) validate() error {
 	if c.Tenants < 1 || c.Requests < 1 {
 		return errors.New("serve: config needs at least one tenant and one request")
 	}
-	if c.RatePerSec <= 0 {
+	// A NaN rate never advances the arrival clock, and +Inf puts every
+	// arrival at t = 0.
+	if c.RatePerSec <= 0 || math.IsNaN(c.RatePerSec) || math.IsInf(c.RatePerSec, 1) {
 		return errors.New("serve: arrival rate must be positive")
 	}
 	if c.QueueDepth < 1 || c.MaxInflight < 1 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"xkblas/internal/blasops"
@@ -321,6 +322,8 @@ func TestConfigValidation(t *testing.T) {
 		"no tenants":       func(c *Config) { c.Tenants = 0 },
 		"no requests":      func(c *Config) { c.Requests = 0 },
 		"bad rate":         func(c *Config) { c.RatePerSec = 0 },
+		"NaN rate":         func(c *Config) { c.RatePerSec = math.NaN() },
+		"+Inf rate":        func(c *Config) { c.RatePerSec = math.Inf(1) },
 		"bad queue":        func(c *Config) { c.QueueDepth = 0 },
 		"bad inflight":     func(c *Config) { c.MaxInflight = 0 },
 		"bad parallel":     func(c *Config) { c.Parallel = -1 },

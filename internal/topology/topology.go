@@ -171,13 +171,18 @@ type Platform struct {
 	routes     [][]*Path
 }
 
-// Validate checks the fabric graph's internal consistency: well-formed
-// components and edges, unique resource names, a route between every
-// ordered device pair, and symmetric route classes. It is called by Build
-// (hence by every constructor) and again at registry registration.
+// Validate checks the fabric graph's internal consistency: between 1 and
+// MaxGPUs GPUs, well-formed components and edges, unique resource names, a
+// route between every ordered device pair, and symmetric route classes. It
+// is called by Build (hence by every constructor) and again at registry
+// registration.
 func (p *Platform) Validate() error {
 	if p.NumGPUs <= 0 {
 		return fmt.Errorf("topology: platform %q has %d GPUs", p.Name, p.NumGPUs)
+	}
+	if p.NumGPUs > MaxGPUs {
+		return fmt.Errorf("topology: platform %q has %d GPUs, more than the limit of %d (one DeviceSet bit per GPU)",
+			p.Name, p.NumGPUs, MaxGPUs)
 	}
 	if len(p.gpuComp) != p.NumGPUs || len(p.gpuH2D) != p.NumGPUs ||
 		len(p.gpuD2H) != p.NumGPUs || len(p.gpuSpecs) != p.NumGPUs ||

@@ -1,6 +1,8 @@
 package xkrt
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"xkblas/internal/cache"
@@ -35,7 +37,7 @@ func TestSubmitSteadyStateAllocBudget(t *testing.T) {
 // TestSubAliasesArenaRecycledTiles: Matrix.Sub must share the parent's
 // cache tile records by pointer — including records the arena recycled
 // from an earlier runtime generation — because overlapping sub-matrices
-// are ordered through dependency tables keyed on those pointers.
+// are ordered through the dependency rows indexed by those records' slots.
 func TestSubAliasesArenaRecycledTiles(t *testing.T) {
 	rig := newBenchRig()
 	rig.submitWave()
@@ -108,5 +110,32 @@ func TestEachTileOnRecycledTiles(t *testing.T) {
 	}
 	if first != second {
 		t.Fatalf("wave on recycled tiles finished at %v, fresh runtime at %v: Reset is not bit-identical", second, first)
+	}
+}
+
+// TestResetAfterCancelClearsDependencyRows: a cancelled run leaves its
+// unfinished tasks in the dependency rows. Reset must clear the rows, or
+// the next run's tasks would depend on records that never complete.
+func TestResetAfterCancelClearsDependencyRows(t *testing.T) {
+	ref := newBenchRig()
+	ref.submitWave()
+	full := ref.rt.Barrier()
+
+	rig := newBenchRig()
+	rig.submitWave()
+	rig.eng.At(full/2, func() { rig.rt.Cancel(context.Canceled) })
+	rig.rt.Barrier()
+	if !errors.Is(rig.rt.Err(), ErrCanceled) || rig.rt.Pending() == 0 {
+		t.Fatalf("cancellation did not strand tasks (err %v, pending %d)", rig.rt.Err(), rig.rt.Pending())
+	}
+
+	rig.reset()
+	rig.m = rig.rt.Register(matrix.NewShape(benchGrid*256, benchGrid*256), 256)
+	rig.submitWave()
+	if end := rig.rt.Barrier(); end != full {
+		t.Fatalf("wave after a cancelled run finished at %v, fresh runtime at %v", end, full)
+	}
+	if err := rig.rt.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

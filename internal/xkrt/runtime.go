@@ -186,9 +186,12 @@ type Runtime struct {
 	Opt   Options
 	Obs   Observer
 
-	nextID     int
-	lastWriter map[cache.TileKey]*Task
-	readers    map[cache.TileKey][]*Task
+	nextID int
+
+	// deps holds one dependency row per tile, indexed by the tile's arena
+	// slot (cache.Tile.Slot). Rows grow with the tile arena and keep their
+	// reader capacity across Reset.
+	deps []depRow
 
 	// Task arena: completed tasks recycle through taskFree (with their
 	// inline access storage and successor-slice capacity), and depScratch
@@ -280,16 +283,14 @@ func New(eng *sim.Engine, plat *device.Platform, functional bool, opt Options) *
 		opt.GridP, opt.GridQ = defaultGrid(n)
 	}
 	rt := &Runtime{
-		Eng:        eng,
-		Plat:       plat,
-		Cache:      cache.New(plat, functional),
-		Opt:        opt,
-		pol:        opt.bundle(),
-		lastWriter: make(map[cache.TileKey]*Task),
-		readers:    make(map[cache.TileKey][]*Task),
-		queues:     make([]taskQueue, n),
-		window:     make([]int, n),
-		estLoad:    make([]sim.Time, n),
+		Eng:     eng,
+		Plat:    plat,
+		Cache:   cache.New(plat, functional),
+		Opt:     opt,
+		pol:     opt.bundle(),
+		queues:  make([]taskQueue, n),
+		window:  make([]int, n),
+		estLoad: make([]sim.Time, n),
 	}
 	rt.reg = metrics.NewRegistry()
 	rt.counters = policy.NewCounters(rt.reg)
@@ -313,8 +314,9 @@ func (rt *Runtime) Reset() {
 	rt.Cache.Reset()
 	rt.Cache.Evictor = rt.pol.Evictor
 	rt.nextID = 0
-	clear(rt.lastWriter)
-	clear(rt.readers)
+	for i := range rt.deps {
+		rt.deps[i].clear()
+	}
 	for d := range rt.queues {
 		rt.queues[d].clear()
 		rt.window[d] = 0
@@ -666,6 +668,29 @@ func (rt *Runtime) tryAdmit() {
 	}
 }
 
+// depRow is one tile's dependency state: the last task that wrote it and
+// every task that has read it since.
+type depRow struct {
+	lastWriter *Task
+	readers    []*Task
+}
+
+// clear empties the row, keeping the readers capacity.
+func (r *depRow) clear() {
+	r.lastWriter = nil
+	clear(r.readers)
+	r.readers = r.readers[:0]
+}
+
+// row returns tile's dependency row, growing the table to the tile's slot.
+// The pointer is valid until the next call.
+func (rt *Runtime) row(tile *cache.Tile) *depRow {
+	for tile.Slot >= len(rt.deps) {
+		rt.deps = append(rt.deps, depRow{})
+	}
+	return &rt.deps[tile.Slot]
+}
+
 // wire links the task's dependencies into the tables. The dedup scratch is
 // reused across calls: a task's dependency fan-in is tiny (bounded by its
 // access count plus readers), so a linear scan beats a map and allocates
@@ -688,29 +713,25 @@ func (rt *Runtime) wire(t *Task) {
 		t.preds++
 	}
 	for _, a := range t.acc {
-		k := a.Tile.Key
+		row := rt.row(a.Tile)
 		if a.Mode.reads() {
-			addDep(rt.lastWriter[k])
+			addDep(row.lastWriter)
 		}
 		if a.Mode.writes() {
-			addDep(rt.lastWriter[k])
-			for _, r := range rt.readers[k] {
+			addDep(row.lastWriter)
+			for _, r := range row.readers {
 				addDep(r)
 			}
 		}
 	}
 	// Update the tables after scanning all accesses.
 	for _, a := range t.acc {
-		k := a.Tile.Key
+		row := rt.row(a.Tile)
 		if a.Mode.writes() {
-			rt.lastWriter[k] = t
-			rs := rt.readers[k]
-			for i := range rs {
-				rs[i] = nil
-			}
-			rt.readers[k] = rs[:0]
+			row.clear()
+			row.lastWriter = t
 		} else {
-			rt.readers[k] = append(rt.readers[k], t)
+			row.readers = append(row.readers, t)
 		}
 	}
 	for i := range deps {
@@ -726,17 +747,17 @@ func (rt *Runtime) wire(t *Task) {
 // instead of growing with the whole run.
 func (rt *Runtime) pruneTables(t *Task) {
 	for _, a := range t.acc {
-		k := a.Tile.Key
+		row := &rt.deps[a.Tile.Slot]
 		if a.Mode.writes() {
-			if rt.lastWriter[k] == t {
-				delete(rt.lastWriter, k)
+			if row.lastWriter == t {
+				row.lastWriter = nil
 			}
-		} else if rs := rt.readers[k]; len(rs) > 0 {
+		} else if rs := row.readers; len(rs) > 0 {
 			for i, r := range rs {
 				if r == t {
 					copy(rs[i:], rs[i+1:])
 					rs[len(rs)-1] = nil
-					rt.readers[k] = rs[:len(rs)-1]
+					row.readers = rs[:len(rs)-1]
 					break
 				}
 			}
