@@ -81,10 +81,10 @@ batch-check: golden-check
 	$(GO) test -count=1 -run 'TestFlagProblem|TestBatch' ./cmd/xkbench/
 
 # Default verification gate: build, vet, formatting, tests, stress, race,
-# the allocation gates, the golden quick-sweep diff (run
-# once), the fabric-graph parity gate, the serving-path gate and the
-# batched-dispatch gate.
-check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc golden-check topo-check serve-check batch-check
+# the allocation gates, randomized functional verification, the golden
+# quick-sweep diff (run once), the fabric-graph parity gate, the
+# serving-path gate and the batched-dispatch gate.
+check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc verify golden-check topo-check serve-check batch-check
 
 # One testing.B benchmark per paper table/figure plus the ablations.
 bench:
@@ -92,11 +92,15 @@ bench:
 
 # Allocation gates: the steady-state submit/run/retire path must stay
 # within its per-wave allocation budget (the arena contract behind
-# million-task runs), and DMDAS placement and source selection must not
-# allocate at all; then report the ns/op and allocs/op benchmarks.
+# million-task runs), DMDAS placement and source selection must not
+# allocate at all, and neither may the host tile kernels at any flag
+# combination; then report the ns/op and allocs/op benchmarks (GFlop/s too
+# for the kernels, at functional mode's flags).
 bench-alloc:
 	$(GO) test -count=1 -run 'TestSubmitSteadyStateAllocBudget|TestTileQueriesAllocFree' ./internal/xkrt/
+	$(GO) test -count=1 -run 'TestTileKernelsAllocFree' ./internal/hostblas/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitComplete|BenchmarkDAGBuild|BenchmarkDMDASAssign|BenchmarkSelectSource' -benchmem ./internal/xkrt/
+	$(GO) test -run '^$$' -bench 'BenchmarkKernels' -benchtime 200ms -benchmem ./internal/hostblas/
 
 # Beyond-paper-scale demonstration: 1.4M-task GEMM (N=229376) streamed
 # through a bounded admission window with interleaved coherency, plus the

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -31,30 +33,47 @@ var configs = []struct {
 	{"dmdas", xkrt.Options{TopoAware: true, Optimistic: true, Window: 2, Scheduler: xkrt.DMDAS}},
 }
 
-func main() {
-	trials := flag.Int("trials", 25, "randomized trials per routine and configuration")
-	seed := flag.Int64("seed", 1, "base random seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run verifies every routine and returns the exit status: 0 when all
+// match, 1 on a mismatch, 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xkverify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	trials := fs.Int("trials", 25, "randomized trials per routine and configuration")
+	seed := fs.Int64("seed", 1, "base random seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *trials < 1 {
+		fmt.Fprintf(stderr, "xkverify: -trials must be >= 1, got %d\n", *trials)
+		fs.Usage()
+		return 2
+	}
 
 	failures := 0
 	for _, cfg := range configs {
 		for t := 0; t < *trials; t++ {
 			rng := rand.New(rand.NewSource(*seed + int64(t)*1000003))
-			failures += verifyReal(cfg.name, cfg.opt, rng)
-			failures += verifyComplex(cfg.name, cfg.opt, rng)
+			failures += verifyReal(stdout, cfg.name, cfg.opt, rng)
+			failures += verifyComplex(stdout, cfg.name, cfg.opt, rng)
 		}
 	}
 	if failures > 0 {
-		fmt.Printf("FAILED: %d mismatches\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "FAILED: %d mismatches\n", failures)
+		return 1
 	}
-	fmt.Printf("all routines verified: %d trials x %d configs, real + complex ✓\n",
+	fmt.Fprintf(stdout, "all routines verified: %d trials x %d configs, real + complex ✓\n",
 		*trials, len(configs))
+	return 0
 }
 
-func report(label string, diff, tol float64) int {
+func report(w io.Writer, label string, diff, tol float64) int {
 	if diff > tol {
-		fmt.Printf("MISMATCH %-40s diff=%g\n", label, diff)
+		fmt.Fprintf(w, "MISMATCH %-40s diff=%g\n", label, diff)
 		return 1
 	}
 	return 0
@@ -62,7 +81,7 @@ func report(label string, diff, tol float64) int {
 
 func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.Intn(len(xs))] }
 
-func verifyReal(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
+func verifyReal(w io.Writer, cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 	nb := 4 + rng.Intn(8)
 	m := nb + rng.Intn(4*nb)
 	n := nb + rng.Intn(4*nb)
@@ -89,7 +108,7 @@ func verifyReal(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 		h.GemmAsync(ta, tb, alpha, A, B, beta, C)
 		h.MemoryCoherentAsync(C)
 		h.Sync()
-		fail += report(fmt.Sprintf("%s GEMM(%c%c) nb=%d %dx%dx%d", cfgName, ta, tb, nb, m, n, k),
+		fail += report(w, fmt.Sprintf("%s GEMM(%c%c) nb=%d %dx%dx%d", cfgName, ta, tb, nb, m, n, k),
 			matrix.MaxAbsDiff(c, want), 1e-9)
 	}
 	// SYMM
@@ -108,7 +127,7 @@ func verifyReal(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 		h.SymmAsync(side, uplo, alpha, A, B, beta, C)
 		h.MemoryCoherentAsync(C)
 		h.Sync()
-		fail += report(fmt.Sprintf("%s SYMM(%c%c)", cfgName, side, uplo),
+		fail += report(w, fmt.Sprintf("%s SYMM(%c%c)", cfgName, side, uplo),
 			matrix.MaxAbsDiff(c, want), 1e-9)
 	}
 	// SYRK / SYR2K
@@ -123,7 +142,7 @@ func verifyReal(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 		h.Syr2kAsync(uplo, tr, alpha, A, B, beta, C)
 		h.MemoryCoherentAsync(C)
 		h.Sync()
-		fail += report(fmt.Sprintf("%s SYR2K(%c%c)", cfgName, uplo, tr),
+		fail += report(w, fmt.Sprintf("%s SYR2K(%c%c)", cfgName, uplo, tr),
 			matrix.MaxAbsDiff(c, want), 1e-9)
 
 		c2 := randMat(rng, n, n)
@@ -133,7 +152,7 @@ func verifyReal(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 		h.SyrkAsync(uplo, tr, alpha, h.Register(a), beta, C2)
 		h.MemoryCoherentAsync(C2)
 		h.Sync()
-		fail += report(fmt.Sprintf("%s SYRK(%c%c)", cfgName, uplo, tr),
+		fail += report(w, fmt.Sprintf("%s SYRK(%c%c)", cfgName, uplo, tr),
 			matrix.MaxAbsDiff(c2, want2), 1e-9)
 	}
 	// TRMM / TRSM
@@ -152,7 +171,7 @@ func verifyReal(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 		h.TrmmAsync(side, uplo, ta, diag, alpha, A, B)
 		h.MemoryCoherentAsync(B)
 		h.Sync()
-		fail += report(fmt.Sprintf("%s TRMM(%c%c%c%c)", cfgName, side, uplo, ta, diag),
+		fail += report(w, fmt.Sprintf("%s TRMM(%c%c%c%c)", cfgName, side, uplo, ta, diag),
 			matrix.MaxAbsDiff(b, want), 1e-8)
 
 		b2 := randMat(rng, m, n)
@@ -162,13 +181,13 @@ func verifyReal(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 		h.TrsmAsync(side, uplo, ta, diag, alpha, h.Register(a), B2)
 		h.MemoryCoherentAsync(B2)
 		h.Sync()
-		fail += report(fmt.Sprintf("%s TRSM(%c%c%c%c)", cfgName, side, uplo, ta, diag),
+		fail += report(w, fmt.Sprintf("%s TRSM(%c%c%c%c)", cfgName, side, uplo, ta, diag),
 			matrix.MaxAbsDiff(b2, want2), 1e-7)
 	}
 	return fail
 }
 
-func verifyComplex(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
+func verifyComplex(w io.Writer, cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 	nb := 4 + rng.Intn(6)
 	n := nb + rng.Intn(3*nb)
 	k := nb + rng.Intn(3*nb)
@@ -189,7 +208,7 @@ func verifyComplex(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 		h.ZgemmAsync(core.NoTrans, core.NoTrans, alpha, A, B, 1, C)
 		h.MemoryCoherentAsync(C)
 		h.Sync()
-		fail += report(cfgName+" ZGEMM", matrix.MaxAbsDiffZ(c, want), 1e-9)
+		fail += report(w, cfgName+" ZGEMM", matrix.MaxAbsDiffZ(c, want), 1e-9)
 	}
 	// HERK
 	{
@@ -204,7 +223,7 @@ func verifyComplex(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 		h.ZherkAsync(uplo, core.NoTrans, real(alpha), A, 0.5, C)
 		h.MemoryCoherentAsync(C)
 		h.Sync()
-		fail += report(fmt.Sprintf("%s HERK(%c)", cfgName, uplo), matrix.MaxAbsDiffZ(c, want), 1e-9)
+		fail += report(w, fmt.Sprintf("%s HERK(%c)", cfgName, uplo), matrix.MaxAbsDiffZ(c, want), 1e-9)
 	}
 	// HEMM
 	{
@@ -215,7 +234,7 @@ func verifyComplex(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 		h.ZhemmAsync(core.Left, uplo, alpha, A, B, 1, C)
 		h.MemoryCoherentAsync(C)
 		h.Sync()
-		fail += report(fmt.Sprintf("%s HEMM(%c)", cfgName, uplo), matrix.MaxAbsDiffZ(c, want), 1e-9)
+		fail += report(w, fmt.Sprintf("%s HEMM(%c)", cfgName, uplo), matrix.MaxAbsDiffZ(c, want), 1e-9)
 	}
 	// ZTRSM/ZTRMM round-trip
 	{
@@ -236,7 +255,7 @@ func verifyComplex(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 				want.Set(i, j, alpha*orig.At(i, j))
 			}
 		}
-		fail += report(fmt.Sprintf("%s ZTRSM/ZTRMM(%c)", cfgName, uplo),
+		fail += report(w, fmt.Sprintf("%s ZTRSM/ZTRMM(%c)", cfgName, uplo),
 			matrix.MaxAbsDiffZ(b, want), 1e-7)
 	}
 	// HER2K
@@ -252,7 +271,7 @@ func verifyComplex(cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 		h.Zher2kAsync(uplo, core.NoTrans, alpha, A, B, 0.7, C)
 		h.MemoryCoherentAsync(C)
 		h.Sync()
-		fail += report(fmt.Sprintf("%s HER2K(%c)", cfgName, uplo), matrix.MaxAbsDiffZ(c, want), 1e-9)
+		fail += report(w, fmt.Sprintf("%s HER2K(%c)", cfgName, uplo), matrix.MaxAbsDiffZ(c, want), 1e-9)
 	}
 	return fail
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -79,6 +80,50 @@ func TestSyrkAlphaZeroScalesTriangleOnly(t *testing.T) {
 		for i := 0; i < j; i++ {
 			if cv.At(i, j) != want.At(i, j) {
 				t.Fatal("upper triangle modified")
+			}
+		}
+	}
+}
+
+// TestSyrkSyr2kBetaZeroIgnoresC: with beta = 0 the stored triangle of C is
+// overwritten whatever it held, on the diagonal tiles (the SYRK/SYR2K tile
+// kernels, or the triangle scaling when alpha = 0) as on the others. A
+// NaN-filled C used to keep NaN in the diagonal tiles.
+func TestSyrkSyr2kBetaZeroIgnoresC(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	const n, nb = 16, 4
+	av, bv := randMat(rng, n, n), randMat(rng, n, n)
+	for _, alpha := range []float64{1.3, 0} {
+		for _, routine := range []string{"SYRK", "SYR2K"} {
+			h := newFunctional(nb)
+			want := matrix.New(n, n) // zeros: the reference never sees the NaNs
+			cv := matrix.New(n, n)
+			for i := range cv.Data {
+				cv.Data[i] = math.NaN()
+			}
+			A, C := h.Register(av), h.Register(cv)
+			if routine == "SYRK" {
+				hostblas.Syrk(Lower, NoTrans, alpha, av, 0, want)
+				h.SyrkAsync(Lower, NoTrans, alpha, A, 0, C)
+			} else {
+				hostblas.Syr2k(Lower, NoTrans, alpha, av, bv, 0, want)
+				h.Syr2kAsync(Lower, NoTrans, alpha, A, h.Register(bv), 0, C)
+			}
+			h.MemoryCoherentAsync(C)
+			h.Sync()
+			for j := 0; j < n; j++ {
+				for i := 0; i < n; i++ {
+					got := cv.At(i, j)
+					if i < j {
+						if !math.IsNaN(got) {
+							t.Fatalf("%s alpha=%v: upper C[%d,%d] = %v was written", routine, alpha, i, j, got)
+						}
+						continue
+					}
+					if d := math.Abs(got - want.At(i, j)); !(d <= 1e-9) {
+						t.Fatalf("%s alpha=%v beta=0: C[%d,%d] = %v, want %v", routine, alpha, i, j, got, want.At(i, j))
+					}
+				}
 			}
 		}
 	}

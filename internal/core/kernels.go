@@ -136,23 +136,15 @@ func (h *Handle) scalTask(beta float64, ct *cache.Tile, prio int) {
 	h.RT.Submit("scal", spec, prio, xkrt.RW(ct))
 }
 
-// scalTriTask scales only the uplo triangle of a diagonal tile.
+// scalTriTask scales only the uplo triangle of a diagonal tile; beta = 0
+// overwrites it, whatever it held.
 func (h *Handle) scalTriTask(uplo Uplo, beta float64, ct *cache.Tile, prio int) {
 	spec := xkrt.KernelSpec{
 		Routine: blasops.Gemm,
 		M:       ct.M, N: ct.N, K: 1,
 		Flops: float64(ct.M) * float64(ct.N) / 2,
 		Body: func(b []matrix.View) {
-			v := b[0]
-			for j := 0; j < v.N; j++ {
-				lo, hi := 0, j+1
-				if uplo == Lower {
-					lo, hi = j, v.M
-				}
-				for i := lo; i < hi; i++ {
-					v.Set(i, j, beta*v.At(i, j))
-				}
-			}
+			hostblas.ScalTri(uplo, beta, b[0])
 		},
 	}
 	h.RT.Submit("scal-tri", spec, prio, xkrt.RW(ct))

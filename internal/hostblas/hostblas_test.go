@@ -1,6 +1,7 @@
 package hostblas
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -103,17 +104,45 @@ func TestGemmAllTransCombos(t *testing.T) {
 	}
 }
 
-func TestGemmBetaZeroIgnoresC(t *testing.T) {
+// TestBetaZeroIgnoresC: with beta = 0, BLAS lets C be unset on entry, so
+// every routine with a beta must overwrite C, not scale it: a NaN there
+// must not survive. SYRK and SYR2K used to compute alpha·s + beta·C, which
+// kept it.
+func TestBetaZeroIgnoresC(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a, b := randView(rng, 4, 4), randView(rng, 4, 4)
-	c := matrix.New(4, 4)
-	for i := range c.Data {
-		c.Data[i] = 1e300 // must be overwritten, not scaled
+	const n = 5
+	a, b := randView(rng, n, n), randView(rng, n, n)
+	sym := matrix.New(n, n)
+	SymmetrizeFrom(Lower, a, sym)
+	aat := naiveMul(a, densifyOp(Transpose, a))
+	abt := axpyScale(1, naiveMul(a, densifyOp(Transpose, b)), 1, naiveMul(b, densifyOp(Transpose, a)))
+	cases := []struct {
+		name     string
+		run      func(c matrix.View)
+		want     matrix.View
+		triangle bool // only the lower triangle is defined
+	}{
+		{"GEMM", func(c matrix.View) { Gemm(NoTrans, NoTrans, 1, a, b, 0, c) }, naiveMul(a, b), false},
+		{"SYMM", func(c matrix.View) { Symm(Left, Lower, 1, a, b, 0, c) }, naiveMul(sym, b), false},
+		{"SYRK", func(c matrix.View) { Syrk(Lower, NoTrans, 1, a, 0, c) }, aat, true},
+		{"SYR2K", func(c matrix.View) { Syr2k(Lower, NoTrans, 1, a, b, 0, c) }, abt, true},
 	}
-	Gemm(NoTrans, NoTrans, 1, a, b, 0, c)
-	want := naiveMul(a, b)
-	if d := matrix.MaxAbsDiff(c, want); d > tol {
-		t.Fatalf("beta=0 should ignore prior C, diff %g", d)
+	for _, tc := range cases {
+		c := matrix.New(n, n)
+		for i := range c.Data {
+			c.Data[i] = math.NaN() // must be overwritten, not scaled
+		}
+		tc.run(c)
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				if tc.triangle && i < j {
+					continue
+				}
+				if d := math.Abs(c.At(i, j) - tc.want.At(i, j)); !(d <= tol) {
+					t.Errorf("%s beta=0: C[%d,%d] = %v, want %v", tc.name, i, j, c.At(i, j), tc.want.At(i, j))
+				}
+			}
+		}
 	}
 }
 
