@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-cancel metrics-race stress check golden-check topo-check serve-check batch-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
+.PHONY: all build test race race-cancel metrics-race stress check golden-check topo-check serve-check batch-check perfbench-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
 
 all: check
 
@@ -25,9 +25,9 @@ race:
 race-cancel:
 	$(GO) test -race -count=1 -run 'Cancel|Stop' ./internal/sim/ ./internal/xkrt/ ./internal/bench/ ./cmd/xkbench/
 
-# Metrics layer under the race detector: registry primitives, the parallel
-# sweep's snapshot determinism/parity, live aggregation scraped over HTTP
-# while a sweep runs, and the command-level sinks.
+# Metrics layer under the race detector: registry primitives (concurrent
+# updaters racing Snapshot readers), the parallel sweep's snapshot
+# determinism/parity, and the command-level sinks.
 metrics-race:
 	$(GO) test -race -count=1 ./internal/metrics/
 	$(GO) test -race -count=1 -run 'Metrics' ./internal/bench/ ./internal/xkrt/ ./cmd/xkbench/
@@ -80,11 +80,16 @@ batch-check: golden-check
 	$(GO) test -count=1 -run 'TestBatchedRequestKindServed' ./internal/serve/
 	$(GO) test -count=1 -run 'TestFlagProblem|TestBatch' ./cmd/xkbench/
 
+# The perfbench module is nested, so the root ./... pattern never compiles
+# it: vet and test it against this tree's APIs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Default verification gate: build, vet, formatting, tests, stress, race,
 # the allocation gates, randomized functional verification, the golden
 # quick-sweep diff (run once), the fabric-graph parity gate, the
-# serving-path gate and the batched-dispatch gate.
-check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc verify golden-check topo-check serve-check batch-check
+# serving-path gate, the batched-dispatch gate and the perfbench module.
+check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc verify golden-check topo-check serve-check batch-check perfbench-check
 
 # One testing.B benchmark per paper table/figure plus the ablations.
 bench:

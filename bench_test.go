@@ -16,6 +16,7 @@ import (
 	"xkblas/internal/bench"
 	"xkblas/internal/blasops"
 	"xkblas/internal/device"
+	"xkblas/internal/policy"
 	"xkblas/internal/topology"
 	"xkblas/internal/xkrt"
 )
@@ -40,7 +41,7 @@ func runLib(b *testing.B, lib baseline.Library, req baseline.Request) {
 // BenchmarkFig2BandwidthMatrix regenerates the pairwise bandwidth matrix.
 func BenchmarkFig2BandwidthMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Fig2BandwidthMatrix(io.Discard)
+		bench.Fig2BandwidthMatrix(io.Discard, bench.Config{})
 	}
 }
 
@@ -105,14 +106,14 @@ func BenchmarkFig5(b *testing.B) {
 // BenchmarkFig6TraceGEMM regenerates the GEMM trace breakdown.
 func BenchmarkFig6TraceGEMM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Fig6(io.Discard, true)
+		bench.Fig6(io.Discard, bench.Config{}, true)
 	}
 }
 
 // BenchmarkFig7TraceSYR2K regenerates the per-GPU SYR2K traces.
 func BenchmarkFig7TraceSYR2K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Fig7(io.Discard, true)
+		bench.Fig7(io.Discard, bench.Config{}, true)
 	}
 }
 
@@ -137,16 +138,15 @@ func BenchmarkFig8Composition(b *testing.B) {
 // BenchmarkFig9Gantt renders the composition Gantt charts.
 func BenchmarkFig9Gantt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Fig9(io.Discard, true)
+		bench.Fig9(io.Discard, bench.Config{}, true)
 	}
 }
 
-// xkblasWith builds an XKBlas variant with modified runtime options for the
-// ablation benches.
-func xkblasWith(name string, mod func(*xkrt.Options)) baseline.Library {
-	opts := xkrt.Options{TopoAware: true, Optimistic: true, Window: 4, Scheduler: xkrt.WorkStealing}
-	mod(&opts)
-	return &baseline.StdLib{LibName: name, Routines: blasops.All(), Opts: opts}
+// xkblasWith builds an XKBlas variant over the given policy bundle and
+// pipeline window for the ablation benches.
+func xkblasWith(name string, window int, pol policy.Bundle) baseline.Library {
+	return &baseline.StdLib{LibName: name, Routines: blasops.All(),
+		Opts: xkrt.Options{Window: window, Policy: &pol}}
 }
 
 // BenchmarkAblationScheduler compares XKaapi work stealing against DMDAS on
@@ -157,7 +157,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 			runLib(b, baseline.XKBlas(), baseline.Request{Routine: r, N: benchN, NB: benchNB})
 		})
 		b.Run(r.String()+"/dmdas", func(b *testing.B) {
-			lib := xkblasWith("XKBlas-dmdas", func(o *xkrt.Options) { o.Scheduler = xkrt.DMDAS })
+			lib := xkblasWith("XKBlas-dmdas", 4, policy.XKBlasDMDAS)
 			runLib(b, lib, baseline.Request{Routine: r, N: benchN, NB: benchNB})
 		})
 	}
@@ -169,7 +169,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		w := w
 		b.Run(fmt.Sprintf("window%d", w), func(b *testing.B) {
-			lib := xkblasWith("XKBlas-window", func(o *xkrt.Options) { o.Window = w })
+			lib := xkblasWith("XKBlas-window", w, policy.XKBlas)
 			runLib(b, lib, baseline.Request{Routine: blasops.Gemm, N: benchN, NB: benchNB})
 		})
 	}
@@ -180,16 +180,18 @@ func BenchmarkAblationWindow(b *testing.B) {
 func BenchmarkAblationSourcePolicy(b *testing.B) {
 	cases := []struct {
 		name string
-		pol  xkrt.SourcePolicy
+		src  policy.SourceSelector
 	}{
-		{"any-peer", xkrt.SourceAny},
-		{"same-switch", xkrt.SourceSameSwitch},
-		{"host-only", xkrt.SourceHostOnly},
+		{"any-peer", policy.TopoRank{}},
+		{"same-switch", policy.SameSwitch{Base: policy.TopoRank{}}},
+		{"host-only", policy.HostOnly{}},
 	}
 	for _, c := range cases {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
-			lib := xkblasWith("XKBlas-"+c.name, func(o *xkrt.Options) { o.Sources = c.pol })
+			pol := policy.XKBlas
+			pol.Source = policy.Optimistic{Base: c.src, Ranked: true}
+			lib := xkblasWith("XKBlas-"+c.name, 4, pol)
 			runLib(b, lib, baseline.Request{Routine: blasops.Gemm, N: benchN, NB: benchNB})
 		})
 	}
@@ -199,7 +201,7 @@ func BenchmarkAblationSourcePolicy(b *testing.B) {
 // "9 standard BLAS subroutines" (§IV-D).
 func BenchmarkExtensionHermitian(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Hermitian(io.Discard, true)
+		bench.Hermitian(io.Discard, bench.Config{}, true)
 	}
 }
 
@@ -207,14 +209,14 @@ func BenchmarkExtensionHermitian(b *testing.B) {
 // fork-join composition benefit.
 func BenchmarkExtensionFactorizations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Factorizations(io.Discard, true)
+		bench.Factorizations(io.Discard, bench.Config{}, true)
 	}
 }
 
 // BenchmarkExtensionPinning measures the §IV-A pinning-cost note.
 func BenchmarkExtensionPinning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.PinningCost(io.Discard, true)
+		bench.PinningCost(io.Discard, bench.Config{}, true)
 	}
 }
 
@@ -222,7 +224,7 @@ func BenchmarkExtensionPinning(b *testing.B) {
 // GPUs.
 func BenchmarkExtensionScalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Scalability(io.Discard, true)
+		bench.Scalability(io.Discard, bench.Config{}, true)
 	}
 }
 

@@ -122,7 +122,7 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Println()
-		bench.Fig2BandwidthMatrix(os.Stdout)
+		bench.Fig2BandwidthMatrix(os.Stdout, bench.Config{})
 	}
 }
 

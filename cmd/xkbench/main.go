@@ -85,12 +85,8 @@ func main() {
 		"wall-clock bound for the whole run (0 = none); on expiry — or on Ctrl-C — no new simulations start, in-flight ones are aborted, completed points are flushed to every sink and the exit status is nonzero")
 	metricsFlag := flag.Bool("metrics", false,
 		"collect per-run utilization metrics (resource occupancy, link-class traffic, cache and scheduler counters); prints a per-point rollup table and, with -csv out.csv, writes the full snapshots to out.metrics.json")
-	serve := flag.String("serve", "",
-		"listen address (e.g. :9090) for a live Prometheus /metrics endpoint aggregating all runs, plus net/http/pprof under /debug/pprof/; implies -metrics")
 	window := flag.Int("window", 0,
 		"stream every run's task DAG through a bounded admission window of this many live tasks instead of materializing it whole (0 = whole graph); results are bit-identical at any window mode, only peak memory changes")
-	streamWhole := flag.Bool("stream-whole", false,
-		"with -window, materialize the whole DAG up front and apply the window during execution — the reference mode streamed runs are parity-tested against")
 	tenants := flag.Int("tenants", 120, "serve experiment: simulated tenant count")
 	requests := flag.Int("requests", 1200, "serve experiment: request count to replay (-quick runs 300)")
 	arrivalFlag := flag.String("arrival", "bursty", "serve experiment: arrival process, poisson or bursty (two-state MMPP)")
@@ -114,6 +110,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// run carries every run-wide setting to the experiment drivers; its
+	// Ctx is the deadline/SIGINT context built below.
+	run := bench.Config{
+		Parallel:     *parallel,
+		Check:        *checkFlag,
+		Metrics:      *metricsFlag,
+		StreamWindow: *window,
+	}
 	if *platformFlag != "" {
 		plat, ok := topology.Lookup(*platformFlag)
 		if !ok {
@@ -121,7 +125,7 @@ func main() {
 				*platformFlag, strings.Join(topology.Names(), ", "))
 			os.Exit(2)
 		}
-		bench.DefaultPlatform = plat
+		run.Platform = plat
 	}
 	stopProfiles, err := metrics.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -139,26 +143,10 @@ func main() {
 		}
 		os.Exit(code)
 	}
-	bench.ForceStreamWindow = *window
-	bench.ForceStreamWhole = *streamWhole
-	bench.DefaultParallelism = *parallel
-	bench.CheckRuns = *checkFlag
-	var liveSrv *metrics.LiveServer
-	if *serve != "" {
-		*metricsFlag = true
-		bench.GlobalMetrics = metrics.Default()
-		srv, err := serveMetrics(*serve)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xkbench: -serve %s: %v\n", *serve, err)
-			exit(2)
-		}
-		liveSrv = srv
-	}
-	bench.MetricsEnabled = *metricsFlag
 
-	// Deadline and SIGINT share one context; bench.SweepContext hands it to
-	// every experiment driver. Without -timeout and without a signal the
-	// context never fires and the run is bit-identical to an unbounded one.
+	// Deadline and SIGINT share one context, which run hands to every
+	// experiment driver. Without -timeout and without a signal the context
+	// never fires and the run is bit-identical to an unbounded one.
 	ctx := context.Background()
 	cancel := context.CancelFunc(func() {})
 	if *timeout > 0 {
@@ -167,65 +155,58 @@ func main() {
 	defer cancel()
 	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt)
 	defer stopSignals()
-	bench.SweepContext = ctx
-	if liveSrv != nil {
-		// The -serve listener lives exactly as long as the run: a SIGINT or
-		// -timeout abort closes it while the sinks flush (it used to leak
-		// until process exit), and the clean path below closes it before the
-		// exit status is decided so a serve-loop failure isn't lost.
-		context.AfterFunc(ctx, func() { liveSrv.Close() })
-	}
+	run.Ctx = ctx
 
 	w := os.Stdout
 	var points []bench.Point
 	exitErr := false
-	run := func(name string) {
+	runExp := func(name string) {
 		switch name {
 		case "table1":
-			bench.TableI(w)
+			bench.TableI(w, run)
 		case "fig2":
-			bench.Fig2BandwidthMatrix(w)
+			bench.Fig2BandwidthMatrix(w, run)
 		case "fig3":
-			points = append(points, bench.Fig3(w, *quick)...)
+			points = append(points, bench.Fig3(w, run, *quick)...)
 		case "table2":
-			bench.TableII(w, *quick)
+			bench.TableII(w, run, *quick)
 		case "fig4":
-			points = append(points, bench.Fig4(w, *quick)...)
+			points = append(points, bench.Fig4(w, run, *quick)...)
 		case "fig5":
-			points = append(points, bench.Fig5(w, *quick)...)
+			points = append(points, bench.Fig5(w, run, *quick)...)
 		case "fig6":
-			bench.Fig6(w, *quick)
+			bench.Fig6(w, run, *quick)
 		case "fig7":
-			bench.Fig7(w, *quick)
+			bench.Fig7(w, run, *quick)
 		case "fig8":
-			bench.Fig8(w, *quick)
+			bench.Fig8(w, run, *quick)
 		case "fig9":
-			bench.Fig9(w, *quick)
+			bench.Fig9(w, run, *quick)
 		case "scale":
-			bench.Scalability(w, *quick)
+			bench.Scalability(w, run, *quick)
 		case "summit":
-			bench.SummitPrediction(w, *quick)
+			bench.SummitPrediction(w, run, *quick)
 		case "hermitian":
-			bench.Hermitian(w, *quick)
+			bench.Hermitian(w, run, *quick)
 		case "pinning":
-			bench.PinningCost(w, *quick)
+			bench.PinningCost(w, run, *quick)
 		case "factor":
-			bench.Factorizations(w, *quick)
+			bench.Factorizations(w, run, *quick)
 		case "bign":
-			for _, r := range bench.BigN(w, *quick) {
+			for _, r := range bench.BigN(w, run, *quick) {
 				if r.Err != nil {
 					exitErr = true
 				}
 			}
 		case "sweep":
-			pts, err := customSweep(w, *libsFlag, *routinesFlag, *sizesFlag, *tilesFlag, *runs, *dod)
+			pts, err := customSweep(w, run, *libsFlag, *routinesFlag, *sizesFlag, *tilesFlag, *runs, *dod)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				exit(2)
 			}
 			points = append(points, pts...)
 		case "batch":
-			bench.BatchSweep(w, *quick, *batchCount, *batchN)
+			bench.BatchSweep(w, run, *quick, *batchCount, *batchN)
 		case "serve":
 			cfg, err := serveConfig(*fleetFlag, *arrivalFlag, *backpressureFlag,
 				*tenants, *requests, *qdepth, *parallel, *rate, *seed, *quick, *checkFlag, ctx)
@@ -233,12 +214,9 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				exit(2)
 			}
-			rep, err := serveRun(w, cfg, *serveJSON)
-			if err != nil {
+			if _, err := serveRun(w, cfg, *serveJSON); err != nil {
 				fmt.Fprintf(os.Stderr, "xkbench: serve: %v\n", err)
 				exitErr = true
-			} else if liveSrv != nil {
-				metrics.Default().MergeSnapshot(rep.Snapshot())
 			}
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
@@ -252,10 +230,10 @@ func main() {
 		for _, name := range []string{"table1", "fig2", "fig3", "table2", "fig4", "fig5",
 			"fig6", "fig7", "fig8", "fig9", "scale", "summit", "hermitian", "pinning", "factor"} {
 			fmt.Fprintf(w, "==== %s ====\n", strings.ToUpper(name))
-			run(name)
+			runExp(name)
 		}
 	} else {
-		run(*exp)
+		runExp(*exp)
 	}
 
 	if *plot && len(points) > 0 {
@@ -297,13 +275,6 @@ func main() {
 				exit(1)
 			}
 			fmt.Fprintf(w, "wrote metrics snapshots to %s\n", mp)
-		}
-	}
-
-	if liveSrv != nil {
-		if err := liveSrv.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "xkbench: metrics server: %v\n", err)
-			exitErr = true
 		}
 	}
 
@@ -457,34 +428,14 @@ func writeMetricsJSONFile(path string, points []bench.Point) error {
 	return writeMetricsJSONTo(f, points)
 }
 
-// serveMetrics starts the live observation endpoint: the process-wide
-// aggregate registry as Prometheus text under /metrics and the standard
-// pprof handlers under /debug/pprof/. The listener is bound synchronously —
-// address errors fail the command before any sweep starts — and the caller
-// owns the returned server: main ties its Close to the run context, so a
-// SIGINT/-timeout shutdown releases the port instead of leaking the
-// listener for the life of the process, and a serve-loop failure reaches
-// the exit code instead of only stderr.
-func serveMetrics(addr string) (*metrics.LiveServer, error) {
-	srv, err := metrics.ServeLive(addr, metrics.Default())
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "xkbench: serving /metrics and /debug/pprof/ on %s\n", srv.Addr())
-	return srv, nil
-}
-
-// customSweep runs a user-specified sweep over the library roster.
-func customSweep(w *os.File, libsSpec, routinesSpec, sizesSpec, tilesSpec string, runs int, dod bool) ([]bench.Point, error) {
-	cfg := bench.Config{
-		Runs:          runs,
-		NoiseAmp:      0.02,
-		Progress:      w,
-		ExtraTilesFor: map[string]bool{"cuBLAS-XT": true, "Slate": true},
-		Parallel:      bench.DefaultParallelism,
-		Metrics:       bench.MetricsEnabled,
-		Ctx:           bench.SweepContext,
-	}
+// customSweep runs a user-specified sweep over the library roster with the
+// run-wide settings of run.
+func customSweep(w *os.File, run bench.Config, libsSpec, routinesSpec, sizesSpec, tilesSpec string, runs int, dod bool) ([]bench.Point, error) {
+	cfg := run
+	cfg.Runs = runs
+	cfg.NoiseAmp = 0.02
+	cfg.Progress = w
+	cfg.ExtraTilesFor = map[string]bool{"cuBLAS-XT": true, "Slate": true}
 	if dod {
 		cfg.Scenario = baseline.DataOnDevice
 	}

@@ -5,9 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,91 +165,6 @@ func TestWriteMetricsJSONFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeMetricsEndpoints boots the -serve listener on an ephemeral port
-// and checks both the Prometheus exposition and the pprof index respond.
-func TestServeMetricsEndpoints(t *testing.T) {
-	metrics.Default().Counter("rt.tasks_run").Store(3)
-	srv, err := serveMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	addr := srv.Addr()
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s read: %v", path, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return string(body)
-	}
-	if body := get("/metrics"); !strings.Contains(body, "xkblas_rt_tasks_run 3") {
-		t.Fatalf("/metrics exposition lacks the counter:\n%s", body)
-	}
-	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
-		t.Fatalf("/debug/pprof/ index looks wrong:\n%.200s", body)
-	}
-}
-
-// TestServeMetricsShutdownReleasesListener is the regression test for the
-// -serve listener leak: the old serveMetrics handed back only the bound
-// address, so a SIGINT/-timeout shutdown had nothing to close and the port
-// stayed held (and served) until process exit. Now the run context's
-// cancellation closes the endpoint: the port must be rebindable and Close
-// must report a clean serve loop.
-func TestServeMetricsShutdownReleasesListener(t *testing.T) {
-	srv, err := serveMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
-	if _, err := http.Get("http://" + addr + "/metrics"); err != nil {
-		t.Fatalf("endpoint not live before shutdown: %v", err)
-	}
-
-	// The same wiring main uses: ctx cancellation (SIGINT, -timeout)
-	// closes the listener while the rest of the shutdown path runs.
-	ctx, cancel := context.WithCancel(context.Background())
-	stop := context.AfterFunc(ctx, func() { srv.Close() })
-	defer stop()
-	cancel()
-	if err := srv.Close(); err != nil { // idempotent; also awaits the serve goroutine
-		t.Fatalf("Close after ctx shutdown: %v", err)
-	}
-
-	// The port is actually released: binding it again must succeed.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("port still held after shutdown: %v", err)
-	}
-	ln.Close()
-	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
-		t.Fatal("endpoint still serving after shutdown")
-	}
-}
-
-// TestServeMetricsBindErrorPropagates pins that a bind failure surfaces as
-// a synchronous error (main turns it into exit status 2) rather than a
-// background stderr line.
-func TestServeMetricsBindErrorPropagates(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if _, err := serveMetrics(ln.Addr().String()); err == nil {
-		t.Fatal("binding a taken port must fail serveMetrics")
-	}
-}
-
 // TestServeExperimentDeterministic drives the -exp serve path end to end
 // at -quick scale: config assembly from flag values, the replay, the text
 // report and the JSON sink — twice, byte-identically.
@@ -307,11 +219,8 @@ func TestServeExperimentDeterministic(t *testing.T) {
 func TestBatchExperimentDeterministic(t *testing.T) {
 	run := func(parallel int) string {
 		t.Helper()
-		old := bench.DefaultParallelism
-		bench.DefaultParallelism = parallel
-		defer func() { bench.DefaultParallelism = old }()
 		var buf bytes.Buffer
-		bench.BatchSweep(&buf, true /* quick */, 8, 256)
+		bench.BatchSweep(&buf, bench.Config{Parallel: parallel}, true /* quick */, 8, 256)
 		return buf.String()
 	}
 	a, b := run(1), run(8)

@@ -1,7 +1,7 @@
 // Command xkserve runs the multi-tenant BLAS-as-a-service front end
 // (internal/serve) as a standalone binary: it replays a seeded tenant
 // workload against a simulated platform fleet, prints the serving report,
-// and can publish the result on a live /metrics endpoint.
+// and can write the report's metrics snapshot as JSON.
 //
 // Usage:
 //
@@ -9,7 +9,6 @@
 //	xkserve -requests 5000 -tenants 500       # bigger replay
 //	xkserve -arrival poisson -backpressure block
 //	xkserve -json - -quiet                    # metrics snapshot JSON on stdout, nothing else
-//	xkserve -listen :9090                     # after the replay, serve the snapshot until Ctrl-C
 //	xkserve -cpuprofile cpu.pprof             # profile the replay's host time (-memprofile: allocations)
 //
 // Two invocations with the same flags produce byte-identical reports: the
@@ -48,8 +47,6 @@ func main() {
 	noReuse := flag.Bool("no-reuse", false, "disable handle-pool recycling of inner library contexts")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound for the run (0 = none); Ctrl-C always aborts")
 	jsonPath := flag.String("json", "", "write the report's metrics snapshot as JSON to this path (- for stdout)")
-	listen := flag.String("listen", "",
-		"after the replay, publish the snapshot on this address (/metrics, /debug/pprof/) until interrupted")
 	quiet := flag.Bool("quiet", false, "suppress the human-readable report")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this process to this path")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of this process to this path at exit")
@@ -130,19 +127,6 @@ func main() {
 		}
 		if werr != nil {
 			exit(1, werr)
-		}
-	}
-
-	if *listen != "" {
-		metrics.Default().MergeSnapshot(rep.Snapshot())
-		srv, err := metrics.ServeLive(*listen, metrics.Default())
-		if err != nil {
-			exit(1, fmt.Errorf("xkserve: -listen %s: %v", *listen, err))
-		}
-		fmt.Fprintf(os.Stderr, "xkserve: serving /metrics and /debug/pprof/ on %s (Ctrl-C to stop)\n", srv.Addr())
-		<-ctx.Done()
-		if err := srv.Close(); err != nil {
-			exit(1, fmt.Errorf("xkserve: metrics server: %v", err))
 		}
 	}
 	exit(0, nil)

@@ -20,6 +20,7 @@ import (
 	"xkblas/internal/core"
 	"xkblas/internal/hostblas"
 	"xkblas/internal/matrix"
+	"xkblas/internal/policy"
 	"xkblas/internal/xkrt"
 	"xkblas/internal/zblas"
 )
@@ -28,9 +29,9 @@ var configs = []struct {
 	name string
 	opt  xkrt.Options
 }{
-	{"full", xkrt.Options{TopoAware: true, Optimistic: true, Window: 4}},
-	{"no-heuristics", xkrt.Options{TopoAware: false, Optimistic: false, Window: 2}},
-	{"dmdas", xkrt.Options{TopoAware: true, Optimistic: true, Window: 2, Scheduler: xkrt.DMDAS}},
+	{"full", xkrt.Options{Window: 4, Policy: &policy.XKBlas}},
+	{"no-heuristics", xkrt.Options{Window: 2, Policy: &policy.NoHeuristicNoTopo}},
+	{"dmdas", xkrt.Options{Window: 2, Policy: &policy.XKBlasDMDAS}},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

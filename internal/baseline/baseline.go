@@ -93,10 +93,6 @@ type Request struct {
 	// window instead of materializing whole. 0 keeps the historical
 	// whole-graph submission.
 	StreamWindow int
-	// StreamWhole selects the whole-graph reference mode of the admission
-	// window (xkrt.Options.StreamWhole); parity tests compare a streamed
-	// run against it. Ignored when StreamWindow is 0.
-	StreamWhole bool
 
 	// Handles, when non-nil, recycles library contexts across runs instead
 	// of rebuilding engine, platform, runtime and every pool per
@@ -217,7 +213,6 @@ type Composer interface {
 func newHandle(req Request, opts xkrt.Options) (h *core.Handle, fresh bool) {
 	if req.StreamWindow > 0 {
 		opts.StreamWindow = req.StreamWindow
-		opts.StreamWhole = req.StreamWhole
 	}
 	if h = req.Handles.acquire(req); h == nil {
 		plat := req.Platform

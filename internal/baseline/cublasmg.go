@@ -34,14 +34,7 @@ func (l cublasMGLib) Run(req Request) (res Result) {
 	}
 	// Peer transfers between the block-cyclic homes use NVLink when
 	// available but without topology ranking or forwarding heuristics.
-	h, _ := newHandle(req, xkrt.Options{
-		Window: 3,
-		Policy: &policy.Bundle{
-			Source:    policy.LowestID{},
-			Scheduler: policy.WorkStealing{},
-			Evictor:   policy.LRUReadOnlyFirst{},
-		},
-	})
+	h, _ := newHandle(req, xkrt.Options{Window: 3, Policy: &policy.NoHeuristicNoTopo})
 	rec := attachTrace(h, req)
 	defer func() { req.Handles.Release(h, req, res.Err) }()
 	defer func() {

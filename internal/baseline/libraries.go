@@ -24,14 +24,7 @@ func XKBlas() Library {
 	return &StdLib{
 		LibName:  "XKBlas",
 		Routines: allSix,
-		Opts: xkrt.Options{
-			Window: 4,
-			Policy: &policy.Bundle{
-				Source:    policy.Optimistic{Base: policy.TopoRank{}, Ranked: true},
-				Scheduler: policy.WorkStealing{},
-				Evictor:   policy.LRUReadOnlyFirst{},
-			},
-		},
+		Opts:     xkrt.Options{Window: 4, Policy: &policy.XKBlas},
 	}
 }
 
@@ -62,14 +55,7 @@ func XKBlasNoHeuristic() Library {
 	return &StdLib{
 		LibName:  "XKBlas, no heuristic",
 		Routines: allSix,
-		Opts: xkrt.Options{
-			Window: 4,
-			Policy: &policy.Bundle{
-				Source:    policy.TopoRank{},
-				Scheduler: policy.WorkStealing{},
-				Evictor:   policy.LRUReadOnlyFirst{},
-			},
-		},
+		Opts:     xkrt.Options{Window: 4, Policy: &policy.NoHeuristic},
 	}
 }
 
@@ -80,14 +66,7 @@ func XKBlasNoHeuristicNoTopo() Library {
 	return &StdLib{
 		LibName:  "XKBlas, no heuristic, no topo",
 		Routines: allSix,
-		Opts: xkrt.Options{
-			Window: 4,
-			Policy: &policy.Bundle{
-				Source:    policy.LowestID{},
-				Scheduler: policy.WorkStealing{},
-				Evictor:   policy.LRUReadOnlyFirst{},
-			},
-		},
+		Opts:     xkrt.Options{Window: 4, Policy: &policy.NoHeuristicNoTopo},
 	}
 }
 

@@ -57,7 +57,7 @@ func TestBLASXPeerTransfersStayOnSwitch(t *testing.T) {
 }
 
 func TestCuBLASXTStreamingRaisesHostTraffic(t *testing.T) {
-	// EvictAfterUse (cuBLAS-XT streaming) must move at least as many H2D
+	// Streaming eviction (cuBLAS-XT) must move at least as many H2D
 	// bytes as a caching host-only policy, and strictly more at sizes with
 	// reuse.
 	streaming := CuBLASXT().Run(Request{Routine: blasops.Gemm, N: 24576, NB: 2048})

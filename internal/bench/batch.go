@@ -20,7 +20,7 @@ import (
 // -batch-count/-batch-n) pin the sweep to a single batch count or instance
 // size; 0 keeps the default grid. Not part of -exp all: output would shift
 // the golden quick-sweep transcript.
-func BatchSweep(w io.Writer, quick bool, forceCount, forceN int) {
+func BatchSweep(w io.Writer, cfg Config, quick bool, forceCount, forceN int) {
 	counts := []int{8, 32, 128}
 	sizes := []int{32, 64, 128, 256, 512, 1024}
 	if quick {
@@ -34,10 +34,10 @@ func BatchSweep(w io.Writer, quick bool, forceCount, forceN int) {
 		sizes = []int{forceN}
 	}
 	plats := []*topology.Platform{topology.DGX1(), topology.SummitNode()}
-	if DefaultPlatform != nil {
-		// A -platform override joins the two reference fabrics as a third
+	if cfg.Platform != nil {
+		// An explicit platform joins the two reference fabrics as a third
 		// section, like the summit experiment does.
-		plats = append(plats, DefaultPlatform)
+		plats = append(plats, cfg.Platform)
 	}
 	fmt.Fprintln(w, "Extension — batched small-GEMM host/device dispatch (data-on-host, makespan GF/s)")
 
@@ -70,13 +70,13 @@ func BatchSweep(w io.Writer, quick bool, forceCount, forceN int) {
 			cl := &cells[ci]
 			req := baseline.Request{
 				Routine: blasops.Gemm, N: cl.n, NB: 512, Platform: plat,
-				Scenario: baseline.DataOnHost, Check: CheckRuns, Ctx: SweepContext, Handles: pool,
+				Scenario: baseline.DataOnHost, Check: cfg.Check, Ctx: cfg.Ctx, Handles: pool,
 			}
 			cl.legs[li] = lib.RunBatched(req,
 				blasops.UniformBatch(blasops.Gemm, cl.count, cl.n, cl.n, cl.n), modes[li])
 		}
-		if DefaultParallelism > 1 {
-			wp := newWorkerPool(DefaultParallelism)
+		if cfg.Parallel > 1 {
+			wp := newWorkerPool(cfg.Parallel)
 			for ci := range cells {
 				for li := range modes {
 					wp.Submit(func() { runLeg(ci, li) })

@@ -4,6 +4,12 @@
 // SLATE — keeps the best-performing tile, discards a warm-up run, and
 // reports the mean of repeated runs with a 95% confidence interval
 // (repetitions differ by deterministic kernel-time jitter seeds).
+//
+// A Config is the only way to set a run. Every experiment driver takes
+// the caller's Config and applies its run-wide fields — platform,
+// parallelism, audit, metrics, context and stream window — to every
+// simulation it starts; the package keeps no mutable state of its own, so
+// a leaf simulation is a function of its Config and request alone.
 package bench
 
 import (
@@ -56,8 +62,10 @@ type Config struct {
 	// named libraries (cuBLAS-XT and Slate in the paper).
 	ExtraTilesFor map[string]bool
 	// Platform selects the simulated platform every leaf run builds; nil
-	// falls back to the process-wide DefaultPlatform, and a nil result of
-	// that keeps the historical DGX-1 default (byte-identical output).
+	// means the paper's DGX-1. The experiment drivers also read it: Table
+	// I, Fig. 2 and the per-GPU figures describe this platform, and a
+	// non-nil value adds it as an extra row or section to the summit and
+	// batch extensions.
 	Platform *topology.Platform
 	Scenario baseline.Scenario
 	// Runs is the number of measured repetitions (after one discarded
@@ -97,74 +105,37 @@ type Config struct {
 	// StreamWindow, when positive, streams every leaf run's DAG through a
 	// bounded task window (xkbench -window) instead of materializing it
 	// whole; 0 leaves runs byte-identical to the historical whole-graph
-	// submission. StreamWhole selects the whole-graph reference mode of
-	// the window (parity testing).
+	// submission.
 	StreamWindow int
-	StreamWhole  bool
+
+	// repSeeds seeds repetition rep's kernel noise with rep·131 instead of
+	// the sweep rule rep·7919 + N + NB. Only the scalability and Summit
+	// extensions set it, which keeps their tables' bytes.
+	repSeeds bool
 }
 
-// CheckRuns mirrors Config.Check for the experiment drivers that build
-// their own Config/Request values internally (xkbench -exp); the -check
-// flag sets it process-wide.
-var CheckRuns bool
+// runWide returns the run-wide part of cfg — platform, parallelism, audit,
+// metrics, context and stream window — as the base every experiment
+// driver builds its own sweeps on.
+func (cfg Config) runWide() Config {
+	return Config{
+		Platform:     cfg.Platform,
+		Parallel:     cfg.Parallel,
+		Check:        cfg.Check,
+		Metrics:      cfg.Metrics,
+		Ctx:          cfg.Ctx,
+		StreamWindow: cfg.StreamWindow,
+	}
+}
 
-// SweepContext mirrors Config.Ctx for the experiment drivers that build
-// their own Config/Request values internally (xkbench -exp); the -timeout
-// flag and the SIGINT handler set it process-wide. nil means no bound.
-var SweepContext context.Context
-
-// MetricsEnabled mirrors Config.Metrics for the experiment drivers that
-// build their own Config internally (xkbench -exp); the -metrics flag sets
-// it process-wide.
-var MetricsEnabled bool
-
-// DefaultPlatform mirrors Config.Platform for the experiment drivers that
-// build their own Config/Request values internally (xkbench -exp); the
-// -platform flag sets it process-wide from the topology registry. nil keeps
-// the historical DGX-1 default and leaves every sweep byte-identical.
-var DefaultPlatform *topology.Platform
-
-// platformOf resolves a config's effective platform (nil means "let the
-// baseline layer default to the DGX-1").
-func platformOf(cfg Config) *topology.Platform {
+// platform resolves the platform a driver describes: Platform, or the
+// paper's DGX-1 when it is nil.
+func (cfg Config) platform() *topology.Platform {
 	if cfg.Platform != nil {
 		return cfg.Platform
 	}
-	return DefaultPlatform
-}
-
-// activePlatform resolves the process-wide platform selection for drivers
-// that need a concrete topology value (tables, bandwidth matrices).
-func activePlatform() *topology.Platform {
-	if DefaultPlatform != nil {
-		return DefaultPlatform
-	}
 	return topology.DGX1()
 }
-
-// ForceStreamWindow mirrors Config.StreamWindow for the experiment drivers
-// that build their own Config internally (xkbench -exp); the -window flag
-// sets it process-wide. 0 (the default) forces nothing.
-var ForceStreamWindow int
-
-// ForceStreamWhole mirrors Config.StreamWhole the same way (xkbench
-// -stream-whole); it only matters when a stream window is in force.
-var ForceStreamWhole bool
-
-// streamWindow resolves a config's effective stream window and mode.
-func streamWindow(cfg Config) (win int, whole bool) {
-	win, whole = cfg.StreamWindow, cfg.StreamWhole
-	if win == 0 {
-		win = ForceStreamWindow
-	}
-	return win, whole || ForceStreamWhole
-}
-
-// GlobalMetrics, when non-nil, receives every leaf run's snapshot merged in
-// (counters summed, gauges maxed) — the live aggregate behind the xkbench
-// -serve endpoint. The merge is observational: it never feeds back into
-// points or sinks, so it may run concurrently with scrapes.
-var GlobalMetrics *metrics.Registry
 
 // DefaultTiles is the paper's tile-size candidate set.
 func DefaultTiles() []int { return []int{1024, 2048, 4096} }
@@ -262,26 +233,24 @@ func runRep(cfg Config, pool *baseline.HandlePool, lib baseline.Library, r blaso
 			return baseline.Result{Err: err}
 		}
 	}
-	win, whole := streamWindow(cfg)
-	res := lib.Run(baseline.Request{
+	seed := int64(rep)*7919 + int64(n) + int64(nb)
+	if cfg.repSeeds {
+		seed = int64(rep) * 131
+	}
+	return lib.Run(baseline.Request{
 		Routine:      r,
 		N:            n,
 		NB:           nb,
-		Platform:     platformOf(cfg),
+		Platform:     cfg.Platform,
 		Scenario:     cfg.Scenario,
 		NoiseAmp:     cfg.NoiseAmp,
-		NoiseSeed:    int64(rep)*7919 + int64(n) + int64(nb),
-		Check:        cfg.Check || CheckRuns,
-		Metrics:      cfg.Metrics || MetricsEnabled,
+		NoiseSeed:    seed,
+		Check:        cfg.Check,
+		Metrics:      cfg.Metrics,
 		Ctx:          cfg.Ctx,
-		StreamWindow: win,
-		StreamWhole:  whole,
+		StreamWindow: cfg.StreamWindow,
 		Handles:      pool,
 	})
-	if GlobalMetrics != nil && res.Metrics != nil {
-		GlobalMetrics.MergeSnapshot(res.Metrics)
-	}
-	return res
 }
 
 // tileRuns holds the per-repetition results of one candidate tile size.

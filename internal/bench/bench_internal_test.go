@@ -110,7 +110,7 @@ func TestSeriesExtraction(t *testing.T) {
 
 func TestFig2MatrixShape(t *testing.T) {
 	var buf bytes.Buffer
-	Fig2BandwidthMatrix(&buf)
+	Fig2BandwidthMatrix(&buf, Config{})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 11 { // title + header + 8 GPUs + host
 		t.Fatalf("matrix lines = %d, want 11", len(lines))

@@ -49,9 +49,8 @@ type BigNConfig struct {
 	// whole graph up front (the historical behavior, whose peak live
 	// tasks is the entire DAG).
 	Window int
-	// Whole selects the whole-graph reference mode of the admission
-	// window (parity testing); ignored when Window is 0.
-	Whole bool
+	// Check runs the GEMM under the coherence-invariant auditor.
+	Check bool
 	// FlushEnd uses the end-of-call coherency pass instead of the
 	// interleaved per-tile flush — with a stream window, the
 	// configuration that exhausts device memory once C outgrows it.
@@ -76,8 +75,7 @@ func RunBigNGemm(cfg BigNConfig) (res BigNResult) {
 	res = BigNResult{N: cfg.N, NB: cfg.NB, Window: cfg.Window}
 	opts := xkrt.DefaultOptions()
 	opts.StreamWindow = cfg.Window
-	opts.StreamWhole = cfg.Whole
-	h := core.NewHandle(core.Config{TileSize: cfg.NB, Options: opts})
+	h := core.NewHandle(core.Config{TileSize: cfg.NB, Options: opts, Check: cfg.Check})
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("bign: %v", r)
@@ -132,17 +130,18 @@ func bigNLine(w io.Writer, label string, r BigNResult) {
 // aggregate-memory wall, and the streaming builder with interleaved flush
 // that carries 1.40M tasks through a fixed window. quick shrinks the sizes
 // below the device-memory wall (so the OOM leg is skipped) and keeps only
-// the live-task contrast.
-func BigN(w io.Writer, quick bool) []BigNResult {
+// the live-task contrast. The runs always simulate the DGX-1; of the
+// caller's Config only Check applies.
+func BigN(w io.Writer, run Config, quick bool) []BigNResult {
 	const nb = 2048
 	const window = 4096
 	fmt.Fprintf(w, "Beyond-paper GEMM scale (timing mode, DGX-1)\n\n")
 	var out []BigNResult
 	if quick {
-		r := RunBigNGemm(BigNConfig{N: 57344, NB: nb})
+		r := RunBigNGemm(BigNConfig{N: 57344, NB: nb, Check: run.Check})
 		bigNLine(w, "whole graph", r)
 		out = append(out, r)
-		r = RunBigNGemm(BigNConfig{N: 57344, NB: nb, Window: 1024})
+		r = RunBigNGemm(BigNConfig{N: 57344, NB: nb, Window: 1024, Check: run.Check})
 		bigNLine(w, "streamed, interleaved flush", r)
 		out = append(out, r)
 		fmt.Fprintf(w, "\npeak live tasks: %d whole-graph vs %d streamed (bound: window = %d)\n",
@@ -151,20 +150,20 @@ func BigN(w io.Writer, quick bool) []BigNResult {
 	}
 	// Whole-graph reference at the largest size below the device-memory
 	// wall: completes, but holds every task of the DAG live at once.
-	r := RunBigNGemm(BigNConfig{N: 139264, NB: nb})
+	r := RunBigNGemm(BigNConfig{N: 139264, NB: nb, Check: run.Check})
 	bigNLine(w, "whole graph", r)
 	out = append(out, r)
 	// Streamed with end-of-call coherency at full scale: the flush pass
 	// trails the generator, dirty C outgrows the pools, device OOM. The
 	// error is the expected outcome and is reported, not fatal.
-	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window, FlushEnd: true})
+	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window, FlushEnd: true, Check: run.Check})
 	bigNLine(w, "streamed, flush at end", r)
 	if r.Err != nil {
 		fmt.Fprintf(w, "%-28s expected: end-of-call coherency cannot bound the dirty footprint at this scale\n", "")
 	}
 	// The streaming builder: 1.40M tasks through a fixed window with the
 	// dirty footprint bounded by interleaved write-back.
-	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window})
+	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window, Check: run.Check})
 	bigNLine(w, "streamed, interleaved flush", r)
 	out = append(out, r)
 	nt := (229376 + nb - 1) / nb

@@ -13,9 +13,10 @@ import (
 )
 
 // This file regenerates every table and figure of the paper's evaluation
-// (§IV). Each function prints the same rows/series the paper reports;
-// cmd/xkbench exposes them behind -exp flags and bench_test.go wraps them
-// in testing.B benchmarks.
+// (§IV). Each function prints the same rows/series the paper reports and
+// takes the caller's Config for the run-wide settings; cmd/xkbench exposes
+// them behind -exp flags and bench_test.go wraps them in testing.B
+// benchmarks.
 
 // Roster returns the Fig. 5 library set.
 func Roster() []baseline.Library {
@@ -31,19 +32,15 @@ func Roster() []baseline.Library {
 	}
 }
 
-// sweepDefaults fills common knobs: paper-or-quick sizes, 3 runs quick / 8
-// full, extended tiles for the host-only libraries, and the process-wide
-// run parallelism.
-func sweepDefaults(quick bool) Config {
-	cfg := Config{
-		Tiles:          DefaultTiles(),
-		ExtraTilesFor:  map[string]bool{"cuBLAS-XT": true, "Slate": true},
-		NoiseAmp:       0.02,
-		MaxTilesPerDim: 40,
-		Parallel:       DefaultParallelism,
-		Metrics:        MetricsEnabled,
-		Ctx:            SweepContext,
-	}
+// sweepDefaults fills common knobs over the run-wide part of run:
+// paper-or-quick sizes, 3 runs quick / 8 full, and extended tiles for the
+// host-only libraries.
+func sweepDefaults(run Config, quick bool) Config {
+	cfg := run.runWide()
+	cfg.Tiles = DefaultTiles()
+	cfg.ExtraTilesFor = map[string]bool{"cuBLAS-XT": true, "Slate": true}
+	cfg.NoiseAmp = 0.02
+	cfg.MaxTilesPerDim = 40
 	if quick {
 		cfg.Sizes = QuickSizes()
 		cfg.Runs = 3
@@ -55,12 +52,11 @@ func sweepDefaults(quick bool) Config {
 }
 
 // TableI prints the platform characteristics table. The historical DGX-1
-// wording is kept byte-identical when no -platform override is in force;
-// any other registered platform gets a generic rendering of the same
-// fields.
-func TableI(w io.Writer) {
-	p := activePlatform()
-	if DefaultPlatform == nil {
+// wording is kept byte-identical when cfg.Platform is nil; an explicit
+// platform gets a generic rendering of the same fields.
+func TableI(w io.Writer, cfg Config) {
+	p := cfg.platform()
+	if cfg.Platform == nil {
 		fmt.Fprintln(w, "Table I — Main characteristics of the DGX-1 multi-GPU system (simulated)")
 		fmt.Fprintln(w, "Name    CPU                              GPU")
 		fmt.Fprintf(w, "Gemini  2x Xeon E5-2698 v4 2.2GHz (model) %dx %s, %d GB, peak FP64 %.1f TFlop/s\n",
@@ -80,9 +76,9 @@ func TableI(w io.Writer) {
 // devices with 256 MiB payloads on an otherwise idle platform and prints
 // the matrix of Fig. 2 (GB/s; diagonal = on-device copy; last row/column =
 // host).
-func Fig2BandwidthMatrix(w io.Writer) {
+func Fig2BandwidthMatrix(w io.Writer, cfg Config) {
 	const payload = 256 << 20
-	topo := activePlatform()
+	topo := cfg.platform()
 	n := topo.NumGPUs
 	fmt.Fprintln(w, "Fig. 2 — measured bandwidth (GB/s) between devices (256 MiB payloads)")
 	fmt.Fprintf(w, "D\\D ")
@@ -125,8 +121,8 @@ func Fig2BandwidthMatrix(w io.Writer) {
 
 // Fig3 reproduces the heuristics ablation: GEMM, SYR2K and TRSM with the
 // two heuristics toggled, cuBLAS-XT as the reference curve, data-on-host.
-func Fig3(w io.Writer, quick bool) []Point {
-	cfg := sweepDefaults(quick)
+func Fig3(w io.Writer, run Config, quick bool) []Point {
+	cfg := sweepDefaults(run, quick)
 	cfg.Libs = []baseline.Library{
 		baseline.CuBLASXT(),
 		baseline.XKBlas(),
@@ -141,8 +137,8 @@ func Fig3(w io.Writer, quick bool) []Point {
 
 // TableII reports the maximum loss/gain of each XKBlas variant versus the
 // full library for N ≥ 16384, plus the data-on-device gain.
-func TableII(w io.Writer, quick bool) {
-	cfg := sweepDefaults(quick)
+func TableII(w io.Writer, run Config, quick bool) {
+	cfg := sweepDefaults(run, quick)
 	routines := []blasops.Routine{blasops.Gemm, blasops.Syr2k, blasops.Trsm}
 	fmt.Fprintln(w, "Table II — max loss/gain vs baseline XKBlas, N ≥ 16384")
 	fmt.Fprintf(w, "%-8s %16s %14s %22s\n", "Kernel", "data-on-device", "no heuristic", "no heuristic, no topo")
@@ -189,8 +185,8 @@ func TableII(w io.Writer, quick bool) {
 
 // Fig4 compares data-on-device against data-on-host for GEMM, SYR2K and
 // TRSM, keeping Chameleon Tile and cuBLAS-XT as references.
-func Fig4(w io.Writer, quick bool) []Point {
-	cfg := sweepDefaults(quick)
+func Fig4(w io.Writer, run Config, quick bool) []Point {
+	cfg := sweepDefaults(run, quick)
 	cfg.Routines = []blasops.Routine{blasops.Gemm, blasops.Syr2k, blasops.Trsm}
 	cfg.Progress = w
 	fmt.Fprintln(w, "Fig. 4 — data-on-device (2D block-cyclic on a (4,2) GPU grid) vs data-on-host")
@@ -213,8 +209,8 @@ func Fig4(w io.Writer, quick bool) []Point {
 
 // Fig5 is the full library comparison: six routines, eight libraries,
 // data-on-host.
-func Fig5(w io.Writer, quick bool) []Point {
-	cfg := sweepDefaults(quick)
+func Fig5(w io.Writer, run Config, quick bool) []Point {
+	cfg := sweepDefaults(run, quick)
 	cfg.Libs = Roster()
 	cfg.Routines = blasops.All()
 	cfg.Progress = w
@@ -236,7 +232,7 @@ func fig6Libs() []baseline.Library {
 
 // Fig6 reproduces the GEMM execution-trace breakdown at N = 32768:
 // cumulative seconds per operation kind and the normalized occupancy ratio.
-func Fig6(w io.Writer, quick bool) {
+func Fig6(w io.Writer, cfg Config, quick bool) {
 	n := 32768
 	if quick {
 		n = 16384
@@ -248,7 +244,7 @@ func Fig6(w io.Writer, quick bool) {
 	}
 	fmt.Fprintln(w, "  | normalized ratios")
 	for _, lib := range fig6Libs() {
-		res := lib.Run(baseline.Request{Routine: blasops.Gemm, N: n, NB: 4096, Platform: DefaultPlatform, Trace: true, Check: CheckRuns, Ctx: SweepContext})
+		res := lib.Run(baseline.Request{Routine: blasops.Gemm, N: n, NB: 4096, Platform: cfg.Platform, Trace: true, Check: cfg.Check, Ctx: cfg.Ctx})
 		if res.Err != nil {
 			fmt.Fprintf(w, "%-16s ERROR: %v\n", lib.Name(), res.Err)
 			continue
@@ -269,28 +265,29 @@ func Fig6(w io.Writer, quick bool) {
 }
 
 // Fig7 reproduces the per-GPU SYR2K trace at N = 49152 for Chameleon Tile,
-// cuBLAS-XT and XKBlas.
-func Fig7(w io.Writer, quick bool) {
+// cuBLAS-XT and XKBlas, one row per GPU of the run's platform.
+func Fig7(w io.Writer, cfg Config, quick bool) {
 	n := 49152
 	if quick {
 		n = 16384
 	}
 	fmt.Fprintf(w, "Fig. 7 — SYR2K FP64 per-GPU trace at N=%d (seconds per operation kind)\n", n)
+	gpus := cfg.platform().NumGPUs
 	libs := []baseline.Library{baseline.ChameleonTile(), baseline.CuBLASXT(), baseline.XKBlas()}
 	for _, lib := range libs {
-		res := lib.Run(baseline.Request{Routine: blasops.Syr2k, N: n, NB: 2048, Platform: DefaultPlatform, Trace: true, Check: CheckRuns, Ctx: SweepContext})
+		res := lib.Run(baseline.Request{Routine: blasops.Syr2k, N: n, NB: 2048, Platform: cfg.Platform, Trace: true, Check: cfg.Check, Ctx: cfg.Ctx})
 		if res.Err != nil {
 			fmt.Fprintf(w, "%s: ERROR %v\n", lib.Name(), res.Err)
 			continue
 		}
 		fmt.Fprintf(w, "-- %s (%.1f GF/s) --\n", lib.Name(), res.GFlops)
-		per := res.Rec.PerGPUByKind(8)
+		per := res.Rec.PerGPUByKind(gpus)
 		fmt.Fprintf(w, "%-5s", "GPU")
 		for _, k := range trace.Kinds() {
 			fmt.Fprintf(w, " %12s", k)
 		}
 		fmt.Fprintln(w)
-		for g := 0; g < 8; g++ {
+		for g := 0; g < gpus; g++ {
 			fmt.Fprintf(w, "%-5d", g+1)
 			for _, k := range trace.Kinds() {
 				fmt.Fprintf(w, " %11.2fs", float64(per[g][k]))
@@ -302,7 +299,7 @@ func Fig7(w io.Writer, quick bool) {
 
 // Fig8 reproduces the TRSM+GEMM composition sweep for Chameleon Tile and
 // XKBlas.
-func Fig8(w io.Writer, quick bool) {
+func Fig8(w io.Writer, cfg Config, quick bool) {
 	sizes := []int{8192, 16384, 24576, 32768, 40960, 49152, 57344}
 	if quick {
 		sizes = []int{8192, 16384, 32768}
@@ -312,7 +309,7 @@ func Fig8(w io.Writer, quick bool) {
 	for _, lib := range libs {
 		comp := lib.(baseline.Composer)
 		for _, n := range sizes {
-			res := comp.RunComposition(baseline.Request{Routine: blasops.Gemm, N: n, NB: 2048, Platform: DefaultPlatform, Check: CheckRuns, Ctx: SweepContext})
+			res := comp.RunComposition(baseline.Request{Routine: blasops.Gemm, N: n, NB: 2048, Platform: cfg.Platform, Check: cfg.Check, Ctx: cfg.Ctx})
 			if res.Err != nil {
 				fmt.Fprintf(w, "%-16s N=%-6d ERROR: %v\n", lib.Name(), n, res.Err)
 				continue
@@ -325,29 +322,29 @@ func Fig8(w io.Writer, quick bool) {
 
 // Fig9 renders the composition Gantt charts at N = 32768 showing
 // Chameleon's inter-call synchronization gaps against XKBlas' seamless
-// composition.
-func Fig9(w io.Writer, quick bool) {
+// composition, one kernel lane per GPU of the run's platform.
+func Fig9(w io.Writer, cfg Config, quick bool) {
 	n := 32768
 	if quick {
 		n = 16384
 	}
 	fmt.Fprintf(w, "Fig. 9 — TRSM+GEMM composition Gantt at N=%d, block 2048\n", n)
+	gpus := cfg.platform().NumGPUs
 	libs := []baseline.Library{baseline.ChameleonTile(), baseline.XKBlas()}
 	for _, lib := range libs {
 		res := lib.(baseline.Composer).RunComposition(baseline.Request{
-			Routine: blasops.Gemm, N: n, NB: 2048, Platform: DefaultPlatform, Trace: true, Check: CheckRuns, Ctx: SweepContext})
+			Routine: blasops.Gemm, N: n, NB: 2048, Platform: cfg.Platform, Trace: true, Check: cfg.Check, Ctx: cfg.Ctx})
 		if res.Err != nil {
 			fmt.Fprintf(w, "%s: ERROR %v\n", lib.Name(), res.Err)
 			continue
 		}
 		fmt.Fprintf(w, "-- %s (%.2f TFlop/s) --\n", lib.Name(), TFlops(res.GFlops))
-		if err := res.Rec.Gantt(w, 8, 100); err != nil {
+		if err := res.Rec.Gantt(w, gpus, 100); err != nil {
 			fmt.Fprintf(w, "gantt: %v\n", err)
 		}
-		idle := res.Rec.IdleRatio(8)
 		var mean float64
-		for _, x := range idle {
-			mean += x / 8
+		for _, x := range res.Rec.IdleRatio(gpus) {
+			mean += x / float64(gpus)
 		}
 		fmt.Fprintf(w, "mean kernel-lane idle ratio: %.1f%%\n", 100*mean)
 	}

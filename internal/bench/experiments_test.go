@@ -12,7 +12,7 @@ import (
 
 func TestTableIMentionsPlatform(t *testing.T) {
 	var buf bytes.Buffer
-	TableI(&buf)
+	TableI(&buf, Config{})
 	out := buf.String()
 	for _, want := range []string{"V100", "8x", "NVLink", "PCIe"} {
 		if !strings.Contains(out, want) {
@@ -23,7 +23,7 @@ func TestTableIMentionsPlatform(t *testing.T) {
 
 func TestFig6QuickBreakdown(t *testing.T) {
 	var buf bytes.Buffer
-	Fig6(&buf, true)
+	Fig6(&buf, parallelRun(), true)
 	out := buf.String()
 	if strings.Contains(out, "ERROR") {
 		t.Fatalf("fig6 errors:\n%s", out)
@@ -58,7 +58,7 @@ func TestFig6QuickBreakdown(t *testing.T) {
 
 func TestFig8QuickOrdering(t *testing.T) {
 	var buf bytes.Buffer
-	Fig8(&buf, true)
+	Fig8(&buf, parallelRun(), true)
 	out := buf.String()
 	if strings.Contains(out, "ERROR") {
 		t.Fatalf("fig8 errors:\n%s", out)
@@ -84,7 +84,7 @@ func TestFig8QuickOrdering(t *testing.T) {
 
 func TestFig9QuickGantt(t *testing.T) {
 	var buf bytes.Buffer
-	Fig9(&buf, true)
+	Fig9(&buf, parallelRun(), true)
 	out := buf.String()
 	if !strings.Contains(out, "GPU7") || !strings.Contains(out, "idle ratio") {
 		t.Fatalf("fig9 malformed:\n%s", out)
@@ -109,7 +109,7 @@ func TestFig9QuickGantt(t *testing.T) {
 
 func TestFig7QuickPerGPU(t *testing.T) {
 	var buf bytes.Buffer
-	Fig7(&buf, true)
+	Fig7(&buf, parallelRun(), true)
 	out := buf.String()
 	if strings.Contains(out, "ERROR") {
 		t.Fatalf("fig7 errors:\n%s", out)

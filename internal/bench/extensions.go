@@ -19,7 +19,7 @@ import (
 
 // Scalability sweeps DGEMM over 1..8 GPUs for XKBlas and cuBLAS-XT,
 // data-on-host.
-func Scalability(w io.Writer, quick bool) {
+func Scalability(w io.Writer, run Config, quick bool) {
 	n := 32768
 	runs := 8
 	if quick {
@@ -29,10 +29,10 @@ func Scalability(w io.Writer, quick bool) {
 	fmt.Fprintf(w, "Extension — DGEMM strong scaling over GPU count (N=%d, data-on-host)\n", n)
 	fmt.Fprintf(w, "%-6s %14s %14s %10s\n", "GPUs", "XKBlas GF/s", "cuBLAS-XT GF/s", "speedup")
 	for g := 1; g <= 8; g++ {
-		plat := topology.DGX1WithGPUs(g)
-		cfg := Config{Tiles: []int{2048, 4096}, Runs: runs, NoiseAmp: 0.02, Parallel: DefaultParallelism}
-		xk := measureOn(cfg, baseline.XKBlas(), blasops.Gemm, n, plat)
-		xt := measureOn(cfg, baseline.CuBLASXT(), blasops.Gemm, n, plat)
+		cfg := extensionConfig(run, []int{2048, 4096}, runs)
+		cfg.Platform = topology.DGX1WithGPUs(g)
+		xk := MeasurePoint(cfg, baseline.XKBlas(), blasops.Gemm, n).GFlops
+		xt := MeasurePoint(cfg, baseline.CuBLASXT(), blasops.Gemm, n).GFlops
 		ratio := 0.0
 		if xt > 0 {
 			ratio = xk / xt
@@ -41,57 +41,16 @@ func Scalability(w io.Writer, quick bool) {
 	}
 }
 
-// measureOn runs a best-tile measurement on an explicit platform. With
-// cfg.Parallel > 1 the (tile, repetition) runs execute concurrently —
-// topology platforms are read-only during runs, so sharing one across
-// simulations is safe — and are reduced in sequential order, keeping the
-// result bit-identical to a sequential measurement.
-func measureOn(cfg Config, lib baseline.Library, r blasops.Routine, n int, plat *topology.Platform) float64 {
-	grid := make([][]baseline.Result, len(cfg.Tiles))
-	runOne := func(ti, rep int) {
-		grid[ti][rep-1] = lib.Run(baseline.Request{
-			Routine: r, N: n, NB: cfg.Tiles[ti], Platform: plat,
-			NoiseAmp: cfg.NoiseAmp, NoiseSeed: int64(rep) * 131,
-			Check: CheckRuns, Ctx: SweepContext,
-		})
-	}
-	if cfg.Parallel > 1 {
-		pool := newWorkerPool(cfg.Parallel)
-		for ti := range cfg.Tiles {
-			grid[ti] = make([]baseline.Result, cfg.Runs)
-			for rep := 1; rep <= cfg.Runs; rep++ {
-				pool.Submit(func() { runOne(ti, rep) })
-			}
-		}
-		pool.Wait()
-	} else {
-		for ti := range cfg.Tiles {
-			grid[ti] = make([]baseline.Result, cfg.Runs)
-			for rep := 1; rep <= cfg.Runs; rep++ {
-				runOne(ti, rep)
-				if grid[ti][rep-1].Err != nil {
-					break
-				}
-			}
-		}
-	}
-	best := 0.0
-	for ti := range cfg.Tiles {
-		var sum float64
-		count := 0
-		for rep := 0; rep < cfg.Runs; rep++ {
-			if grid[ti][rep].Err != nil {
-				count = 0
-				break
-			}
-			sum += grid[ti][rep].GFlops
-			count++
-		}
-		if count > 0 && sum/float64(count) > best {
-			best = sum / float64(count)
-		}
-	}
-	return best
+// extensionConfig is the best-tile measurement of the scalability and
+// Summit tables: the given tiles and repetitions over the run-wide part of
+// run, with their own noise-seed rule. A failed point measures 0 GFlop/s.
+func extensionConfig(run Config, tiles []int, runs int) Config {
+	cfg := run.runWide()
+	cfg.Tiles = tiles
+	cfg.Runs = runs
+	cfg.NoiseAmp = 0.02
+	cfg.repSeeds = true
+	return cfg
 }
 
 // SummitPrediction tests the heuristics across interconnect designs.
@@ -101,7 +60,7 @@ func measureOn(cfg Config, lib baseline.Library, r blasops.Routine, n int, plat 
 // forwarding still pays off there because host links remain PCIe. Only the
 // hybrid cube-mesh DGX-1 exercises both heuristics — which is why the
 // paper evaluates there.
-func SummitPrediction(w io.Writer, quick bool) {
+func SummitPrediction(w io.Writer, run Config, quick bool) {
 	n := 24576
 	runs := 8
 	if quick {
@@ -110,7 +69,6 @@ func SummitPrediction(w io.Writer, quick bool) {
 	}
 	fmt.Fprintf(w, "Extension — heuristic gains by platform (DGEMM N=%d, vs no-heuristic-no-topo)\n", n)
 	fmt.Fprintf(w, "%-34s %12s %12s %12s\n", "platform", "full GF/s", "ablated GF/s", "total gain")
-	cfg := Config{Tiles: []int{2048}, Runs: runs, NoiseAmp: 0.02, Parallel: DefaultParallelism}
 	rows := []struct {
 		name string
 		plat *topology.Platform
@@ -119,38 +77,43 @@ func SummitPrediction(w io.Writer, quick bool) {
 		{"DGX-2 (NVSwitch, PCIe host)", topology.DGX2WithGPUs(8)},
 		{"Summit node (NVLink host)", topology.SummitNode()},
 	}
-	if DefaultPlatform != nil {
-		// A -platform override joins the comparison as a fourth row.
+	if run.Platform != nil {
+		// An explicit platform joins the comparison as a fourth row.
 		rows = append(rows, struct {
 			name string
 			plat *topology.Platform
-		}{DefaultPlatform.Name, DefaultPlatform})
+		}{run.Platform.Name, run.Platform})
+	}
+	measure := func(lib baseline.Library, plat *topology.Platform) float64 {
+		cfg := extensionConfig(run, []int{2048}, runs)
+		cfg.Platform = plat
+		return MeasurePoint(cfg, lib, blasops.Gemm, n).GFlops
 	}
 	for _, pc := range rows {
-		on := measureOn(cfg, baseline.XKBlas(), blasops.Gemm, n, pc.plat)
-		off := measureOn(cfg, baseline.XKBlasNoHeuristicNoTopo(), blasops.Gemm, n, pc.plat)
+		on := measure(baseline.XKBlas(), pc.plat)
+		off := measure(baseline.XKBlasNoHeuristicNoTopo(), pc.plat)
 		gain := 0.0
 		if off > 0 {
 			gain = 100 * (on/off - 1)
 		}
 		fmt.Fprintf(w, "%-34s %12.1f %12.1f %+11.1f%%\n", pc.name, on, off, gain)
 	}
-	// Per-heuristic split on the active platform (the Fig. 3 decomposition
-	// at one size; DGX-1 unless -platform overrides).
-	split := activePlatform()
+	// Per-heuristic split on the run's platform (the Fig. 3 decomposition
+	// at one size; DGX-1 unless the run names another).
+	split := run.platform()
 	label := "DGX-1"
-	if DefaultPlatform != nil {
+	if run.Platform != nil {
 		label = split.Name
 	}
-	onD := measureOn(cfg, baseline.XKBlas(), blasops.Gemm, n, split)
-	noH := measureOn(cfg, baseline.XKBlasNoHeuristic(), blasops.Gemm, n, split)
+	onD := measure(baseline.XKBlas(), split)
+	noH := measure(baseline.XKBlasNoHeuristic(), split)
 	fmt.Fprintf(w, "%s optimistic-only contribution: %+5.1f%%\n", label, 100*(onD/noH-1))
 }
 
 // Hermitian measures the complex routines (ZGEMM, HEMM, HERK, HER2K) on
 // the full XKBlas stack — the remaining three of the paper's "9 standard
 // BLAS subroutines" plus their GEMM building block.
-func Hermitian(w io.Writer, quick bool) {
+func Hermitian(w io.Writer, cfg Config, quick bool) {
 	sizes := []int{4096, 8192, 16384, 24576}
 	if quick {
 		sizes = []int{4096, 8192}
@@ -158,7 +121,7 @@ func Hermitian(w io.Writer, quick bool) {
 	fmt.Fprintln(w, "Extension — complex/Hermitian routines, XKBlas, data-on-host (GFlop/s, complex flops)")
 	for _, r := range blasops.Hermitian() {
 		for _, n := range sizes {
-			gf := measureHermitian(r, n, 1024)
+			gf := measureHermitian(cfg, r, n, 1024)
 			fmt.Fprintf(w, "%-6s N=%-6d %10.1f GF/s\n", r, n, gf)
 		}
 	}
@@ -169,7 +132,7 @@ func Hermitian(w io.Writer, quick bool) {
 // paper's conclusion — and quantifies the composition benefit: the fully
 // asynchronous pipeline versus a fork-join execution with a barrier after
 // every panel.
-func Factorizations(w io.Writer, quick bool) {
+func Factorizations(w io.Writer, cfg Config, quick bool) {
 	sizes := []int{8192, 16384, 32768}
 	if quick {
 		sizes = sizes[:2]
@@ -178,8 +141,8 @@ func Factorizations(w io.Writer, quick bool) {
 	fmt.Fprintf(w, "%-8s %-8s %14s %16s %10s\n", "routine", "N", "async TF/s", "fork-join TF/s", "benefit")
 	for _, r := range []blasops.Routine{blasops.Potrf, blasops.Getrf} {
 		for _, n := range sizes {
-			async := measureFactor(r, n, 1024, false)
-			fj := measureFactor(r, n, 1024, true)
+			async := measureFactor(cfg, r, n, 1024, false)
+			fj := measureFactor(cfg, r, n, 1024, true)
 			ben := 0.0
 			if fj > 0 {
 				ben = 100 * (async/fj - 1)
@@ -191,8 +154,8 @@ func Factorizations(w io.Writer, quick bool) {
 
 // measureFactor runs one factorization in timing mode; panelSync inserts a
 // barrier after each panel's tasks (fork-join style).
-func measureFactor(r blasops.Routine, n, nb int, panelSync bool) float64 {
-	h := core.NewHandle(core.Config{Platform: DefaultPlatform, TileSize: nb})
+func measureFactor(cfg Config, r blasops.Routine, n, nb int, panelSync bool) float64 {
+	h := newHandle(cfg, nb)
 	A := h.Register(matrix.NewShape(n, n))
 	t0 := h.Now()
 	submit := func(m *xkrt.Matrix) {
@@ -222,7 +185,7 @@ func measureFactor(r blasops.Routine, n, nb int, panelSync bool) float64 {
 // registers (page-locks) operand memory before the timed section; charging
 // that cost inside the measurement degrades small-problem throughput
 // substantially.
-func PinningCost(w io.Writer, quick bool) {
+func PinningCost(w io.Writer, cfg Config, quick bool) {
 	sizes := []int{8192, 16384, 32768}
 	if quick {
 		sizes = sizes[:2]
@@ -230,8 +193,8 @@ func PinningCost(w io.Writer, quick bool) {
 	fmt.Fprintln(w, "Extension — DGEMM with and without page-locking inside the timed section (§IV-A)")
 	fmt.Fprintf(w, "%-8s %16s %18s %10s\n", "N", "pinned a priori", "pinning measured", "penalty")
 	for _, n := range sizes {
-		without := measureGemmPinning(n, 2048, false)
-		with := measureGemmPinning(n, 2048, true)
+		without := measureGemmPinning(cfg, n, 2048, false)
+		with := measureGemmPinning(cfg, n, 2048, true)
 		pen := 0.0
 		if with > 0 {
 			pen = 100 * (without/with - 1)
@@ -240,8 +203,8 @@ func PinningCost(w io.Writer, quick bool) {
 	}
 }
 
-func measureGemmPinning(n, nb int, chargePin bool) float64 {
-	h := core.NewHandle(core.Config{Platform: DefaultPlatform, TileSize: nb})
+func measureGemmPinning(cfg Config, n, nb int, chargePin bool) float64 {
+	h := newHandle(cfg, nb)
 	a := h.Register(matrix.NewShape(n, n))
 	b := h.Register(matrix.NewShape(n, n))
 	c := h.Register(matrix.NewShape(n, n))
@@ -259,8 +222,8 @@ func measureGemmPinning(n, nb int, chargePin bool) float64 {
 	return blasops.GFlops(blasops.FlopsSquare(blasops.Gemm, n), float64(el))
 }
 
-func measureHermitian(r blasops.Routine, n, nb int) float64 {
-	h := core.NewHandle(core.Config{Platform: DefaultPlatform, TileSize: nb})
+func measureHermitian(cfg Config, r blasops.Routine, n, nb int) float64 {
+	h := newHandle(cfg, nb)
 	z := func() *xkrt.Matrix { return h.RegisterZ(matrix.NewZShape(n, n)) }
 	t0 := h.Now()
 	switch r {
@@ -285,4 +248,10 @@ func measureHermitian(r blasops.Routine, n, nb int) float64 {
 	}
 	el := h.Sync() - t0
 	return blasops.GFlops(blasops.FlopsSquare(r, n), float64(el))
+}
+
+// newHandle builds the full-XKBlas timing-mode context of the handle-level
+// extensions on the run's platform, audited when the run is.
+func newHandle(cfg Config, nb int) *core.Handle {
+	return core.NewHandle(core.Config{Platform: cfg.Platform, TileSize: nb, Check: cfg.Check})
 }

@@ -13,7 +13,7 @@ import (
 func TestExtensionExperimentsRun(t *testing.T) {
 	// Each extension must complete and produce non-empty output at quick
 	// scale; they are part of the cmd/xkbench surface.
-	cases := map[string]func(io.Writer, bool){
+	cases := map[string]func(io.Writer, Config, bool){
 		"scale":    Scalability,
 		"summit":   SummitPrediction,
 		"pinning":  PinningCost,
@@ -22,7 +22,7 @@ func TestExtensionExperimentsRun(t *testing.T) {
 	}
 	for name, fn := range cases {
 		var buf bytes.Buffer
-		fn(&buf, true)
+		fn(&buf, parallelRun(), true)
 		if buf.Len() == 0 {
 			t.Errorf("%s produced no output", name)
 		}
@@ -34,7 +34,7 @@ func TestExtensionExperimentsRun(t *testing.T) {
 
 func TestSummitPredictionHolds(t *testing.T) {
 	var buf bytes.Buffer
-	SummitPrediction(&buf, true)
+	SummitPrediction(&buf, parallelRun(), true)
 	out := buf.String()
 	// Parse the gain column and assert the DGX-1 gain dominates Summit's
 	// (§III-C): the table rows are "platform  full  ablated  gain%".
@@ -110,8 +110,8 @@ func sscanFloat(s string, v *float64) (int, error) {
 }
 
 func TestPinningPenaltySubstantial(t *testing.T) {
-	without := measureGemmPinning(16384, 2048, false)
-	with := measureGemmPinning(16384, 2048, true)
+	without := measureGemmPinning(Config{}, 16384, 2048, false)
+	with := measureGemmPinning(Config{}, 16384, 2048, true)
 	if with >= without {
 		t.Fatalf("pinning inside the timed section must cost: %.0f vs %.0f", with, without)
 	}
@@ -121,11 +121,11 @@ func TestPinningPenaltySubstantial(t *testing.T) {
 }
 
 func TestHermitianThroughputReasonable(t *testing.T) {
-	gf := measureHermitian(blasops.Zgemm, 8192, 1024)
+	gf := measureHermitian(Config{}, blasops.Zgemm, 8192, 1024)
 	if gf < 10000 || gf > 62400 {
 		t.Fatalf("ZGEMM throughput %0.f GF/s outside plausible range", gf)
 	}
-	herk := measureHermitian(blasops.Herk, 8192, 1024)
+	herk := measureHermitian(Config{}, blasops.Herk, 8192, 1024)
 	if herk <= 0 || herk > gf {
 		t.Fatalf("HERK %0.f GF/s should be positive and below ZGEMM %0.f", herk, gf)
 	}

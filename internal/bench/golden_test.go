@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"xkblas/internal/baseline"
@@ -34,7 +35,7 @@ func goldenConfig() Config {
 		},
 		Runs:     2,
 		NoiseAmp: 0.02,
-		Parallel: DefaultParallelism,
+		Parallel: runtime.NumCPU(),
 	}
 }
 
@@ -112,7 +113,7 @@ func TestGoldenPlatformParity(t *testing.T) {
 				Platform: tc.plat,
 				Runs:     2,
 				NoiseAmp: 0.02,
-				Parallel: DefaultParallelism,
+				Parallel: runtime.NumCPU(),
 			}
 			points := RunSweep(cfg)
 			var buf bytes.Buffer

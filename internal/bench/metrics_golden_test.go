@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"xkblas/internal/baseline"
@@ -22,7 +23,7 @@ func goldenMetricsConfig() Config {
 		Runs:     2,
 		NoiseAmp: 0.02,
 		Metrics:  true,
-		Parallel: DefaultParallelism,
+		Parallel: runtime.NumCPU(),
 	}
 }
 

@@ -2,16 +2,11 @@ package bench
 
 import (
 	"bytes"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"xkblas/internal/baseline"
 	"xkblas/internal/blasops"
-	"xkblas/internal/metrics"
 )
 
 // metricsConfig is a small sweep with metrics and noise on.
@@ -144,59 +139,5 @@ func TestMetricsTableRollups(t *testing.T) {
 	}
 	if strings.Contains(out, " - ") {
 		t.Fatalf("table has unpopulated cells:\n%s", out)
-	}
-}
-
-// TestMetricsServeScrapeConcurrentWithSweep exercises the live-aggregation
-// path under -race (the `make metrics-race` gate): a sweep merges leaf
-// snapshots into a global registry while HTTP scrapers read it through the
-// Prometheus handler.
-func TestMetricsServeScrapeConcurrentWithSweep(t *testing.T) {
-	reg := metrics.NewRegistry()
-	GlobalMetrics = reg
-	defer func() { GlobalMetrics = nil }()
-
-	srv := httptest.NewServer(metrics.Handler(reg))
-	defer srv.Close()
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				resp, err := http.Get(srv.URL)
-				if err != nil {
-					t.Errorf("scrape: %v", err)
-					return
-				}
-				if _, err := io.ReadAll(resp.Body); err != nil {
-					t.Errorf("scrape read: %v", err)
-				}
-				resp.Body.Close()
-			}
-		}()
-	}
-
-	cfg := metricsConfig()
-	cfg.Parallel = 8
-	points := RunSweep(cfg)
-	close(done)
-	wg.Wait()
-
-	for _, p := range points {
-		if p.Err != nil {
-			t.Fatalf("point %v failed: %v", p, p.Err)
-		}
-	}
-	// The aggregate saw every leaf run: task counters merged in.
-	if s, ok := reg.Snapshot().Get("rt.tasks_run"); !ok || s.Int <= 0 {
-		t.Fatalf("global registry did not aggregate leaf snapshots (rt.tasks_run = %+v, %v)", s, ok)
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -19,11 +18,6 @@ import (
 // reduced by the same code, in the same order, as the sequential loop, so
 // the returned []Point (and the Progress stream) is bit-identical at every
 // parallelism level. See DESIGN.md §6.
-
-// DefaultParallelism is the worker count used by the experiment drivers
-// (sweepDefaults, Scalability, SummitPrediction). It defaults to the number
-// of host CPUs; cmd/xkbench overrides it with -parallel.
-var DefaultParallelism = runtime.NumCPU()
 
 // workerCount clamps a configured parallelism to at least one worker.
 func workerCount(parallel int) int {

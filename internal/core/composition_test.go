@@ -7,6 +7,7 @@ import (
 
 	"xkblas/internal/hostblas"
 	"xkblas/internal/matrix"
+	"xkblas/internal/policy"
 	"xkblas/internal/xkrt"
 )
 
@@ -21,10 +22,10 @@ func TestRandomCompositionSequences(t *testing.T) {
 		name string
 		opt  xkrt.Options
 	}{
-		{"full", xkrt.Options{TopoAware: true, Optimistic: true, Window: 4}},
-		{"no-heuristics", xkrt.Options{TopoAware: false, Optimistic: false, Window: 2}},
-		{"dmdas", xkrt.Options{TopoAware: true, Optimistic: true, Window: 2, Scheduler: xkrt.DMDAS}},
-		{"host-only", xkrt.Options{TopoAware: false, Optimistic: false, Window: 2, Sources: xkrt.SourceHostOnly}},
+		{"full", xkrt.Options{Window: 4, Policy: &policy.XKBlas}},
+		{"no-heuristics", xkrt.Options{Window: 2, Policy: &policy.NoHeuristicNoTopo}},
+		{"dmdas", xkrt.Options{Window: 2, Policy: &policy.XKBlasDMDAS}},
+		{"host-only", xkrt.Options{Window: 2, Policy: &policy.Bundle{Source: policy.HostOnly{}, Scheduler: policy.WorkStealing{}, Evictor: policy.LRUReadOnlyFirst{}}}},
 	}
 	for _, cfg := range configs {
 		cfg := cfg

@@ -6,6 +6,7 @@ import (
 
 	"xkblas/internal/hostblas"
 	"xkblas/internal/matrix"
+	"xkblas/internal/policy"
 	"xkblas/internal/xkrt"
 )
 
@@ -242,7 +243,7 @@ func TestHandleDefaults(t *testing.T) {
 	if len(h.Plat.GPUs) != 8 {
 		t.Errorf("default platform GPUs = %d, want 8 (DGX-1)", len(h.Plat.GPUs))
 	}
-	if !h.RT.Opt.TopoAware || !h.RT.Opt.Optimistic {
+	if *h.RT.Opt.Policy != policy.XKBlas {
 		t.Error("default options must enable both heuristics")
 	}
 }

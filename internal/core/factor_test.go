@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xkblas/internal/matrix"
+	"xkblas/internal/policy"
 	"xkblas/internal/xkrt"
 )
 
@@ -72,8 +73,8 @@ func TestPotrfAsyncBothTriangles(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for _, uplo := range []Uplo{Lower, Upper} {
 		for _, cfg := range []xkrt.Options{
-			{TopoAware: true, Optimistic: true, Window: 4},
-			{TopoAware: true, Optimistic: true, Window: 2, Scheduler: xkrt.DMDAS},
+			{Window: 4, Policy: &policy.XKBlas},
+			{Window: 2, Policy: &policy.XKBlasDMDAS},
 		} {
 			h := NewHandle(Config{TileSize: 8, Functional: true, Options: cfg})
 			n := 40
@@ -84,7 +85,7 @@ func TestPotrfAsyncBothTriangles(t *testing.T) {
 			h.MemoryCoherentAsync(A)
 			h.Sync()
 			if d := choleskyResidual(uplo, av, orig); d > 1e-8 {
-				t.Errorf("potrf(%s) scheduler=%v: residual %g", uplo.String(), cfg.Scheduler, d)
+				t.Errorf("potrf(%s) scheduler=%s: residual %g", uplo.String(), cfg.Policy.Scheduler.Name(), d)
 			}
 		}
 	}

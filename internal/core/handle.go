@@ -51,7 +51,9 @@ type Config struct {
 	Functional bool
 	// Links selects the interconnect contention model (FIFO default).
 	Links device.LinkModel
-	// Runtime options (heuristics, scheduler, window).
+	// Options are the runtime options: the policy bundle (heuristics,
+	// scheduler, evictor) plus the pipeline and stream windows. The zero
+	// value means xkrt.DefaultOptions(), the full XKBLAS configuration.
 	Options xkrt.Options
 	// Check attaches the strict coherence-invariant auditor
 	// (internal/check) to the runtime: every cache and scheduler state

@@ -3,48 +3,7 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"net/http"
 )
-
-// sanitizeName maps an internal metric name onto the Prometheus charset
-// ([a-zA-Z0-9_:]): every other rune becomes '_'. Internal names like
-// "res.nvlink.0->1.busy_seconds" stay readable as
-// "res_nvlink_0__1_busy_seconds".
-func sanitizeName(name string) string {
-	out := []byte(name)
-	for i := 0; i < len(out); i++ {
-		c := out[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				out[i] = '_'
-			}
-		default:
-			out[i] = '_'
-		}
-	}
-	return string(out)
-}
-
-// WritePrometheus renders the snapshot in the Prometheus text exposition
-// format, prefixing every metric with "xkblas_". Flattened histogram
-// buckets appear as plain counters (the internal cumulative .le.<bound>
-// naming), which Prometheus ingests fine even without native histogram
-// typing.
-func WritePrometheus(w io.Writer, snap Snapshot) error {
-	for _, s := range snap {
-		name := "xkblas_" + sanitizeName(s.Name)
-		typ := "counter"
-		if s.Kind == KindGauge {
-			typ = "gauge"
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n%s %s\n", name, typ, name, s.FormatValue()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // WriteJSON renders the snapshot as one deterministic JSON object
 // ({"name": value, ...} in sorted name order). Values are written with
@@ -68,13 +27,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, tail)
 	return err
-}
-
-// Handler serves the registry as Prometheus text at every request; scrapes
-// are safe concurrently with instrument updates and merges.
-func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w, r.Snapshot())
-	})
 }

@@ -5,11 +5,11 @@
 // Two properties drive the design:
 //
 //   - Deterministic output. Snapshot iterates metrics in sorted name order,
-//     so rendered output (JSON, tables, Prometheus text) is byte-stable
-//     across runs and across `-parallel` levels. All instrument updates in
-//     one simulated run happen on that run's single sim goroutine, so the
-//     values themselves are deterministic too; atomics only make concurrent
-//     *scrapes* (the -serve endpoint) safe.
+//     so rendered output (JSON, tables) is byte-stable across runs and
+//     across `-parallel` levels. All instrument updates in one simulated
+//     run happen on that run's single sim goroutine, so the values
+//     themselves are deterministic too; atomics only make a Snapshot taken
+//     concurrently with updates safe.
 //
 //   - Free when disabled. Every instrument handle is nil-safe: a nil
 //     *Counter/*Gauge/*Histogram ignores updates, and a nil *Registry hands
@@ -88,23 +88,6 @@ func (g *Gauge) Add(v float64) {
 	}
 }
 
-// SetMax raises the gauge to v if v is larger (no-op on nil); high-water
-// marks merge with this.
-func (g *Gauge) SetMax(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value reads the gauge (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -151,7 +134,7 @@ func (h *Histogram) Sum() float64 {
 
 // Registry holds named instruments. A nil *Registry hands out nil (no-op)
 // handles, which is the entire disabled path. Registration is guarded by a
-// mutex; instrument updates and reads are atomic, so scraping a registry
+// mutex; instrument updates and reads are atomic, so taking a Snapshot
 // concurrently with updates is safe.
 type Registry struct {
 	mu       sync.Mutex
@@ -168,12 +151,6 @@ func NewRegistry() *Registry {
 		hists:    make(map[string]*Histogram),
 	}
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry the -serve endpoint exposes;
-// sweeps merge per-run snapshots into it.
-func Default() *Registry { return defaultRegistry }
 
 // Counter returns the named counter, creating it on first use (nil on a nil
 // registry).
@@ -303,23 +280,4 @@ func (s Snapshot) Equal(o Snapshot) bool {
 		}
 	}
 	return true
-}
-
-// MergeSnapshot folds a per-run snapshot into the registry: counters add
-// (traffic accumulates across runs), gauges keep the maximum (levels and
-// high-water marks). Flattened histogram buckets arrive as counters and
-// accumulate likewise. Safe to call concurrently — this is the aggregation
-// path behind -serve.
-func (r *Registry) MergeSnapshot(s Snapshot) {
-	if r == nil {
-		return
-	}
-	for _, smp := range s {
-		switch smp.Kind {
-		case KindCounter:
-			r.Counter(smp.Name).Add(smp.Int)
-		case KindGauge:
-			r.Gauge(smp.Name).SetMax(smp.Float)
-		}
-	}
 }

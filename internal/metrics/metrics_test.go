@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -22,7 +20,6 @@ func TestMetricsNilSafety(t *testing.T) {
 	c.Store(7)
 	g.Set(1)
 	g.Add(2)
-	g.SetMax(3)
 	h.Observe(1.5)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must read zero")
@@ -30,7 +27,6 @@ func TestMetricsNilSafety(t *testing.T) {
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snap)
 	}
-	r.MergeSnapshot(Snapshot{{Name: "x", Kind: KindCounter, Int: 1}})
 }
 
 func TestMetricsRegistryReturnsSameInstrument(t *testing.T) {
@@ -133,78 +129,34 @@ func TestMetricsJSONByteStable(t *testing.T) {
 	}
 }
 
-func TestMetricsPrometheusExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("link.nvlink.0->1.bytes").Add(100)
-	r.Gauge("rt.ready_queue_max").Set(7)
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE xkblas_link_nvlink_0__1_bytes counter",
-		"xkblas_link_nvlink_0__1_bytes 100",
-		"# TYPE xkblas_rt_ready_queue_max gauge",
-		"xkblas_rt_ready_queue_max 7",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestMetricsMergeSnapshot(t *testing.T) {
-	per := NewRegistry()
-	per.Counter("cache.h2d.bytes").Add(10)
-	per.Gauge("rt.ready_queue_max").Set(4)
-	global := NewRegistry()
-	global.MergeSnapshot(per.Snapshot())
-	global.MergeSnapshot(per.Snapshot())
-	snap := global.Snapshot()
-	if s, _ := snap.Get("cache.h2d.bytes"); s.Int != 20 {
-		t.Fatalf("merged counter = %d, want 20 (sum)", s.Int)
-	}
-	if s, _ := snap.Get("rt.ready_queue_max"); s.Float != 4 {
-		t.Fatalf("merged gauge = %g, want 4 (max)", s.Float)
-	}
-}
-
-// TestMetricsConcurrentScrape drives updates, merges and HTTP scrapes from
-// many goroutines at once — the -serve contract, run under -race by `make
-// metrics-race`.
+// TestMetricsConcurrentScrape drives updates and Snapshot readers from
+// many goroutines at once, run under -race by `make metrics-race`.
 func TestMetricsConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
-	srv := httptest.NewServer(Handler(r))
-	defer srv.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			per := NewRegistry()
 			for i := 0; i < 200; i++ {
 				r.Counter("updates").Add(1)
-				r.Gauge("level").SetMax(float64(i))
+				r.Gauge("level").Set(float64(i))
 				r.Histogram("obs", []float64{50, 150}).Observe(float64(i))
-				per.Counter("per.run").Add(1)
-				if i%10 == 0 {
-					r.MergeSnapshot(per.Snapshot())
-				}
 			}
-		}(w)
+		}()
 	}
 	for s := 0; s < 2; s++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				resp, err := srv.Client().Get(srv.URL)
-				if err != nil {
-					t.Errorf("scrape: %v", err)
-					return
+				snap := r.Snapshot()
+				for j := 1; j < len(snap); j++ {
+					if snap[j-1].Name >= snap[j].Name {
+						t.Errorf("concurrent snapshot not sorted: %q >= %q", snap[j-1].Name, snap[j].Name)
+						return
+					}
 				}
-				resp.Body.Close()
 			}
 		}()
 	}

@@ -279,3 +279,38 @@ func (b Bundle) Validate() error {
 func (b Bundle) Name() string {
 	return fmt.Sprintf("%s/%s/%s", b.Source.Name(), b.Scheduler.Name(), b.Evictor.Name())
 }
+
+// The named bundles are the configurations used in more than one place:
+// the full XKBLAS policy, the two Fig. 3 ablations that switch the
+// paper's heuristics off one at a time, and the scheduler ablation. Like
+// every bundle they are shared by reference and never modified.
+var (
+	// XKBlas is the full library: topology-ranked sources (§III-B) with
+	// optimistic device-to-device forwarding (§III-C) over XKaapi work
+	// stealing.
+	XKBlas = Bundle{
+		Source:    Optimistic{Base: TopoRank{}, Ranked: true},
+		Scheduler: WorkStealing{},
+		Evictor:   LRUReadOnlyFirst{},
+	}
+	// NoHeuristic drops the optimistic forwarding ("XKBlas, no heuristic").
+	NoHeuristic = Bundle{
+		Source:    TopoRank{},
+		Scheduler: WorkStealing{},
+		Evictor:   LRUReadOnlyFirst{},
+	}
+	// NoHeuristicNoTopo drops both heuristics: the source among valid
+	// replicas is the lowest device id ("XKBlas, no heuristic, no topo").
+	NoHeuristicNoTopo = Bundle{
+		Source:    LowestID{},
+		Scheduler: WorkStealing{},
+		Evictor:   LRUReadOnlyFirst{},
+	}
+	// XKBlasDMDAS keeps both heuristics but schedules with StarPU's DMDAS
+	// instead of work stealing.
+	XKBlasDMDAS = Bundle{
+		Source:    Optimistic{Base: TopoRank{}, Ranked: true},
+		Scheduler: DMDAS{},
+		Evictor:   LRUReadOnlyFirst{},
+	}
+)

@@ -220,3 +220,23 @@ func TestBundleValidate(t *testing.T) {
 		t.Fatalf("Name() = %q, want %q", got, want)
 	}
 }
+
+// TestNamedBundles pins what each shared bundle decides, axis by axis.
+func TestNamedBundles(t *testing.T) {
+	for _, tc := range []struct {
+		b    Bundle
+		want string
+	}{
+		{XKBlas, "optimistic(topo-rank)/work-stealing/lru-read-only-first"},
+		{NoHeuristic, "topo-rank/work-stealing/lru-read-only-first"},
+		{NoHeuristicNoTopo, "lowest-id/work-stealing/lru-read-only-first"},
+		{XKBlasDMDAS, "optimistic(topo-rank)/dmdas/lru-read-only-first"},
+	} {
+		if err := tc.b.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.want, err)
+		}
+		if got := tc.b.Name(); got != tc.want {
+			t.Fatalf("Name() = %q, want %q", got, tc.want)
+		}
+	}
+}

@@ -25,9 +25,8 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero-window", Options{}, "Window"},
 		{"negative-window", Options{Window: -2}, "Window"},
-		{"unknown-scheduler", Options{Window: 4, Scheduler: SchedulerKind(42)}, "Scheduler"},
-		{"unknown-sources", Options{Window: 4, Sources: SourcePolicy(-1)}, "Sources"},
-		{"negative-grid", Options{Window: 4, GridP: -1}, "grid"},
+		{"negative-grid", Options{Window: 4, GridP: -1, Policy: &policy.XKBlas}, "grid"},
+		{"no-policy", Options{Window: 4}, "Policy"},
 		{"incomplete-bundle", Options{Window: 4, Policy: &policy.Bundle{Source: policy.TopoRank{}}}, "Scheduler"},
 	}
 	for _, tc := range cases {
@@ -53,7 +52,7 @@ func TestNewPanicsOnInvalidOptions(t *testing.T) {
 	}()
 	eng := sim.NewEngine()
 	plat := device.NewPlatform(eng, topology.DGX1())
-	New(eng, plat, false, Options{TopoAware: true})
+	New(eng, plat, false, Options{Policy: &policy.NoHeuristic})
 }
 
 // TestDecisionCountersEndToEnd drives the optimistic-chain counters through
@@ -80,7 +79,7 @@ func TestDecisionCountersEndToEnd(t *testing.T) {
 		return rt.Stats(), rt.Decisions()
 	}
 
-	stats, d := run(Options{TopoAware: true, Optimistic: true, Window: 4})
+	stats, d := run(Options{Window: 4, Policy: &policy.XKBlas})
 	if d.ChainsTaken == 0 {
 		t.Fatal("optimistic runtime never counted a chain hit")
 	}
@@ -102,7 +101,7 @@ func TestDecisionCountersEndToEnd(t *testing.T) {
 		t.Fatalf("Steals %d != stats.Steals %d", d.Steals, stats.Steals)
 	}
 
-	_, dOff := run(Options{TopoAware: true, Optimistic: false, Window: 4})
+	_, dOff := run(Options{Window: 4, Policy: &policy.NoHeuristic})
 	if dOff.ChainsTaken != 0 || dOff.ChainsMissed != 0 {
 		t.Fatalf("non-optimistic runtime counted chains: %+v", dOff)
 	}
@@ -114,7 +113,7 @@ func TestDecisionCountersEndToEnd(t *testing.T) {
 // identical runs snapshot byte-equal.
 func TestRuntimeMetricsCollection(t *testing.T) {
 	run := func() (RuntimeStats, cache.Stats, metrics.Snapshot) {
-		rt := newRuntime(false, Options{TopoAware: true, Optimistic: true, Window: 4})
+		rt := newRuntime(false, Options{Window: 4, Policy: &policy.XKBlas})
 		n, nb := 128, 16
 		A := rt.Register(matrix.NewShape(n, n), nb)
 		B := rt.Register(matrix.NewShape(n, n), nb)

@@ -9,6 +9,7 @@ import (
 	"xkblas/internal/cache"
 	"xkblas/internal/device"
 	"xkblas/internal/matrix"
+	"xkblas/internal/policy"
 	"xkblas/internal/sim"
 	"xkblas/internal/topology"
 )
@@ -38,7 +39,7 @@ func TestFunctionalTimingParity(t *testing.T) {
 	run := func(functional bool) (lines []string, dec [2]interface{}, makespan sim.Time) {
 		eng := sim.NewEngine()
 		plat := device.NewPlatform(eng, topology.DGX1())
-		rt := New(eng, plat, functional, Options{TopoAware: true, Optimistic: true, Window: 4})
+		rt := New(eng, plat, functional, Options{Window: 4, Policy: &policy.XKBlas})
 		rec := &parityRecorder{}
 		rt.Obs = rec
 		rt.Cache.Observer = rec

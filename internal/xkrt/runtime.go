@@ -14,62 +14,15 @@ import (
 	"xkblas/internal/topology"
 )
 
-// SchedulerKind selects the ready-task scheduler.
-type SchedulerKind int
-
-const (
-	// WorkStealing is XKaapi's scheduler: owner-computes mapping plus
-	// locality-aware stealing (§III-A, [11]).
-	WorkStealing SchedulerKind = iota
-	// DMDAS is the StarPU data-aware sorted scheduler the paper configures
-	// for Chameleon (§IV-A); available here for the scheduler ablation.
-	DMDAS
-)
-
-// SourcePolicy constrains which peers may serve as transfer sources; it is
-// how the baseline libraries' data-movement policies are emulated on the
-// shared runtime.
-type SourcePolicy int
-
-const (
-	// SourceAny allows any valid GPU replica (XKaapi, StarPU, PaRSEC).
-	SourceAny SourcePolicy = iota
-	// SourceHostOnly never reads from a peer GPU while the host copy is
-	// valid (cuBLAS-XT, SLATE: all traffic crosses PCIe).
-	SourceHostOnly
-	// SourceSameSwitch restricts peer reads to GPUs on the same PCIe
-	// switch — BLASX's two-level software cache (§II-C).
-	SourceSameSwitch
-)
-
-// Options configure a runtime instance. The two booleans are the paper's
-// contributions and default to on; Fig. 3 disables them one at a time.
+// Options configure a runtime instance: the policy bundle that takes
+// every data-movement and scheduling decision, plus the mechanism knobs
+// the runtime keeps for itself.
 type Options struct {
-	// TopoAware selects transfer sources by decreasing link performance
-	// rank (§III-B). Disabled, the source among valid replicas is
-	// arbitrary (lowest device id).
-	TopoAware bool
-	// Optimistic chains onto in-flight replicas instead of re-reading host
-	// memory (§III-C).
-	Optimistic bool
 	// Window is the per-device software pipeline depth: how many tasks may
 	// be fetching operands while one computes. XKaapi overlaps
 	// communication and computation by running each operation type on its
 	// own stream (§II-B).
 	Window int
-	// Scheduler picks WorkStealing (default) or DMDAS.
-	Scheduler SchedulerKind
-	// Sources constrains peer transfer sources (baseline emulation).
-	Sources SourcePolicy
-	// NoSteal disables work stealing: tasks run exactly where the
-	// owner-computes map placed them (static round-robin dispatch, as in
-	// cuBLAS-XT's tile assignment and SLATE's fixed distribution).
-	NoSteal bool
-	// EvictAfterUse drops input replicas as soon as the consuming kernel
-	// finishes — streaming semantics without a software cache (cuBLAS-XT
-	// pipes tiles through fixed staging buffers and re-reads operands for
-	// every product).
-	EvictAfterUse bool
 	// GridP×GridQ is the owner-computes mapping grid; 0 derives it from
 	// the GPU count (8→4×2, matching the paper's DoD grid).
 	GridP, GridQ int
@@ -80,18 +33,11 @@ type Options struct {
 	// large DAG through bounded task memory. 0 admits every submission
 	// immediately (the historical whole-graph behavior).
 	StreamWindow int
-	// StreamWhole, with StreamWindow > 0, materializes the entire DAG at
-	// submission time and applies the admission window during execution
-	// instead of blocking the submitter. Both modes admit every task at
-	// the same virtual instant, so a streamed run is bit-identical to its
-	// whole-graph counterpart — the reference the parity tests compare
-	// against — but whole-graph memory grows with the full DAG. Ignored
-	// when StreamWindow is 0.
-	StreamWhole bool
-	// Policy, when non-nil, is the complete declarative policy bundle and
-	// overrides every knob above except Window and the grid. The baseline
-	// libraries configure the runtime this way; the boolean knobs remain
-	// for the ablation entry points.
+	// Policy is the complete declarative policy bundle and is required.
+	// The paper's two heuristics live in its source selector:
+	// policy.XKBlas has both on, and Fig. 3 switches them off one at a
+	// time with policy.NoHeuristic and policy.NoHeuristicNoTopo. The
+	// baseline libraries are each one bundle too.
 	Policy *policy.Bundle
 }
 
@@ -101,75 +47,21 @@ func (o Options) Validate() error {
 	if o.Window < 1 {
 		return fmt.Errorf("xkrt: Options.Window must be >= 1, got %d", o.Window)
 	}
-	switch o.Scheduler {
-	case WorkStealing, DMDAS:
-	default:
-		return fmt.Errorf("xkrt: unknown Options.Scheduler %d", int(o.Scheduler))
-	}
-	switch o.Sources {
-	case SourceAny, SourceHostOnly, SourceSameSwitch:
-	default:
-		return fmt.Errorf("xkrt: unknown Options.Sources %d", int(o.Sources))
-	}
 	if o.GridP < 0 || o.GridQ < 0 {
 		return fmt.Errorf("xkrt: negative owner grid %dx%d", o.GridP, o.GridQ)
 	}
 	if o.StreamWindow < 0 {
 		return fmt.Errorf("xkrt: negative Options.StreamWindow %d", o.StreamWindow)
 	}
-	if o.Policy != nil {
-		if err := o.Policy.Validate(); err != nil {
-			return err
-		}
+	if o.Policy == nil {
+		return fmt.Errorf("xkrt: Options.Policy is required")
 	}
-	return nil
-}
-
-// bundle compiles the legacy option knobs into the policy triple; an
-// explicit Policy wins. The mapping preserves the historical semantics
-// exactly: TopoAware picks the ranked peer selector, Sources wraps or
-// replaces it, Optimistic layers in-flight chaining on top, and
-// EvictAfterUse selects the streaming evictor.
-func (o Options) bundle() policy.Bundle {
-	if o.Policy != nil {
-		return *o.Policy
-	}
-	var base policy.SourceSelector
-	if o.TopoAware {
-		base = policy.TopoRank{}
-	} else {
-		base = policy.LowestID{}
-	}
-	var src policy.SourceSelector
-	switch o.Sources {
-	case SourceHostOnly:
-		src = policy.HostOnly{}
-	case SourceSameSwitch:
-		src = policy.SameSwitch{Base: base}
-	default:
-		src = base
-	}
-	if o.Optimistic {
-		src = policy.Optimistic{Base: src, Ranked: o.TopoAware}
-	}
-	var sched policy.Scheduler
-	if o.Scheduler == DMDAS {
-		sched = policy.DMDAS{}
-	} else {
-		sched = policy.WorkStealing{NoSteal: o.NoSteal}
-	}
-	var ev policy.Evictor
-	if o.EvictAfterUse {
-		ev = policy.Streaming{}
-	} else {
-		ev = policy.LRUReadOnlyFirst{}
-	}
-	return policy.Bundle{Source: src, Scheduler: sched, Evictor: ev}
+	return o.Policy.Validate()
 }
 
 // DefaultOptions returns the full-featured XKBLAS configuration.
 func DefaultOptions() Options {
-	return Options{TopoAware: true, Optimistic: true, Window: 4}
+	return Options{Window: 4, Policy: &policy.XKBlas}
 }
 
 // Observer receives kernel-execution trace events; transfers are observed
@@ -204,9 +96,17 @@ type Runtime struct {
 
 	// Streaming admission state (Options.StreamWindow): live counts
 	// admitted-but-not-completed tasks, admitQ/admitHead queue submitted
-	// tasks awaiting in-order admission (StreamWhole mode), windowFull is
+	// tasks awaiting in-order admission (whole-graph mode), windowFull is
 	// the preallocated blocking condition of lazy submission, and
 	// windowStalls counts tasks that had to wait for window room.
+	//
+	// whole selects the whole-graph reference mode of the window: each
+	// submission is wired at once and queued, and the window is applied
+	// during execution instead of blocking the submitter. Both modes admit
+	// every task at the same virtual instant, so a lazily streamed run is
+	// bit-identical to its whole-graph counterpart; only the parity tests
+	// set it.
+	whole        bool
 	live         int
 	admitQ       []*Task
 	admitHead    int
@@ -287,7 +187,7 @@ func New(eng *sim.Engine, plat *device.Platform, functional bool, opt Options) *
 		Plat:    plat,
 		Cache:   cache.New(plat, functional),
 		Opt:     opt,
-		pol:     opt.bundle(),
+		pol:     *opt.Policy,
 		queues:  make([]taskQueue, n),
 		window:  make([]int, n),
 		estLoad: make([]sim.Time, n),
@@ -591,8 +491,8 @@ func (rt *Runtime) SubmitPrefetch(tile *cache.Tile, dev topology.DeviceID) *Task
 
 // stage routes a freshly submitted task through the admission window.
 // Without a stream window the task is admitted immediately (the historical
-// behavior). StreamWhole wires dependencies now and queues the task for
-// in-order admission at event boundaries; lazy streaming blocks the
+// behavior). Whole-graph mode wires dependencies now and queues the task
+// for in-order admission at event boundaries; lazy streaming blocks the
 // submitter — driving the engine — until the window has room, then admits.
 // Both streaming modes admit every task at the same virtual instant and at
 // the same event boundary, which is what makes a streamed run bit-identical
@@ -603,7 +503,7 @@ func (rt *Runtime) stage(t *Task) {
 		rt.admit(t)
 		return
 	}
-	if rt.Opt.StreamWhole {
+	if rt.whole {
 		rt.wire(t)
 		rt.admitQ = append(rt.admitQ, t)
 		rt.tryAdmit()

@@ -14,7 +14,7 @@ import (
 
 // The admission-window contract (DESIGN.md §10): a streamed run — the
 // generator blocking inside Submit while completed tasks retire behind the
-// window — is bit-identical to its whole-graph reference (StreamWhole),
+// window — is bit-identical to its whole-graph reference (Runtime.whole),
 // which materializes the full DAG and applies the same window during
 // execution. Both modes admit every task at the same virtual instant, so
 // kernel/transfer timelines, decision counters, stall counts, metrics and
@@ -42,8 +42,8 @@ func runStreamGemm(t *testing.T, functional bool, window int, whole bool) stream
 	plat := device.NewPlatform(eng, topology.DGX1())
 	opt := DefaultOptions()
 	opt.StreamWindow = window
-	opt.StreamWhole = whole
 	rt := New(eng, plat, functional, opt)
+	rt.whole = whole
 	rec := &parityRecorder{}
 	rt.Obs = rec
 	rt.Cache.Observer = rec

@@ -7,6 +7,7 @@ import (
 	"xkblas/internal/blasops"
 	"xkblas/internal/device"
 	"xkblas/internal/matrix"
+	"xkblas/internal/policy"
 	"xkblas/internal/sim"
 	"xkblas/internal/topology"
 )
@@ -17,11 +18,11 @@ import (
 // submission order, for every scheduler/heuristic configuration.
 func TestRandomDAGSequentialConsistency(t *testing.T) {
 	configs := []Options{
-		{TopoAware: true, Optimistic: true, Window: 4},
-		{TopoAware: false, Optimistic: false, Window: 1},
-		{TopoAware: true, Optimistic: true, Window: 3, Scheduler: DMDAS},
-		{TopoAware: false, Optimistic: false, Window: 2, Sources: SourceHostOnly, NoSteal: true, EvictAfterUse: true},
-		{TopoAware: false, Optimistic: false, Window: 2, Sources: SourceSameSwitch},
+		{Window: 4, Policy: &policy.XKBlas},
+		{Window: 1, Policy: &policy.NoHeuristicNoTopo},
+		{Window: 3, Policy: &policy.XKBlasDMDAS},
+		{Window: 2, Policy: &policy.Bundle{Source: policy.HostOnly{}, Scheduler: policy.WorkStealing{NoSteal: true}, Evictor: policy.Streaming{}}},
+		{Window: 2, Policy: &policy.Bundle{Source: policy.SameSwitch{Base: policy.LowestID{}}, Scheduler: policy.WorkStealing{}, Evictor: policy.LRUReadOnlyFirst{}}},
 	}
 	for ci, opt := range configs {
 		for seed := int64(0); seed < 4; seed++ {
@@ -138,7 +139,7 @@ func runDAGStress(t *testing.T, opt Options, seed int64, ci int) {
 // The stress DAG must also produce identical virtual timings across
 // repeated runs (determinism under every policy).
 func TestRandomDAGDeterministicTiming(t *testing.T) {
-	opt := Options{TopoAware: true, Optimistic: true, Window: 4}
+	opt := Options{Window: 4, Policy: &policy.XKBlas}
 	run := func() sim.Time {
 		eng := sim.NewEngine()
 		plat := device.NewPlatform(eng, topology.DGX1())

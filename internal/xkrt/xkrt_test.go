@@ -132,10 +132,10 @@ func TestTiledGemmAllHeuristicConfigs(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"full", Options{TopoAware: true, Optimistic: true, Window: 4}},
-		{"no-heuristic", Options{TopoAware: true, Optimistic: false, Window: 4}},
-		{"no-heuristic-no-topo", Options{TopoAware: false, Optimistic: false, Window: 4}},
-		{"dmdas", Options{TopoAware: true, Optimistic: true, Window: 4, Scheduler: DMDAS}},
+		{"full", Options{Window: 4, Policy: &policy.XKBlas}},
+		{"no-heuristic", Options{Window: 4, Policy: &policy.NoHeuristic}},
+		{"no-heuristic-no-topo", Options{Window: 4, Policy: &policy.NoHeuristicNoTopo}},
+		{"dmdas", Options{Window: 4, Policy: &policy.XKBlasDMDAS}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			rt, cv, want := buildTiledGemm(t, cfg.opt, 48, 16, 7)
@@ -171,8 +171,8 @@ func TestOptimisticHeuristicChainsTransfers(t *testing.T) {
 		rt.Barrier()
 		return rt.Stats()
 	}
-	on := build(Options{TopoAware: true, Optimistic: true, Window: 4})
-	off := build(Options{TopoAware: true, Optimistic: false, Window: 4})
+	on := build(Options{Window: 4, Policy: &policy.XKBlas})
+	off := build(Options{Window: 4, Policy: &policy.NoHeuristic})
 	if on.ChainedHops == 0 {
 		t.Fatal("optimistic heuristic never chained a transfer")
 	}
@@ -186,7 +186,7 @@ func TestOptimisticHeuristicChainsTransfers(t *testing.T) {
 }
 
 func TestTopoAwarePicksBestLink(t *testing.T) {
-	rt := newRuntime(false, Options{TopoAware: true, Optimistic: true, Window: 4})
+	rt := newRuntime(false, Options{Window: 4, Policy: &policy.XKBlas})
 	v := matrix.NewShape(16, 16)
 	M := rt.Register(v, 16)
 	tile := M.Tile(0, 0)
@@ -263,7 +263,7 @@ func TestPipelineOverlapsTransfersWithKernels(t *testing.T) {
 	// window the next task's transfers overlap the current kernel, so the
 	// makespan must shrink for a transfer-heavy workload.
 	run := func(window int) sim.Time {
-		rt := newRuntime(false, Options{TopoAware: true, Optimistic: true, Window: window})
+		rt := newRuntime(false, Options{Window: window, Policy: &policy.XKBlas})
 		// Kernel-dominant workload (kernel ≈ 2.4ms, fetch ≈ 0.7ms): with
 		// window=1 each device serializes fetch→kernel; a deeper window
 		// hides the fetches behind the previous kernel.
@@ -353,8 +353,7 @@ func TestDMDASPriorityOrdering(t *testing.T) {
 	// (single-GPU platform): execution must follow priority order.
 	eng := sim.NewEngine()
 	plat := device.NewPlatform(eng, topology.DGX1WithGPUs(1))
-	rt := New(eng, plat, true, Options{TopoAware: true, Optimistic: true,
-		Window: 1, Scheduler: DMDAS})
+	rt := New(eng, plat, true, Options{Window: 1, Policy: &policy.XKBlasDMDAS})
 	var order []int
 	mk := func(prio int) {
 		m := rt.Register(matrix.New(8, 8), 8)

@@ -47,7 +47,9 @@ type (
 	ZMat = matrix.ZMat
 	// View is a column-major matrix view (data, m, n, ld).
 	View = matrix.View
-	// Options are runtime options (heuristics, scheduler, window).
+	// Options are runtime options: the required policy bundle, which
+	// fixes the heuristics, scheduler and evictor, plus the pipeline and
+	// stream windows. Start from DefaultOptions.
 	Options = xkrt.Options
 	// Platform describes a multi-GPU node's interconnect topology.
 	Platform = topology.Platform

@@ -152,7 +152,7 @@ func TestPlatformConstructors(t *testing.T) {
 		t.Error("SummitNode should have 6 GPUs")
 	}
 	opt := xkblas.DefaultOptions()
-	if !opt.TopoAware || !opt.Optimistic {
+	if opt.Policy.Name() != "optimistic(topo-rank)/work-stealing/lru-read-only-first" {
 		t.Error("default options must enable the paper's heuristics")
 	}
 }
