@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-cancel metrics-race stress check golden-check topo-check serve-check batch-check perfbench-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
+.PHONY: all build test race race-cancel metrics-race stress check golden-check audit-check topo-check serve-check batch-check perfbench-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
 
 all: check
 
@@ -48,6 +48,17 @@ golden-check:
 	$(GO) run ./cmd/xkbench -exp all -quick -parallel 8 > .golden-check.quick.txt && \
 		diff -u results_quick.txt .golden-check.quick.txt && rm -f .golden-check.quick.txt
 
+# Audit gate: the quick sweep plus the three experiments -exp all leaves
+# out (bign, batch, serve), each under the coherence auditor. Unlike
+# golden-check's pooled handles, -check runs build fresh handles, and the
+# auditor verifies every cache and scheduler transition they drive; any
+# violation exits nonzero. Prints each run's drain/violation summary.
+audit-check:
+	@for e in all bign batch serve; do \
+		$(GO) run ./cmd/xkbench -exp $$e -quick -check > .audit-check.txt || { cat .audit-check.txt; exit 1; }; \
+		echo "-exp $$e: $$(tail -n 1 .audit-check.txt)"; \
+	done; rm -f .audit-check.txt
+
 # Fabric-graph gate: registry-wide Validate + legacy route/link-class
 # parity + randomized topology fuzz of Route/Validate, the golden sweep
 # parity files of all three legacy platforms, the per-hop contention tests,
@@ -87,22 +98,28 @@ perfbench-check:
 
 # Default verification gate: build, vet, formatting, tests, stress, race,
 # the allocation gates, randomized functional verification, the golden
-# quick-sweep diff (run once), the fabric-graph parity gate, the
-# serving-path gate, the batched-dispatch gate and the perfbench module.
-check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc verify golden-check topo-check serve-check batch-check perfbench-check
+# quick-sweep diff (run once), the audited sweeps, the fabric-graph parity
+# gate, the serving-path gate, the batched-dispatch gate and the perfbench
+# module.
+check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc verify golden-check audit-check topo-check serve-check batch-check perfbench-check
 
 # One testing.B benchmark per paper table/figure plus the ablations.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Allocation gates: the steady-state submit/run/retire path must stay
-# within its per-wave allocation budget (the arena contract behind
-# million-task runs), DMDAS placement and source selection must not
-# allocate at all, and neither may the host tile kernels at any flag
-# combination; then report the ns/op and allocs/op benchmarks (GFlop/s too
-# for the kernels, at functional mode's flags).
+# Allocation gates: a warm submit/run/retire wave allocates nothing (the
+# arena contract behind million-task runs); a whole timing-mode GEMM with
+# write-back, on a reset handle, stays within 0.5 objects per retired task
+# under work stealing and DMDAS (the transfer path: hop joins,
+# under-transfer records, waiters, write-backs); warm multi-hop transfers,
+# DMDAS placement and source selection allocate nothing, and neither do
+# the host tile kernels at any flag combination; then report the ns/op
+# and allocs/op benchmarks (GFlop/s too for the kernels, at functional
+# mode's flags).
 bench-alloc:
 	$(GO) test -count=1 -run 'TestSubmitSteadyStateAllocBudget|TestTileQueriesAllocFree' ./internal/xkrt/
+	$(GO) test -count=1 -run 'TestTimingGemmAllocBudget' ./internal/core/
+	$(GO) test -count=1 -run 'TestTransferMultiHopAllocFree' ./internal/sim/
 	$(GO) test -count=1 -run 'TestTileKernelsAllocFree' ./internal/hostblas/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitComplete|BenchmarkDAGBuild|BenchmarkDMDASAssign|BenchmarkSelectSource' -benchmem ./internal/xkrt/
 	$(GO) test -run '^$$' -bench 'BenchmarkKernels' -benchtime 200ms -benchmem ./internal/hostblas/

@@ -52,6 +52,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"time"
 
 	"xkblas/internal/baseline"
 	"xkblas/internal/bench"
@@ -105,7 +106,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile of this process to this path at exit")
 	flag.Parse()
 
-	if msg := flagProblem(*window, *parallel, *runs, *batchCount, *batchN, *sizesFlag, *tilesFlag); msg != "" {
+	if msg := flagProblem(*window, *parallel, *runs, *batchCount, *batchN, *sizesFlag, *tilesFlag, *timeout); msg != "" {
 		fmt.Fprintf(os.Stderr, "xkbench: %s\n", msg)
 		flag.Usage()
 		os.Exit(2)
@@ -299,10 +300,11 @@ func main() {
 
 // flagProblem validates the numeric flags before any simulation starts,
 // returning a diagnostic message (empty = valid). -window 0 means "whole
-// graph" and -batch-count/-batch-n 0 mean "sweep the default grid", so only
-// negatives are nonsense there; a parallelism or repetition count below 1
-// and a nonpositive -sizes/-tiles entry have no meaning at all.
-func flagProblem(window, parallel, runs, batchCount, batchN int, sizes, tiles string) string {
+// graph", -batch-count/-batch-n 0 mean "sweep the default grid" and
+// -timeout 0 means "no bound", so only negatives are nonsense there; a
+// parallelism or repetition count below 1 and a nonpositive -sizes/-tiles
+// entry have no meaning at all.
+func flagProblem(window, parallel, runs, batchCount, batchN int, sizes, tiles string, timeout time.Duration) string {
 	switch {
 	case window < 0:
 		return fmt.Sprintf("-window must be >= 0, got %d", window)
@@ -314,6 +316,8 @@ func flagProblem(window, parallel, runs, batchCount, batchN int, sizes, tiles st
 		return fmt.Sprintf("-batch-count must be >= 0, got %d", batchCount)
 	case batchN < 0:
 		return fmt.Sprintf("-batch-n must be >= 0, got %d", batchN)
+	case timeout < 0:
+		return fmt.Sprintf("-timeout must be >= 0, got %v", timeout)
 	}
 	for _, f := range [...]struct{ name, spec string }{{"-sizes", sizes}, {"-tiles", tiles}} {
 		if _, err := parseInts(f.spec); err != nil {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"xkblas/internal/bench"
 	"xkblas/internal/blasops"
@@ -251,31 +252,35 @@ func TestServeConfigRejectsBadFlags(t *testing.T) {
 
 // TestFlagProblemRejectsBadConcurrency locks the flag validation behind the
 // exit-2 path of main: zero/negative -parallel and -runs, nonpositive
-// -sizes/-tiles entries (and a negative -window) used to be accepted
-// silently; now each produces a usage diagnostic. -window 0 stays valid —
-// it means "whole graph".
+// -sizes/-tiles entries (and a negative -window or -timeout) used to be
+// accepted silently — a negative -timeout ran unbounded; now each produces
+// a usage diagnostic. -window 0 and -timeout 0 stay valid: they mean
+// "whole graph" and "no bound".
 func TestFlagProblemRejectsBadConcurrency(t *testing.T) {
 	const sizes, tiles = "8192,16384,32768", "1024,2048,4096"
 	for _, tc := range []struct {
 		window, parallel, runs, batchCount, batchN int
 		sizes, tiles                               string
+		timeout                                    time.Duration
 		bad                                        string // substring of the expected message; "" = valid
 	}{
-		{0, 1, 3, 0, 0, sizes, tiles, ""},
-		{16, 8, 1, 64, 256, "8192", "512", ""},
-		{-1, 1, 3, 0, 0, sizes, tiles, "-window"},
-		{0, 0, 3, 0, 0, sizes, tiles, "-parallel"},
-		{0, -3, 3, 0, 0, sizes, tiles, "-parallel"},
-		{0, 1, 3, -1, 0, sizes, tiles, "-batch-count"},
-		{0, 1, 3, 0, -64, sizes, tiles, "-batch-n"},
-		{0, 1, 0, 0, 0, sizes, tiles, "-runs"},
-		{0, 1, -2, 0, 0, sizes, tiles, "-runs"},
-		{0, 1, 3, 0, 0, "-8192", tiles, "-sizes"},
-		{0, 1, 3, 0, 0, "8192,0", tiles, "-sizes"},
-		{0, 1, 3, 0, 0, sizes, "0", "-tiles"},
-		{0, 1, 3, 0, 0, sizes, "1024,-2048", "-tiles"},
+		{0, 1, 3, 0, 0, sizes, tiles, 0, ""},
+		{16, 8, 1, 64, 256, "8192", "512", 0, ""},
+		{-1, 1, 3, 0, 0, sizes, tiles, 0, "-window"},
+		{0, 0, 3, 0, 0, sizes, tiles, 0, "-parallel"},
+		{0, -3, 3, 0, 0, sizes, tiles, 0, "-parallel"},
+		{0, 1, 3, -1, 0, sizes, tiles, 0, "-batch-count"},
+		{0, 1, 3, 0, -64, sizes, tiles, 0, "-batch-n"},
+		{0, 1, 0, 0, 0, sizes, tiles, 0, "-runs"},
+		{0, 1, -2, 0, 0, sizes, tiles, 0, "-runs"},
+		{0, 1, 3, 0, 0, "-8192", tiles, 0, "-sizes"},
+		{0, 1, 3, 0, 0, "8192,0", tiles, 0, "-sizes"},
+		{0, 1, 3, 0, 0, sizes, "0", 0, "-tiles"},
+		{0, 1, 3, 0, 0, sizes, "1024,-2048", 0, "-tiles"},
+		{0, 1, 3, 0, 0, sizes, tiles, 2 * time.Minute, ""},
+		{0, 1, 3, 0, 0, sizes, tiles, -time.Second, "-timeout"},
 	} {
-		msg := flagProblem(tc.window, tc.parallel, tc.runs, tc.batchCount, tc.batchN, tc.sizes, tc.tiles)
+		msg := flagProblem(tc.window, tc.parallel, tc.runs, tc.batchCount, tc.batchN, tc.sizes, tc.tiles, tc.timeout)
 		if tc.bad == "" {
 			if msg != "" {
 				t.Errorf("flagProblem(%+v) = %q, want valid", tc, msg)

@@ -74,6 +74,9 @@ func main() {
 	cfg.Check = *checkFlag
 	cfg.NoReuse = *noReuse
 
+	if *timeout < 0 {
+		fail(2, fmt.Errorf("xkserve: -timeout must be >= 0, got %v", *timeout))
+	}
 	ctx := context.Background()
 	cancel := context.CancelFunc(func() {})
 	if *timeout > 0 {

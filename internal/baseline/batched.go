@@ -51,9 +51,9 @@ func submitHostInstance(h *core.Handle, r blasops.Routine, bi blasops.BatchInsta
 	hm := h.Plat.HostModel
 	eff := hm.EffectiveFlops(r, bi.Flops(r), bi.M, bi.N, bi.K)
 	h.RT.PendingExternal(1)
-	h.Plat.Host.Submit(eff, hm.LaunchOverhead, func(_, _ sim.Time) {
+	h.Plat.Host.Submit(eff, hm.LaunchOverhead, sim.JobFunc(func(_, _ sim.Time) {
 		h.RT.PendingExternal(-1)
-	})
+	}))
 }
 
 // RunBatched implements BatchRunner: every instance of the batch routes to

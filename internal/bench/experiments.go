@@ -111,7 +111,7 @@ func Fig2BandwidthMatrix(w io.Writer, cfg Config) {
 			eng := sim.NewEngine()
 			plat := device.NewPlatform(eng, topo)
 			var dur sim.Time
-			plat.Transfer(src, dst, payload, func(st, en sim.Time) { dur = en - st })
+			plat.Transfer(src, dst, payload, sim.JobFunc(func(st, en sim.Time) { dur = en - st }))
 			eng.Run()
 			fmt.Fprintf(w, "%8.2f", float64(payload)/float64(dur)/1e9)
 		}

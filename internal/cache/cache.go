@@ -142,16 +142,39 @@ func (l *lruList) moveToBack(r *replica) {
 	l.pushBack(r)
 }
 
+// Waiter is notified when a replica it waits for lands. For a transfer to
+// a GPU, dev is the destination and err is nil once the replica is valid
+// there, or the cause when the chain feeding it was cancelled (see
+// CancelInflight). For a write-back, dev is topology.Host and err is nil.
+// Waiters are notified in registration order. The runtime's tasks and
+// chain hops implement it, so registering a waiter allocates no closure.
+type Waiter interface {
+	Arrived(t *Tile, dev topology.DeviceID, err error)
+}
+
 // Inflight records a transfer (or a chained wait) whose payload is heading
-// to a device; waiters fire once the replica is valid there (err == nil)
-// or the chain feeding it fails (err != nil, see CancelInflight). A record
-// may exist before the physical transfer starts: the optimistic heuristic
-// marks the destination as under-transfer while it waits for the upstream
-// hop.
+// to a device; waiters are notified once the replica is valid there or the
+// chain feeding it fails. A record may exist before the physical transfer
+// starts: the optimistic heuristic marks the destination as under-transfer
+// while it waits for the upstream hop.
+//
+// A record is unique per (tile, destination) while it lives, so once its
+// transfer starts it doubles as that transfer's sim.JobDone, carrying the
+// cache, tile and source the completion needs. recycleInflight clears them:
+// a stale completion panics instead of landing on a reused record.
 type Inflight struct {
 	Dst     topology.DeviceID
 	started bool
-	waiters []func(err error)
+	waiters []Waiter
+
+	c    *Cache
+	tile *Tile
+	src  topology.DeviceID
+}
+
+// JobDone implements sim.JobDone: the transfer's payload has arrived.
+func (inf *Inflight) JobDone(start, end sim.Time) {
+	inf.c.completeTransfer(inf, start, end)
 }
 
 // Tile is the cache record of one matrix tile.
@@ -185,7 +208,23 @@ type Tile struct {
 	moving   topology.DeviceSet
 
 	flushing  bool
-	flushWait []func()
+	flushWait []Waiter
+	// wb is the completion record of the tile's write-back. A tile has at
+	// most one write-back in flight (flushing), so one record per tile
+	// serves every flush.
+	wb writeBack
+}
+
+// writeBack is a tile's write-back completion record (sim.JobDone).
+type writeBack struct {
+	c   *Cache
+	t   *Tile
+	dev topology.DeviceID
+}
+
+// JobDone implements sim.JobDone: the dirty replica reached host memory.
+func (w *writeBack) JobDone(start, end sim.Time) {
+	w.c.completeFlush(w.t, w.dev, start, end)
 }
 
 // Stats aggregates cache traffic. Hits/Misses/InflightWaits are counted by
@@ -274,7 +313,8 @@ func (c *Cache) Reset() {
 			}
 		}
 		t.valid, t.moving = 0, 0
-		t.flushWait = nil
+		clear(t.flushWait)
+		t.flushWait = t.flushWait[:0]
 		t.Host = matrix.View{}
 		c.tileFree = append(c.tileFree, t)
 	}
@@ -305,6 +345,7 @@ func (c *Cache) recycleInflight(inf *Inflight) {
 	}
 	inf.waiters = inf.waiters[:0]
 	inf.started = false
+	inf.c, inf.tile = nil, nil
 	c.infFree = append(c.infFree, inf)
 }
 
@@ -401,6 +442,7 @@ func (c *Cache) NewTile(key TileKey, host matrix.View) *Tile {
 			reps:      make([]*replica, n),
 			inflight:  make([]*Inflight, n),
 		}
+		t.wb = writeBack{c: c, t: t}
 	}
 	t.Slot = len(c.allTiles)
 	c.allTiles = append(c.allTiles, t)
@@ -478,15 +520,15 @@ func (t *Tile) CheckID() check.TileID {
 	return check.TileID{Mat: int(t.Key.Mat), I: t.Key.I, J: t.Key.J}
 }
 
-// AddInflightWaiter registers fn to run when the pending transfer to dev
-// completes (err == nil) or the chain feeding it is cancelled (err !=
-// nil). It panics if no transfer to dev is in flight.
-func (t *Tile) AddInflightWaiter(dev topology.DeviceID, fn func(err error)) {
+// AddInflightWaiter registers w to be notified when the pending transfer
+// to dev completes (err == nil) or the chain feeding it is cancelled (err
+// != nil). It panics if no transfer to dev is in flight.
+func (t *Tile) AddInflightWaiter(dev topology.DeviceID, w Waiter) {
 	inf := t.inflight[dev]
 	if inf == nil {
 		panic(fmt.Sprintf("cache: no inflight to %d for %v", dev, t.Key))
 	}
-	inf.waiters = append(inf.waiters, fn)
+	inf.waiters = append(inf.waiters, w)
 }
 
 // Pin prevents the replica on dev from being evicted. Valid replica
@@ -625,10 +667,11 @@ func (c *Cache) dropReplica(t *Tile, dev topology.DeviceID, reason string) {
 }
 
 // StartTransfer begins moving the tile from src (a valid replica holder or
-// Host) to GPU dst and registers the under-transfer state. done (may be
-// nil) fires after the replica is valid on dst. The source replica is
-// pinned for the duration.
-func (c *Cache) StartTransfer(t *Tile, src, dst topology.DeviceID, done func()) error {
+// Host) to GPU dst and registers the under-transfer state. w (may be nil)
+// is notified, after any waiters already registered on dst, once the
+// replica is valid there; a started transfer never delivers an error. The
+// source replica is pinned for the duration.
+func (c *Cache) StartTransfer(t *Tile, src, dst topology.DeviceID, w Waiter) error {
 	if dst == topology.Host {
 		panic("cache: use FlushToHost for device-to-host")
 	}
@@ -660,23 +703,25 @@ func (c *Cache) StartTransfer(t *Tile, src, dst topology.DeviceID, done func()) 
 		}
 	}
 	inf.started = true
+	inf.c, inf.tile, inf.src = c, t, src
 	if c.Audit != nil {
 		c.Audit.OnTransferStart(t.CheckID(), src, dst)
 	}
-	if done != nil {
-		inf.waiters = append(inf.waiters, func(error) { done() })
+	if w != nil {
+		inf.waiters = append(inf.waiters, w)
 	}
+	c.Plat.Transfer(src, dst, t.Bytes, inf)
+	return nil
+}
+
+// completeTransfer lands the transfer that inf tracks: the replica becomes
+// valid on its destination and the waiters are notified.
+func (c *Cache) completeTransfer(inf *Inflight, start, end sim.Time) {
+	t, src, dst := inf.tile, inf.src, inf.Dst
 	kind := PeerToPeer
 	if src == topology.Host {
 		kind = HostToDevice
 	}
-	c.Plat.Transfer(src, dst, t.Bytes, func(start, end sim.Time) {
-		c.completeTransfer(t, src, dst, kind, start, end)
-	})
-	return nil
-}
-
-func (c *Cache) completeTransfer(t *Tile, src, dst topology.DeviceID, kind TransferKind, start, end sim.Time) {
 	r := t.reps[dst]
 	if r == nil {
 		panic(fmt.Sprintf("cache: replica of %v on %d vanished mid-transfer", t.Key, dst))
@@ -709,14 +754,13 @@ func (c *Cache) completeTransfer(t *Tile, src, dst topology.DeviceID, kind Trans
 	if c.Observer != nil {
 		c.Observer.OnTransfer(kind, src, dst, t.Bytes, c.serviceStart(src, dst, t.Bytes, start, end), end)
 	}
-	inf := t.inflight[dst]
 	t.setInflight(dst, nil)
 	if c.Audit != nil {
 		c.Audit.OnInflightResolve(t.CheckID(), dst)
 	}
 	c.Touch(t, dst)
 	for _, w := range inf.waiters {
-		w(nil)
+		w.Arrived(t, dst, nil)
 	}
 	// Recycle only after the waiter loop: a waiter may start a new transfer
 	// that pops this very record from the pool, and recycling early would
@@ -783,7 +827,7 @@ func (c *Cache) CancelInflight(t *Tile, dst topology.DeviceID, err error) {
 		c.Audit.OnInflightCancel(t.CheckID(), dst)
 	}
 	for _, w := range inf.waiters {
-		w(err)
+		w.Arrived(t, dst, err)
 	}
 	// As in completeTransfer: recycle strictly after the waiters have fired.
 	c.recycleInflight(inf)
@@ -849,12 +893,13 @@ func (c *Cache) MarkDirty(t *Tile, dev topology.DeviceID) {
 }
 
 // FlushToHost writes the dirty replica back to host memory (DtoH path of
-// Fig. 6), leaving the device replica valid and clean (Owned→Shared). done
-// may be nil. Flushing an already-coherent tile fires done immediately.
-func (c *Cache) FlushToHost(t *Tile, done func()) {
+// Fig. 6), leaving the device replica valid and clean (Owned→Shared). w
+// (may be nil) is notified with dev == topology.Host once the host copy is
+// current; flushing an already-coherent tile notifies it immediately.
+func (c *Cache) FlushToHost(t *Tile, w Waiter) {
 	if t.hostValid {
-		if done != nil {
-			done()
+		if w != nil {
+			w.Arrived(t, topology.Host, nil)
 		}
 		return
 	}
@@ -862,8 +907,8 @@ func (c *Cache) FlushToHost(t *Tile, done func()) {
 	if dev < 0 {
 		panic(fmt.Sprintf("cache: %v host-invalid with no dirty replica", t.Key))
 	}
-	if done != nil {
-		t.flushWait = append(t.flushWait, done)
+	if w != nil {
+		t.flushWait = append(t.flushWait, w)
 	}
 	if t.flushing {
 		return
@@ -873,31 +918,42 @@ func (c *Cache) FlushToHost(t *Tile, done func()) {
 	if c.Audit != nil {
 		c.Audit.OnFlushStart(t.CheckID(), dev)
 	}
-	c.Plat.Transfer(dev, topology.Host, t.Bytes, func(start, end sim.Time) {
-		if c.Functional {
-			t.Host.CopyFrom(c.DeviceBuf(t, dev))
-		}
-		c.Unpin(t, dev)
-		r := t.reps[dev]
-		r.dirty = false
-		t.hostValid = true
-		t.flushing = false
-		if c.Audit != nil {
-			c.Audit.OnFlushed(t.CheckID(), dev)
-		}
-		c.stats.D2HBytes += t.Bytes
-		c.stats.D2HCount++
-		c.noteRoute(dev, topology.Host, t.Bytes)
-		if c.Observer != nil {
-			c.Observer.OnTransfer(DeviceToHost, dev, topology.Host, t.Bytes,
-				c.serviceStart(dev, topology.Host, t.Bytes, start, end), end)
-		}
-		ws := t.flushWait
-		t.flushWait = nil
-		for _, w := range ws {
-			w()
-		}
-	})
+	t.wb.dev = dev
+	c.Plat.Transfer(dev, topology.Host, t.Bytes, &t.wb)
+}
+
+// completeFlush lands a write-back from dev and notifies the flush waiters.
+func (c *Cache) completeFlush(t *Tile, dev topology.DeviceID, start, end sim.Time) {
+	if c.Functional {
+		t.Host.CopyFrom(c.DeviceBuf(t, dev))
+	}
+	c.Unpin(t, dev)
+	r := t.reps[dev]
+	r.dirty = false
+	t.hostValid = true
+	t.flushing = false
+	if c.Audit != nil {
+		c.Audit.OnFlushed(t.CheckID(), dev)
+	}
+	c.stats.D2HBytes += t.Bytes
+	c.stats.D2HCount++
+	c.noteRoute(dev, topology.Host, t.Bytes)
+	if c.Observer != nil {
+		c.Observer.OnTransfer(DeviceToHost, dev, topology.Host, t.Bytes,
+			c.serviceStart(dev, topology.Host, t.Bytes, start, end), end)
+	}
+	// Detach the list before notifying: a waiter may start a new flush of
+	// this tile, which must collect its own waiters. The backing array is
+	// reused when no waiter did.
+	ws := t.flushWait
+	t.flushWait = nil
+	for _, w := range ws {
+		w.Arrived(t, topology.Host, nil)
+	}
+	clear(ws)
+	if t.flushWait == nil {
+		t.flushWait = ws[:0]
+	}
 }
 
 // DropClean discards dev's replica if it is clean, unpinned and not under

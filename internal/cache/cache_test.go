@@ -17,6 +17,14 @@ func newTestCache(functional bool) (*sim.Engine, *Cache) {
 	return eng, New(plat, functional)
 }
 
+// waiterFunc adapts a closure to Waiter.
+type waiterFunc func(err error)
+
+func (f waiterFunc) Arrived(_ *Tile, _ topology.DeviceID, err error) { f(err) }
+
+// notify adapts a closure that ignores the outcome to Waiter.
+func notify(fn func()) Waiter { return waiterFunc(func(error) { fn() }) }
+
 func hostTile(c *Cache, m, n int) *Tile {
 	id := c.NewMatrixID()
 	v := matrix.New(m, n)
@@ -29,7 +37,7 @@ func TestH2DTransferMovesData(t *testing.T) {
 	eng, c := newTestCache(true)
 	tl := hostTile(c, 8, 8)
 	done := false
-	if err := c.StartTransfer(tl, topology.Host, 2, func() { done = true }); err != nil {
+	if err := c.StartTransfer(tl, topology.Host, 2, notify(func() { done = true })); err != nil {
 		t.Fatal(err)
 	}
 	if tl.ValidOn(2) {
@@ -117,7 +125,7 @@ func TestFlushToHostRestoresCoherence(t *testing.T) {
 	c.MarkDirty(tl, 0)
 	c.DeviceBuf(tl, 0).Set(1, 1, 123.5)
 	flushed := false
-	c.FlushToHost(tl, func() { flushed = true })
+	c.FlushToHost(tl, notify(func() { flushed = true }))
 	eng.Run()
 	if !flushed || !tl.HostValid() {
 		t.Fatal("flush did not complete")
@@ -133,7 +141,7 @@ func TestFlushToHostRestoresCoherence(t *testing.T) {
 	}
 	// Flushing a coherent tile is a no-op that still fires done.
 	immediate := false
-	c.FlushToHost(tl, func() { immediate = true })
+	c.FlushToHost(tl, notify(func() { immediate = true }))
 	if !immediate {
 		t.Fatal("coherent flush should complete synchronously")
 	}
@@ -148,8 +156,8 @@ func TestConcurrentFlushesCoalesce(t *testing.T) {
 	eng.Run()
 	c.MarkDirty(tl, 0)
 	n := 0
-	c.FlushToHost(tl, func() { n++ })
-	c.FlushToHost(tl, func() { n++ })
+	c.FlushToHost(tl, notify(func() { n++ }))
+	c.FlushToHost(tl, notify(func() { n++ }))
 	eng.Run()
 	if n != 2 {
 		t.Fatalf("waiters fired %d times, want 2", n)
@@ -172,12 +180,12 @@ func TestOptimisticChainViaMarkInflight(t *testing.T) {
 		t.Fatal("synthetic inflight not visible")
 	}
 	arrived := false
-	tl.AddInflightWaiter(0, func(error) {
-		if err := c.StartTransfer(tl, 0, 3, func() { arrived = true }); err != nil {
+	tl.AddInflightWaiter(0, waiterFunc(func(error) {
+		if err := c.StartTransfer(tl, 0, 3, notify(func() { arrived = true })); err != nil {
 			t.Fatal(err)
 		}
-	})
-	tl.AddInflightWaiter(3, func(error) {})
+	}))
+	tl.AddInflightWaiter(3, waiterFunc(func(error) {}))
 	eng.Run()
 	if !arrived || !tl.ValidOn(3) {
 		t.Fatal("chained transfer did not complete")

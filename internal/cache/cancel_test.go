@@ -26,8 +26,8 @@ func TestCancelInflightNotifiesWaiters(t *testing.T) {
 
 	c.MarkInflight(tl, 3)
 	var got []error
-	tl.AddInflightWaiter(3, func(err error) { got = append(got, err) })
-	tl.AddInflightWaiter(3, func(err error) { got = append(got, err) })
+	tl.AddInflightWaiter(3, waiterFunc(func(err error) { got = append(got, err) }))
+	tl.AddInflightWaiter(3, waiterFunc(func(err error) { got = append(got, err) }))
 
 	bang := errors.New("upstream hop failed")
 	c.CancelInflight(tl, 3, bang)

@@ -25,11 +25,13 @@ func (h *Handle) potf2Task(uplo Uplo, at *cache.Tile, prio int) {
 		Routine: blasops.Potrf,
 		M:       n, N: n, K: n,
 		Flops: float64(n) * float64(n) * float64(n) / 3,
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			if err := hostblas.Potf2(uplo, b[0]); err != nil {
 				panic(fmt.Sprintf("core: %v", err))
 			}
-		},
+		}
 	}
 	h.RT.Submit("potf2", spec, prio, xkrt.RW(at))
 }
@@ -41,11 +43,13 @@ func (h *Handle) getf2Task(at *cache.Tile, prio int) {
 		Routine: blasops.Getrf,
 		M:       n, N: n, K: n,
 		Flops: 2 * float64(n) * float64(n) * float64(n) / 3,
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			if err := hostblas.Getf2(b[0]); err != nil {
 				panic(fmt.Sprintf("core: %v", err))
 			}
-		},
+		}
 	}
 	h.RT.Submit("getf2", spec, prio, xkrt.RW(at))
 }

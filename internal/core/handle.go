@@ -130,9 +130,9 @@ func (h *Handle) MemoryCoherentAsync(m *xkrt.Matrix) {
 // also waits for it.
 func (h *Handle) PinAsync(m *xkrt.Matrix) {
 	h.RT.PendingExternal(1)
-	h.Plat.Pinner.Submit(float64(m.View.Bytes()), 0, func(_, _ sim.Time) {
+	h.Plat.Pinner.Submit(float64(m.View.Bytes()), 0, sim.JobFunc(func(_, _ sim.Time) {
 		h.RT.PendingExternal(-1)
-	})
+	}))
 }
 
 // SubMatrix returns a tile-aligned sub-matrix of rows×cols tiles starting

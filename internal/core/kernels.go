@@ -9,9 +9,11 @@ import (
 )
 
 // Tile-kernel task constructors. Each submits one dataflow task whose
-// functional body calls the reference host kernel on the dense device tile
-// buffers (access order = buffer order) and whose timing is derived from
-// the tile dimensions via the platform kernel model.
+// timing is derived from the tile dimensions via the platform kernel model.
+// In functional mode the task also carries a body that calls the reference
+// host kernel on the dense device tile buffers (access order = buffer
+// order). Timing mode never runs a body, so the constructors build none:
+// the closure would be one allocation per task for nothing.
 
 // opK reports the contraction dimension of op(A) given its tile.
 func opK(ta Trans, a *cache.Tile) int {
@@ -28,9 +30,11 @@ func (h *Handle) gemmTask(ta, tb Trans, alpha float64, at, bt *cache.Tile, beta 
 		Routine: blasops.Gemm,
 		M:       m, N: n, K: k,
 		Flops: 2 * float64(m) * float64(n) * float64(k),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			hostblas.Gemm(ta, tb, alpha, b[0], b[1], beta, b[2])
-		},
+		}
 	}
 	h.RT.Submit("gemm", spec, prio, xkrt.R(at), xkrt.R(bt), xkrt.RW(ct))
 }
@@ -48,9 +52,11 @@ func (h *Handle) symmTask(side Side, uplo Uplo, alpha float64, at, bt *cache.Til
 		Routine: blasops.Symm,
 		M:       m, N: n, K: dim,
 		Flops: flops,
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			hostblas.Symm(side, uplo, alpha, b[0], b[1], beta, b[2])
-		},
+		}
 	}
 	h.RT.Submit("symm", spec, prio, xkrt.R(at), xkrt.R(bt), xkrt.RW(ct))
 }
@@ -63,9 +69,11 @@ func (h *Handle) syrkTask(uplo Uplo, trans Trans, alpha float64, at *cache.Tile,
 		Routine: blasops.Syrk,
 		M:       n, N: n, K: k,
 		Flops: float64(k) * float64(n) * float64(n+1),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			hostblas.Syrk(uplo, trans, alpha, b[0], beta, b[1])
-		},
+		}
 	}
 	h.RT.Submit("syrk", spec, prio, xkrt.R(at), xkrt.RW(ct))
 }
@@ -78,9 +86,11 @@ func (h *Handle) syr2kTask(uplo Uplo, trans Trans, alpha float64, at, bt *cache.
 		Routine: blasops.Syr2k,
 		M:       n, N: n, K: k,
 		Flops: 2 * float64(k) * float64(n) * float64(n+1),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			hostblas.Syr2k(uplo, trans, alpha, b[0], b[1], beta, b[2])
-		},
+		}
 	}
 	h.RT.Submit("syr2k", spec, prio, xkrt.R(at), xkrt.R(bt), xkrt.RW(ct))
 }
@@ -97,9 +107,11 @@ func (h *Handle) trmmTask(side Side, uplo Uplo, ta Trans, diag Diag, alpha float
 		Routine: blasops.Trmm,
 		M:       m, N: n, K: dim,
 		Flops: float64(n) * float64(m) * float64(dim),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			hostblas.Trmm(side, uplo, ta, diag, alpha, b[0], b[1])
-		},
+		}
 	}
 	h.RT.Submit("trmm", spec, prio, xkrt.R(at), xkrt.RW(bt))
 }
@@ -116,9 +128,11 @@ func (h *Handle) trsmTask(side Side, uplo Uplo, ta Trans, diag Diag, alpha float
 		Routine: blasops.Trsm,
 		M:       m, N: n, K: dim,
 		Flops: float64(n) * float64(m) * float64(dim),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			hostblas.Trsm(side, uplo, ta, diag, alpha, b[0], b[1])
-		},
+		}
 	}
 	h.RT.Submit("trsm", spec, prio, xkrt.R(at), xkrt.RW(bt))
 }
@@ -129,9 +143,11 @@ func (h *Handle) scalTask(beta float64, ct *cache.Tile, prio int) {
 		Routine: blasops.Gemm,
 		M:       ct.M, N: ct.N, K: 1,
 		Flops: float64(ct.M) * float64(ct.N),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			hostblas.Scal(beta, b[0])
-		},
+		}
 	}
 	h.RT.Submit("scal", spec, prio, xkrt.RW(ct))
 }
@@ -143,9 +159,11 @@ func (h *Handle) scalTriTask(uplo Uplo, beta float64, ct *cache.Tile, prio int) 
 		Routine: blasops.Gemm,
 		M:       ct.M, N: ct.N, K: 1,
 		Flops: float64(ct.M) * float64(ct.N) / 2,
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			hostblas.ScalTri(uplo, beta, b[0])
-		},
+		}
 	}
 	h.RT.Submit("scal-tri", spec, prio, xkrt.RW(ct))
 }

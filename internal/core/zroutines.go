@@ -53,9 +53,11 @@ func (h *Handle) zgemmTask(ta, tb Trans, alpha complex128, at, bt *cache.Tile, b
 		Routine: blasops.Zgemm,
 		M:       m, N: n, K: k,
 		Flops: 8 * float64(m) * float64(n) * float64(k),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			zblas.Gemm(ta, tb, alpha, zbuf(b[0]), zbuf(b[1]), beta, zbuf(b[2]))
-		},
+		}
 	}
 	h.RT.Submit("zgemm", spec, prio, xkrt.R(at), xkrt.R(bt), xkrt.RW(ct))
 }
@@ -70,9 +72,11 @@ func (h *Handle) hemmTask(side Side, uplo Uplo, alpha complex128, at, bt *cache.
 		Routine: blasops.Hemm,
 		M:       m, N: n, K: dim,
 		Flops: 8 * float64(dim) * float64(m) * float64(n),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			zblas.Hemm(side, uplo, alpha, zbuf(b[0]), zbuf(b[1]), beta, zbuf(b[2]))
-		},
+		}
 	}
 	h.RT.Submit("hemm", spec, prio, xkrt.R(at), xkrt.R(bt), xkrt.RW(ct))
 }
@@ -89,9 +93,11 @@ func (h *Handle) herkTask(uplo Uplo, trans Trans, alpha float64, at *cache.Tile,
 		Routine: blasops.Herk,
 		M:       n, N: n, K: k,
 		Flops: 4 * float64(k) * float64(n) * float64(n+1),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			zblas.Herk(uplo, trans, alpha, zbuf(b[0]), beta, zbuf(b[1]))
-		},
+		}
 	}
 	h.RT.Submit("herk", spec, prio, xkrt.R(at), xkrt.RW(ct))
 }
@@ -108,9 +114,11 @@ func (h *Handle) her2kTask(uplo Uplo, trans Trans, alpha complex128, at, bt *cac
 		Routine: blasops.Her2k,
 		M:       n, N: n, K: k,
 		Flops: 8 * float64(k) * float64(n) * float64(n+1),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			zblas.Her2k(uplo, trans, alpha, zbuf(b[0]), zbuf(b[1]), beta, zbuf(b[2]))
-		},
+		}
 	}
 	h.RT.Submit("her2k", spec, prio, xkrt.R(at), xkrt.R(bt), xkrt.RW(ct))
 }

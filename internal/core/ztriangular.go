@@ -24,9 +24,11 @@ func (h *Handle) ztrmmTask(side Side, uplo Uplo, ta Trans, diag Diag, alpha comp
 		Routine: blasops.Trmm,
 		M:       m, N: n, K: dim,
 		Flops: 4 * float64(n) * float64(m) * float64(dim),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			zblas.Trmm(side, uplo, ta, diag, alpha, zbuf(b[0]), zbuf(b[1]))
-		},
+		}
 	}
 	h.RT.Submit("ztrmm", spec, prio, xkrt.R(at), xkrt.RW(bt))
 }
@@ -41,9 +43,11 @@ func (h *Handle) ztrsmTask(side Side, uplo Uplo, ta Trans, diag Diag, alpha comp
 		Routine: blasops.Trsm,
 		M:       m, N: n, K: dim,
 		Flops: 4 * float64(n) * float64(m) * float64(dim),
-		Body: func(b []matrix.View) {
+	}
+	if h.RT.Cache.Functional {
+		spec.Body = func(b []matrix.View) {
 			zblas.Trsm(side, uplo, ta, diag, alpha, zbuf(b[0]), zbuf(b[1]))
-		},
+		}
 	}
 	h.RT.Submit("ztrsm", spec, prio, xkrt.R(at), xkrt.RW(bt))
 }

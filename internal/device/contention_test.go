@@ -20,11 +20,11 @@ func runTransfers(t *testing.T, topo *topology.Platform, bytes int64, xs []xfer)
 	p := NewPlatform(eng, topo)
 	var makespan sim.Time
 	for _, x := range xs {
-		p.Transfer(x.src, x.dst, bytes, func(_, end sim.Time) {
+		p.Transfer(x.src, x.dst, bytes, sim.JobFunc(func(_, end sim.Time) {
 			if end > makespan {
 				makespan = end
 			}
-		})
+		}))
 	}
 	eng.Run()
 	return makespan

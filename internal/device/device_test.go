@@ -52,19 +52,19 @@ func TestTransferTimesReflectLinkClasses(t *testing.T) {
 	eng, p := newDGX1()
 	const bytes = 256 << 20 // 256 MiB
 	var tNV2, tNV1, tPCIe, tHost sim.Time
-	p.Transfer(0, 3, bytes, func(_, en sim.Time) { tNV2 = en })
+	p.Transfer(0, 3, bytes, sim.JobFunc(func(_, en sim.Time) { tNV2 = en }))
 	eng.Run()
 	eng2 := sim.NewEngine()
 	p2 := NewPlatform(eng2, topology.DGX1())
-	p2.Transfer(0, 1, bytes, func(_, en sim.Time) { tNV1 = en })
+	p2.Transfer(0, 1, bytes, sim.JobFunc(func(_, en sim.Time) { tNV1 = en }))
 	eng2.Run()
 	eng3 := sim.NewEngine()
 	p3 := NewPlatform(eng3, topology.DGX1())
-	p3.Transfer(0, 5, bytes, func(_, en sim.Time) { tPCIe = en })
+	p3.Transfer(0, 5, bytes, sim.JobFunc(func(_, en sim.Time) { tPCIe = en }))
 	eng3.Run()
 	eng4 := sim.NewEngine()
 	p4 := NewPlatform(eng4, topology.DGX1())
-	p4.Transfer(topology.Host, 0, bytes, func(_, en sim.Time) { tHost = en })
+	p4.Transfer(topology.Host, 0, bytes, sim.JobFunc(func(_, en sim.Time) { tHost = en }))
 	eng4.Run()
 
 	if !(tNV2 < tNV1 && tNV1 < tPCIe && tPCIe < tHost) {
@@ -83,9 +83,9 @@ func TestHostLinkSharedBySwitchPair(t *testing.T) {
 	eng, p := newDGX1()
 	const bytes = 512 << 20
 	var end0, end1, end2 sim.Time
-	p.Transfer(topology.Host, 0, bytes, func(_, en sim.Time) { end0 = en })
-	p.Transfer(topology.Host, 1, bytes, func(_, en sim.Time) { end1 = en })
-	p.Transfer(topology.Host, 2, bytes, func(_, en sim.Time) { end2 = en })
+	p.Transfer(topology.Host, 0, bytes, sim.JobFunc(func(_, en sim.Time) { end0 = en }))
+	p.Transfer(topology.Host, 1, bytes, sim.JobFunc(func(_, en sim.Time) { end1 = en }))
+	p.Transfer(topology.Host, 2, bytes, sim.JobFunc(func(_, en sim.Time) { end2 = en }))
 	eng.Run()
 	if end2 >= end1 {
 		t.Fatalf("independent switch should be faster: end2=%v end1=%v", end2, end1)
@@ -99,8 +99,8 @@ func TestNVLinkPairsIndependent(t *testing.T) {
 	eng, p := newDGX1()
 	const bytes = 512 << 20
 	var e1, e2 sim.Time
-	p.Transfer(0, 3, bytes, func(_, en sim.Time) { e1 = en })
-	p.Transfer(1, 2, bytes, func(_, en sim.Time) { e2 = en })
+	p.Transfer(0, 3, bytes, sim.JobFunc(func(_, en sim.Time) { e1 = en }))
+	p.Transfer(1, 2, bytes, sim.JobFunc(func(_, en sim.Time) { e2 = en }))
 	eng.Run()
 	if e1 != e2 {
 		t.Fatalf("disjoint NVLink transfers should be concurrent: %v vs %v", e1, e2)
@@ -112,7 +112,7 @@ func TestTransferEstimateMatchesUnloadedTransfer(t *testing.T) {
 	const bytes = 64 << 20
 	est := p.TransferEstimate(0, 3, bytes)
 	var actual sim.Time
-	p.Transfer(0, 3, bytes, func(st, en sim.Time) { actual = en - st })
+	p.Transfer(0, 3, bytes, sim.JobFunc(func(st, en sim.Time) { actual = en - st }))
 	eng.Run()
 	diff := actual - est
 	if diff < 0 {
@@ -240,8 +240,8 @@ func TestFairShareLinkModel(t *testing.T) {
 	// completes at half the makespan.
 	const bytes = 512 << 20
 	var e0, e1 sim.Time
-	p.Transfer(topology.Host, 0, bytes, func(_, en sim.Time) { e0 = en })
-	p.Transfer(topology.Host, 1, bytes, func(_, en sim.Time) { e1 = en })
+	p.Transfer(topology.Host, 0, bytes, sim.JobFunc(func(_, en sim.Time) { e0 = en }))
+	p.Transfer(topology.Host, 1, bytes, sim.JobFunc(func(_, en sim.Time) { e1 = en }))
 	eng.Run()
 	diff := float64(e0 - e1)
 	if diff < 0 {
@@ -254,8 +254,8 @@ func TestFairShareLinkModel(t *testing.T) {
 	eng2 := sim.NewEngine()
 	p2 := NewPlatform(eng2, topology.DGX1())
 	var f0, f1 sim.Time
-	p2.Transfer(topology.Host, 0, bytes, func(_, en sim.Time) { f0 = en })
-	p2.Transfer(topology.Host, 1, bytes, func(_, en sim.Time) { f1 = en })
+	p2.Transfer(topology.Host, 0, bytes, sim.JobFunc(func(_, en sim.Time) { f0 = en }))
+	p2.Transfer(topology.Host, 1, bytes, sim.JobFunc(func(_, en sim.Time) { f1 = en }))
 	eng2.Run()
 	last := f0
 	if f1 > last {

@@ -304,9 +304,10 @@ func (p *Platform) Route(src, dst topology.DeviceID) []sim.Resource {
 	return hops
 }
 
-// Transfer moves bytes from src to dst, firing done(start,end) when the
-// payload has fully arrived.
-func (p *Platform) Transfer(src, dst topology.DeviceID, bytes int64, done func(start, end sim.Time)) {
+// Transfer moves bytes from src to dst and notifies done (may be nil) with
+// the transfer's (start, end) once the payload has fully arrived. It is
+// sim.Transfer over the routed hops, so a warm transfer allocates nothing.
+func (p *Platform) Transfer(src, dst topology.DeviceID, bytes int64, done sim.JobDone) {
 	sim.Transfer(p.Eng, p.Route(src, dst), float64(bytes), TransferOverhead, done)
 }
 

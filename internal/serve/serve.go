@@ -561,9 +561,9 @@ func (s *server) start(p *platformState, u *unit) {
 	if p.inflight > p.inflightHi {
 		p.inflightHi = p.inflight
 	}
-	p.cap.Submit(u.demand, 0, func(start, end sim.Time) {
+	p.cap.Submit(u.demand, 0, sim.JobFunc(func(start, end sim.Time) {
 		s.complete(p, u, end)
-	})
+	}))
 }
 
 // complete retires a served unit and pulls waiting work forward. It runs

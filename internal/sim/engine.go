@@ -61,12 +61,13 @@ type event struct {
 // siblings on one cache line of pointers. Fired events are recycled through
 // a free list, so steady-state scheduling performs no heap allocation.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  []*event // 4-ary min-heap
-	free    []*event // recycled events, reused by At/After
-	fired   uint64
-	running bool
+	now      Time
+	seq      uint64
+	events   []*event   // 4-ary min-heap
+	free     []*event   // recycled events, reused by At/After
+	joinFree []*hopJoin // recycled multi-hop transfer joins (Transfer)
+	fired    uint64
+	running  bool
 
 	// stop is the abort flag. It is the engine's single cross-goroutine
 	// entry point: a watchdog may set it while Run executes on another
@@ -146,6 +147,17 @@ func (e *Engine) acquire(at Time, seq uint64, fn func()) *event {
 		return ev
 	}
 	return &event{at: at, seq: seq, fn: fn}
+}
+
+// newJoin pops a recycled multi-hop join record, or allocates one.
+func (e *Engine) newJoin() *hopJoin {
+	if n := len(e.joinFree); n > 0 {
+		j := e.joinFree[n-1]
+		e.joinFree[n-1] = nil
+		e.joinFree = e.joinFree[:n-1]
+		return j
+	}
+	return &hopJoin{eng: e}
 }
 
 // recycle clears a fired event and returns it to the free list.

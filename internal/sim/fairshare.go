@@ -40,7 +40,7 @@ type fairJob struct {
 	size      float64 // original job size, credited to Units on completion
 	startAt   Time
 	seq       uint64 // submission order, the final completion tie-break
-	done      func(start, end Time)
+	done      JobDone
 }
 
 // NewFairServer creates a processor-sharing server with the given rate in
@@ -65,7 +65,7 @@ func (s *FairServer) Rate() float64 { return s.rate }
 
 // Submit adds a job of the given size; done (may be nil) fires when the
 // job's share of the capacity has delivered all its units.
-func (s *FairServer) Submit(size float64, overhead Time, done func(start, end Time)) {
+func (s *FairServer) Submit(size float64, overhead Time, done JobDone) {
 	if size < 0 {
 		panic(fmt.Sprintf("sim: negative job size %g on %q", size, s.name))
 	}
@@ -143,7 +143,7 @@ func (s *FairServer) advance() {
 	s.advancing = true
 	for _, j := range finished {
 		if j.done != nil {
-			j.done(j.startAt, now)
+			j.done.JobDone(j.startAt, now)
 		}
 	}
 	s.advancing = false

@@ -9,7 +9,7 @@ func TestFairServerSingleJob(t *testing.T) {
 	e := NewEngine()
 	s := NewFairServer(e, "ps", 100)
 	var end Time
-	s.Submit(200, 0, func(_, en Time) { end = en })
+	s.Submit(200, 0, JobFunc(func(_, en Time) { end = en }))
 	e.Run()
 	if math.Abs(float64(end-2)) > 1e-9 {
 		t.Fatalf("single job end = %v, want 2", end)
@@ -22,8 +22,8 @@ func TestFairServerEqualShare(t *testing.T) {
 	e := NewEngine()
 	s := NewFairServer(e, "ps", 100)
 	var e1, e2 Time
-	s.Submit(100, 0, func(_, en Time) { e1 = en })
-	s.Submit(100, 0, func(_, en Time) { e2 = en })
+	s.Submit(100, 0, JobFunc(func(_, en Time) { e1 = en }))
+	s.Submit(100, 0, JobFunc(func(_, en Time) { e2 = en }))
 	e.Run()
 	if math.Abs(float64(e1-2)) > 1e-9 || math.Abs(float64(e2-2)) > 1e-9 {
 		t.Fatalf("ends = %v, %v, want 2, 2 (fair sharing)", e1, e2)
@@ -37,9 +37,9 @@ func TestFairServerLateArrival(t *testing.T) {
 	e := NewEngine()
 	s := NewFairServer(e, "ps", 100)
 	var ea, eb Time
-	s.Submit(100, 0, func(_, en Time) { ea = en })
+	s.Submit(100, 0, JobFunc(func(_, en Time) { ea = en }))
 	e.At(0.5, func() {
-		s.Submit(50, 0, func(_, en Time) { eb = en })
+		s.Submit(50, 0, JobFunc(func(_, en Time) { eb = en }))
 	})
 	e.Run()
 	if math.Abs(float64(ea-1.5)) > 1e-6 || math.Abs(float64(eb-1.5)) > 1e-6 {
@@ -54,8 +54,8 @@ func TestFairServerUnequalJobs(t *testing.T) {
 	e := NewEngine()
 	s := NewFairServer(e, "ps", 100)
 	var small, big Time
-	s.Submit(100, 0, func(_, en Time) { small = en })
-	s.Submit(300, 0, func(_, en Time) { big = en })
+	s.Submit(100, 0, JobFunc(func(_, en Time) { small = en }))
+	s.Submit(300, 0, JobFunc(func(_, en Time) { big = en }))
 	e.Run()
 	if math.Abs(float64(small-2)) > 1e-6 {
 		t.Fatalf("small end = %v, want 2", small)
@@ -91,12 +91,12 @@ func TestFairServerAggregateThroughputMatchesFIFO(t *testing.T) {
 		if fifo {
 			s := NewServer(e, "f", 10)
 			for i := 0; i < 5; i++ {
-				s.Submit(100, 0, rec)
+				s.Submit(100, 0, JobFunc(rec))
 			}
 		} else {
 			s := NewFairServer(e, "p", 10)
 			for i := 0; i < 5; i++ {
-				s.Submit(100, 0, rec)
+				s.Submit(100, 0, JobFunc(rec))
 			}
 		}
 		e.Run()
@@ -117,7 +117,7 @@ func TestFairServerDeterministic(t *testing.T) {
 			size := float64(i * 30)
 			at := Time(float64(i) * 0.1)
 			e.At(at, func() {
-				s.Submit(size, 0, func(_, en Time) { out = append(out, float64(en)) })
+				s.Submit(size, 0, JobFunc(func(_, en Time) { out = append(out, float64(en)) }))
 			})
 		}
 		e.Run()
@@ -141,7 +141,7 @@ func TestFairServerOverheadFolded(t *testing.T) {
 	e := NewEngine()
 	s := NewFairServer(e, "ps", 100)
 	var end Time
-	s.Submit(100, Time(0.5), func(_, en Time) { end = en })
+	s.Submit(100, Time(0.5), JobFunc(func(_, en Time) { end = en }))
 	e.Run()
 	// 100 units at 100/s + 0.5s overhead folded into units.
 	if math.Abs(float64(end-1.5)) > 1e-9 {
@@ -161,7 +161,7 @@ func TestFairServerTinyResidualTerminates(t *testing.T) {
 	// Jobs sized so shares leave sub-ulp residues at a large clock value.
 	e.At(1000, func() {
 		for i := 0; i < 7; i++ {
-			s.Submit(3.3554432e7+float64(i)*0.1, 0, func(_, _ Time) { done++ })
+			s.Submit(3.3554432e7+float64(i)*0.1, 0, JobFunc(func(_, _ Time) { done++ }))
 		}
 	})
 	e.Run()
@@ -199,11 +199,11 @@ func TestFairServerSubmitFromCompletionCallback(t *testing.T) {
 	var cEnd Time
 	// A and B share until t=2; B carries 5e-11 more work than A, under the
 	// finish threshold, so both complete in the same advance, A first.
-	s.Submit(100, 0, func(_, _ Time) {
+	s.Submit(100, 0, JobFunc(func(_, _ Time) {
 		// Re-enter from the completion callback: C services alone after t=2.
-		s.Submit(50, 0, func(_, en Time) { cDone++; cEnd = en })
-	})
-	s.Submit(100+5e-11, 0, func(_, _ Time) { bDone++ })
+		s.Submit(50, 0, JobFunc(func(_, en Time) { cDone++; cEnd = en }))
+	}))
+	s.Submit(100+5e-11, 0, JobFunc(func(_, _ Time) { bDone++ }))
 	e.Run()
 	if bDone != 1 {
 		t.Fatalf("B's done fired %d times, want exactly once", bDone)
@@ -235,7 +235,7 @@ func TestFairServerCompletionOrderDeterministic(t *testing.T) {
 		s := NewFairServer(e, "ps", 100)
 		var order []int
 		for i := 0; i < 5; i++ {
-			s.Submit(100, 0, func(_, _ Time) { order = append(order, i) })
+			s.Submit(100, 0, JobFunc(func(_, _ Time) { order = append(order, i) }))
 		}
 		e.Run()
 		for i, got := range order {

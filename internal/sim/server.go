@@ -6,10 +6,15 @@ import "fmt"
 // Server and processor-sharing FairServer): transfers submit jobs, cost
 // models ask for unloaded service times and congestion hints, the metrics
 // layer reads unified utilization statistics.
+//
+// Submit is the only submission form. Its completion is a JobDone (may be
+// nil), normally a record that already exists — a task, an under-transfer
+// record, a pooled join — so the hot path allocates no callback per job;
+// cold callers wrap a closure in JobFunc.
 type Resource interface {
 	Name() string
 	Rate() float64
-	Submit(size float64, overhead Time, done func(start, end Time))
+	Submit(size float64, overhead Time, done JobDone)
 	// ServiceTime reports how long a job would take unloaded.
 	ServiceTime(size float64, overhead Time) Time
 	// AvailableAt reports the earliest instant a new job could start
@@ -25,12 +30,20 @@ type Resource interface {
 	Reset()
 }
 
-// JobDone is the allocation-free form of a completion callback: pooled
-// objects implementing JobDone can be handed to Server.SubmitJob instead of
-// a per-call closure.
+// JobDone is a job's completion callback. It receives the virtual start
+// and end of the job's service interval.
 type JobDone interface {
 	JobDone(start, end Time)
 }
+
+// JobFunc adapts a closure to JobDone for callers off the hot path (a
+// fair-share capacity, a host-BLAS instance, a bandwidth probe, tests).
+// A closure that captures state costs an allocation per call, so per-event
+// callers implement JobDone on a record they already own instead.
+type JobFunc func(start, end Time)
+
+// JobDone implements JobDone.
+func (f JobFunc) JobDone(start, end Time) { f(start, end) }
 
 // ResourceStats is the unified utilization report of every resource model.
 // Served/Units/Busy cover *delivered* service only: when the engine aborts
@@ -94,8 +107,7 @@ type srvJob struct {
 	s          *Server
 	size       float64
 	start, end Time
-	done       func(start, end Time)
-	jd         JobDone
+	done       JobDone
 }
 
 // Fire implements Handler: credit served work, recycle, notify.
@@ -105,13 +117,11 @@ func (j *srvJob) Fire() {
 	s.stats.Served++
 	s.stats.Units += j.size
 	s.stats.Busy += j.end - j.start
-	done, jd, start, end := j.done, j.jd, j.start, j.end
-	j.done, j.jd = nil, nil
+	done, start, end := j.done, j.start, j.end
+	j.done = nil
 	s.jobFree = append(s.jobFree, j)
-	if jd != nil {
-		jd.JobDone(start, end)
-	} else if done != nil {
-		done(start, end)
+	if done != nil {
+		done.JobDone(start, end)
 	}
 }
 
@@ -130,21 +140,11 @@ func (s *Server) Name() string { return s.name }
 // Rate reports the service rate in units per second.
 func (s *Server) Rate() float64 { return s.rate }
 
-// Submit enqueues a job of the given size with a fixed per-job overhead. The
-// done callback (may be nil) runs when the job finishes and receives the
-// virtual start and end times of its service interval.
-func (s *Server) Submit(size float64, overhead Time, done func(start, end Time)) {
-	s.submit(size, overhead, done, nil)
-}
-
-// SubmitJob enqueues a job whose completion notifies jd (may be nil). It is
-// the allocation-free counterpart of Submit: jd is typically a pooled or
-// long-lived object, so the hot submit path never touches the heap.
-func (s *Server) SubmitJob(size float64, overhead Time, jd JobDone) {
-	s.submit(size, overhead, nil, jd)
-}
-
-func (s *Server) submit(size float64, overhead Time, done func(start, end Time), jd JobDone) {
+// Submit enqueues a job of the given size with a fixed per-job overhead.
+// done (may be nil) is notified when the job finishes, with the virtual
+// start and end times of its service interval. The server's own completion
+// records are pooled, so a warm Submit allocates nothing.
+func (s *Server) Submit(size float64, overhead Time, done JobDone) {
 	if size < 0 {
 		panic(fmt.Sprintf("sim: negative job size %g on %q", size, s.name))
 	}
@@ -167,7 +167,7 @@ func (s *Server) submit(size float64, overhead Time, done func(start, end Time),
 	} else {
 		j = &srvJob{}
 	}
-	j.s, j.size, j.start, j.end, j.done, j.jd = s, size, start, end, done, jd
+	j.s, j.size, j.start, j.end, j.done = s, size, start, end, done
 	// The completion event is always scheduled (even with a nil done):
 	// served-work accounting belongs to service completion. An aborted
 	// engine drops the event, and with it the utilization credit — queued
@@ -201,31 +201,59 @@ func (s *Server) Reset() {
 	s.pending = 0
 }
 
-// Transfer occupies every server in path with the same job and fires done
-// once all of them have finished. It models a transfer that crosses several
-// shared resources (e.g. source PCIe switch, QPI, destination PCIe switch):
-// each hop queues independently and the payload is delivered at the latest
-// completion. The reported start is the earliest service start and the end
-// the latest service end.
-func Transfer(eng *Engine, path []Resource, size float64, overhead Time, done func(start, end Time)) {
-	if len(path) == 0 {
+// Transfer occupies every server in path with the same job and notifies
+// done (may be nil) once all of them have finished. It models a transfer
+// that crosses several shared resources (e.g. source PCIe switch, QPI,
+// destination PCIe switch): each hop queues independently and the payload
+// is delivered at the latest completion. The reported start is the earliest
+// service start and the end the latest service end.
+//
+// A single-hop route hands done to its resource directly. A longer route
+// joins its hops in a record taken from eng's free list and returned to it
+// when the last hop lands, so a warm transfer allocates nothing. The list
+// belongs to the engine, not to a sync.Pool: engines on different
+// goroutines never share records, and reuse order stays deterministic.
+func Transfer(eng *Engine, path []Resource, size float64, overhead Time, done JobDone) {
+	switch len(path) {
+	case 0:
 		panic("sim: Transfer over empty path")
+	case 1:
+		path[0].Submit(size, overhead, done)
+		return
 	}
-	remaining := len(path)
-	first := Infinity
-	var last Time
+	j := eng.newJoin()
+	j.remaining, j.first, j.last, j.done = len(path), Infinity, 0, done
 	for _, srv := range path {
-		srv.Submit(size, overhead, func(st, en Time) {
-			if st < first {
-				first = st
-			}
-			if en > last {
-				last = en
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(first, last)
-			}
-		})
+		srv.Submit(size, overhead, j)
+	}
+}
+
+// hopJoin is the completion record of one multi-hop transfer: it counts
+// the hops still in service and tracks the earliest start and latest end.
+type hopJoin struct {
+	eng         *Engine
+	remaining   int
+	first, last Time
+	done        JobDone
+}
+
+// JobDone implements JobDone for one hop; the last hop recycles the record
+// and notifies the transfer's own completion.
+func (j *hopJoin) JobDone(start, end Time) {
+	if start < j.first {
+		j.first = start
+	}
+	if end > j.last {
+		j.last = end
+	}
+	j.remaining--
+	if j.remaining > 0 {
+		return
+	}
+	done, first, last := j.done, j.first, j.last
+	j.done = nil
+	j.eng.joinFree = append(j.eng.joinFree, j)
+	if done != nil {
+		done.JobDone(first, last)
 	}
 }

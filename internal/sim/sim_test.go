@@ -166,18 +166,18 @@ func TestServerFIFOAndRate(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "link", 100) // 100 units/s
 	var ends []Time
-	s.Submit(100, 0, func(st, en Time) {
+	s.Submit(100, 0, JobFunc(func(st, en Time) {
 		if st != 0 || en != 1 {
 			t.Errorf("job1 interval [%v,%v], want [0,1]", st, en)
 		}
 		ends = append(ends, en)
-	})
-	s.Submit(200, 0, func(st, en Time) {
+	}))
+	s.Submit(200, 0, JobFunc(func(st, en Time) {
 		if st != 1 || en != 3 {
 			t.Errorf("job2 interval [%v,%v], want [1,3]", st, en)
 		}
 		ends = append(ends, en)
-	})
+	}))
 	e.Run()
 	if len(ends) != 2 {
 		t.Fatalf("completions = %d, want 2", len(ends))
@@ -195,7 +195,7 @@ func TestServerOverhead(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, "eng", 1000)
 	var end Time
-	s.Submit(1000, Microseconds(10), func(_, en Time) { end = en })
+	s.Submit(1000, Microseconds(10), JobFunc(func(_, en Time) { end = en }))
 	e.Run()
 	want := Time(1.0) + Microseconds(10)
 	if end != want {
@@ -209,7 +209,7 @@ func TestServerIdleGapResets(t *testing.T) {
 	var secondStart Time
 	s.Submit(1, 0, nil) // busy [0,1]
 	e.At(5, func() {
-		s.Submit(1, 0, func(st, _ Time) { secondStart = st })
+		s.Submit(1, 0, JobFunc(func(st, _ Time) { secondStart = st }))
 	})
 	e.Run()
 	if secondStart != 5 {
@@ -223,9 +223,9 @@ func TestTransferWaitsForAllHops(t *testing.T) {
 	slow := NewServer(e, "slow", 10)
 	var start, end Time
 	done := false
-	Transfer(e, []Resource{fast, slow}, 100, 0, func(st, en Time) {
+	Transfer(e, []Resource{fast, slow}, 100, 0, JobFunc(func(st, en Time) {
 		start, end, done = st, en, true
-	})
+	}))
 	e.Run()
 	if !done {
 		t.Fatal("transfer never completed")
@@ -238,12 +238,99 @@ func TestTransferWaitsForAllHops(t *testing.T) {
 	}
 }
 
+// TestTransferJoinStaggeredHops: when the hops of one transfer start at
+// different instants, the reported interval runs from the earliest hop
+// start to the latest hop end, whichever hops those are. Hops p and r are
+// pre-loaded, so on the path [p, r, q] they serve the transfer over
+// [1, 1.5], [0.5, 3] and [0, 2.5]: the earliest start belongs to neither
+// the first hop on the path nor the first or last to finish, and the last
+// hop on the path does not end last. The transfer reports [0, 3] exactly
+// once, at t = 3.
+func TestTransferJoinStaggeredHops(t *testing.T) {
+	e := NewEngine()
+	p := NewServer(e, "p", 300)
+	q := NewServer(e, "q", 60)
+	r := NewServer(e, "r", 60)
+	p.Submit(300, 0, nil) // busy [0, 1]
+	r.Submit(30, 0, nil)  // busy [0, 0.5]
+	var start, end, firedAt Time
+	calls := 0
+	Transfer(e, []Resource{p, r, q}, 150, 0, JobFunc(func(st, en Time) {
+		start, end, firedAt = st, en, e.Now()
+		calls++
+	}))
+	e.Run()
+	if calls != 1 {
+		t.Fatalf("done fired %d times, want 1", calls)
+	}
+	if start != 0 || end != 3 {
+		t.Fatalf("interval = [%v, %v], want [0, 3] (hop q's start, hop r's end)", start, end)
+	}
+	if firedAt != 3 {
+		t.Fatalf("done fired at %v, want 3 (the last hop's completion)", firedAt)
+	}
+}
+
+// TestTransferNilDoneServesEveryHop: a transfer nobody waits for still
+// occupies, and is served by, every hop of its route.
+func TestTransferNilDoneServesEveryHop(t *testing.T) {
+	e := NewEngine()
+	a := NewServer(e, "a", 100)
+	b := NewServer(e, "b", 10)
+	Transfer(e, []Resource{a, b}, 100, 0, nil)
+	if end := e.Run(); end != 10 {
+		t.Fatalf("engine drained at %v, want 10 (the slow hop's completion)", end)
+	}
+	for _, s := range []*Server{a, b} {
+		if st := s.Stats(); st.Served != 1 || st.Units != 100 {
+			t.Fatalf("hop %s served %d jobs / %g units, want 1 / 100", s.Name(), st.Served, st.Units)
+		}
+	}
+}
+
+// TestTransferMultiHopAllocFree: once the engine's join records and the
+// servers' completion records are warm, a multi-hop transfer allocates
+// nothing, and an Engine.Reset keeps the records for the next run.
+func TestTransferMultiHopAllocFree(t *testing.T) {
+	e := NewEngine()
+	a := NewServer(e, "a", 100)
+	b := NewServer(e, "b", 50)
+	c := NewServer(e, "c", 200)
+	path := []Resource{a, b, c}
+	n := 0
+	done := JobFunc(func(_, _ Time) { n++ })
+	run := func() {
+		for i := 0; i < 4; i++ {
+			Transfer(e, path, 100, Microseconds(1), done)
+		}
+		e.Run()
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("warm multi-hop transfers allocate %.1f objects per run, want 0", allocs)
+	}
+	reset := func() {
+		e.Reset()
+		for _, s := range []*Server{a, b, c} {
+			s.Reset()
+		}
+		run()
+	}
+	if allocs := testing.AllocsPerRun(20, reset); allocs != 0 {
+		t.Fatalf("multi-hop transfers after Engine.Reset allocate %.1f objects per run, want 0", allocs)
+	}
+	// AllocsPerRun calls its function once more than asked, as a warm-up.
+	if want := 4 * (1 + 21 + 21); n != want {
+		t.Fatalf("%d completions, want %d", n, want)
+	}
+}
+
 func TestTransferContendsPerHop(t *testing.T) {
 	e := NewEngine()
 	shared := NewServer(e, "switch", 100)
 	var e1, e2 Time
-	Transfer(e, []Resource{shared}, 100, 0, func(_, en Time) { e1 = en })
-	Transfer(e, []Resource{shared}, 100, 0, func(_, en Time) { e2 = en })
+	Transfer(e, []Resource{shared}, 100, 0, JobFunc(func(_, en Time) { e1 = en }))
+	Transfer(e, []Resource{shared}, 100, 0, JobFunc(func(_, en Time) { e2 = en }))
 	e.Run()
 	if e1 != 1 || e2 != 2 {
 		t.Fatalf("ends = %v,%v, want 1,2 (serialized on shared hop)", e1, e2)
@@ -266,12 +353,12 @@ func TestServerPrefixSumProperty(t *testing.T) {
 			size := float64(rng.Intn(1000) + 1)
 			want += Time(size / 50)
 			expected := want
-			s.Submit(size, 0, func(_, en Time) {
+			s.Submit(size, 0, JobFunc(func(_, en Time) {
 				if en != expected || en < prev {
 					ok = false
 				}
 				prev = en
-			})
+			}))
 		}
 		e.Run()
 		return ok

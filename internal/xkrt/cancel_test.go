@@ -112,7 +112,7 @@ func TestCancelSweepsSyntheticChainMarks(t *testing.T) {
 	c.MarkInflight(T, 1)
 	rt.chains = append(rt.chains, chainMark{tile: T, dst: 1})
 	var waiterErr error
-	T.AddInflightWaiter(1, func(err error) { waiterErr = err })
+	T.AddInflightWaiter(1, waiterFunc(func(err error) { waiterErr = err }))
 
 	rt.PendingExternal(1) // keep the graph un-drained, as real tasks would
 	cause := context.Canceled

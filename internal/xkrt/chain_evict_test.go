@@ -49,7 +49,7 @@ func TestChainedForwardSurvivesEviction(t *testing.T) {
 	}
 	// Waiter 1 (registered first, runs first): consume GPU 0's memory.
 	// T@0 is valid, clean and unpinned at this point, so it is evicted.
-	T.AddInflightWaiter(0, func(err error) {
+	T.AddInflightWaiter(0, waiterFunc(func(err error) {
 		if err != nil {
 			t.Fatalf("upstream hop failed: %v", err)
 		}
@@ -59,12 +59,12 @@ func TestChainedForwardSurvivesEviction(t *testing.T) {
 		if T.ValidOn(0) {
 			t.Fatal("interleaving not reproduced: T@0 survived the allocation")
 		}
-	})
+	}))
 	// Waiter 2: the optimistic forward hop 0 -> 1, exactly as issueFetch
 	// plans it.
 	arrived := false
 	c.MarkInflight(T, 1)
-	rt.armChainHop(T, 0, 1, func() { arrived = true })
+	T.AddInflightWaiter(0, &chainHop{rt: rt, src: 0, dst: 1, next: notify(func() { arrived = true })})
 
 	eng.Run()
 
@@ -100,7 +100,7 @@ func TestChainedForwardCancelledOnUpstreamFailure(t *testing.T) {
 	// never start; the chain 2 -> 1 waits on it.
 	c.MarkInflight(T, 2)
 	c.MarkInflight(T, 1)
-	rt.armChainHop(T, 2, 1, func() { t.Fatal("done fired on a failed chain") })
+	T.AddInflightWaiter(2, &chainHop{rt: rt, src: 2, dst: 1, next: notify(func() { t.Fatal("done fired on a failed chain") })})
 
 	bang := errors.New("upstream hop failed")
 	c.CancelInflight(T, 2, bang)

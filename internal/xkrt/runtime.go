@@ -8,6 +8,7 @@ import (
 	"xkblas/internal/cache"
 	"xkblas/internal/check"
 	"xkblas/internal/device"
+	"xkblas/internal/matrix"
 	"xkblas/internal/metrics"
 	"xkblas/internal/policy"
 	"xkblas/internal/sim"
@@ -93,6 +94,10 @@ type Runtime struct {
 	taskFree     []*Task
 	depScratch   []*Task
 	tasksLiveMax int
+
+	// bufScratch is completeKernel's reusable list of a functional kernel
+	// body's device buffers.
+	bufScratch []matrix.View
 
 	// Streaming admission state (Options.StreamWindow): live counts
 	// admitted-but-not-completed tasks, admitQ/admitHead queue submitted

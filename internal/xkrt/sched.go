@@ -7,7 +7,6 @@ import (
 
 	"xkblas/internal/cache"
 	"xkblas/internal/check"
-	"xkblas/internal/matrix"
 	"xkblas/internal/sim"
 	"xkblas/internal/topology"
 )
@@ -208,18 +207,22 @@ func (rt *Runtime) launchKernel(t *Task) {
 	// The task itself is the completion callback (sim.JobDone): the hot
 	// launch path allocates neither a closure here nor an event record in
 	// the engine.
-	g.Kernel.SubmitJob(eff, rt.Plat.Model.LaunchOverhead, t)
+	g.Kernel.Submit(eff, rt.Plat.Model.LaunchOverhead, t)
 }
 
 func (rt *Runtime) completeKernel(t *Task, start, end sim.Time) {
 	dev := t.dev
-	// Functional mode: run the real arithmetic on the device buffers.
+	// Functional mode: run the real arithmetic on the device buffers. The
+	// buffer list is runtime-owned scratch; bodies run synchronously and
+	// must not retain it.
 	if t.kern.Body != nil && rt.Cache.Functional {
-		bufs := make([]matrix.View, len(t.acc))
-		for i, a := range t.acc {
-			bufs[i] = rt.Cache.DeviceBuf(a.Tile, dev)
+		bufs := rt.bufScratch[:0]
+		for _, a := range t.acc {
+			bufs = append(bufs, rt.Cache.DeviceBuf(a.Tile, dev))
 		}
 		t.kern.Body(bufs)
+		clear(bufs)
+		rt.bufScratch = bufs[:0]
 	}
 	for _, a := range t.acc {
 		if a.Mode.writes() {
@@ -245,7 +248,7 @@ func (rt *Runtime) completeKernel(t *Task, start, end sim.Time) {
 func (rt *Runtime) runFlush(t *Task) {
 	tile := t.acc[0].Tile
 	t.state = stateRunning
-	rt.Cache.FlushToHost(tile, func() { rt.taskDone(t) })
+	rt.Cache.FlushToHost(tile, t)
 }
 
 // runPrefetch executes a distribution task (data-on-device staging).
@@ -257,5 +260,5 @@ func (rt *Runtime) runPrefetch(t *Task) {
 		rt.taskDone(t)
 		return
 	}
-	rt.requestReplica(tile, dev, func() { rt.taskDone(t) })
+	rt.requestReplica(tile, dev, t)
 }

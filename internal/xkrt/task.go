@@ -66,14 +66,17 @@ func W(t *cache.Tile) Access { return Access{Tile: t, Mode: Write} }
 func RW(t *cache.Tile) Access { return Access{Tile: t, Mode: ReadWrite} }
 
 // KernelSpec describes the GPU kernel a compute task launches. Flops and
-// the dimensions feed the timing model; Body, when non-nil (functional
-// mode), performs the real arithmetic on the dense device tile buffers in
-// access order.
+// the dimensions feed the timing model.
 type KernelSpec struct {
 	Routine blasops.Routine
 	M, N, K int
 	Flops   float64
-	Body    func(bufs []matrix.View)
+	// Body performs the real arithmetic on the dense device tile buffers,
+	// in access order. Only a functional runtime runs it, so callers set it
+	// only in functional mode: in timing mode its closure would cost an
+	// allocation per task and never run. bufs is runtime-owned scratch that
+	// is reused after Body returns; Body must not retain it.
+	Body func(bufs []matrix.View)
 }
 
 type taskKind int

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xkblas/internal/blasops"
+	"xkblas/internal/cache"
 	"xkblas/internal/device"
 	"xkblas/internal/hostblas"
 	"xkblas/internal/matrix"
@@ -12,6 +13,14 @@ import (
 	"xkblas/internal/sim"
 	"xkblas/internal/topology"
 )
+
+// waiterFunc adapts a closure to cache.Waiter.
+type waiterFunc func(err error)
+
+func (f waiterFunc) Arrived(_ *cache.Tile, _ topology.DeviceID, err error) { f(err) }
+
+// notify adapts a closure that ignores the outcome to cache.Waiter.
+func notify(fn func()) cache.Waiter { return waiterFunc(func(error) { fn() }) }
 
 func newRuntime(functional bool, opt Options) *Runtime {
 	eng := sim.NewEngine()
