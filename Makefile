@@ -112,17 +112,19 @@ bench:
 # write-back, on a reset handle, stays within 0.5 objects per retired task
 # under work stealing and DMDAS (the transfer path: hop joins,
 # under-transfer records, waiters, write-backs); warm multi-hop transfers,
-# DMDAS placement and source selection allocate nothing, and neither do
-# the host tile kernels at any flag combination; then report the ns/op
-# and allocs/op benchmarks (GFlop/s too for the kernels, at functional
-# mode's flags).
+# warm fair-share submit/wake/complete cycles, DMDAS placement and source
+# selection allocate nothing, and neither do the host tile kernels at any
+# flag combination; then report the ns/op and allocs/op benchmarks
+# (GFlop/s too for the kernels, at functional mode's flags; ns and allocs
+# per request for a 20k-request serve replay).
 bench-alloc:
 	$(GO) test -count=1 -run 'TestSubmitSteadyStateAllocBudget|TestTileQueriesAllocFree' ./internal/xkrt/
 	$(GO) test -count=1 -run 'TestTimingGemmAllocBudget' ./internal/core/
-	$(GO) test -count=1 -run 'TestTransferMultiHopAllocFree' ./internal/sim/
+	$(GO) test -count=1 -run 'TestTransferMultiHopAllocFree|TestFairServerSteadyStateAllocFree' ./internal/sim/
 	$(GO) test -count=1 -run 'TestTileKernelsAllocFree' ./internal/hostblas/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitComplete|BenchmarkDAGBuild|BenchmarkDMDASAssign|BenchmarkSelectSource' -benchmem ./internal/xkrt/
 	$(GO) test -run '^$$' -bench 'BenchmarkKernels' -benchtime 200ms -benchmem ./internal/hostblas/
+	$(GO) test -run '^$$' -bench 'BenchmarkReplay' -benchmem ./internal/serve/
 
 # Beyond-paper-scale demonstration: 1.4M-task GEMM (N=229376) streamed
 # through a bounded admission window with interleaved coherency, plus the

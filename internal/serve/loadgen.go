@@ -143,7 +143,9 @@ type Arrival struct {
 
 // GenerateTrace renders the seeded arrival trace of a config. The trace is
 // the replayable input of the serving simulation: hand the same config to
-// two processes and they draw identical arrivals.
+// two processes and they draw identical arrivals. Arrival times never
+// decrease, since each is the previous one plus a non-negative gap; Run
+// streams the trace into its engine in order and relies on that.
 func GenerateTrace(cfg *Config) []Arrival {
 	r := newRNG(cfg.Seed)
 	cum := make([]float64, len(cfg.Mix))

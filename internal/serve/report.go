@@ -106,7 +106,8 @@ func buildReport(cfg *Config, s *server) *Report {
 	}
 
 	makespan := sim.Time(0)
-	for _, req := range s.reqs {
+	for i := range s.reqs {
+		req := &s.reqs[i]
 		if req.finished > makespan {
 			makespan = req.finished
 		}

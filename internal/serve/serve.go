@@ -208,16 +208,56 @@ func (c *Config) validate() error {
 	if len(c.Tiers) == 0 || len(c.Mix) == 0 {
 		return errors.New("serve: config needs tiers and a traffic mix")
 	}
+	// Every float below is checked with comparisons that NaN fails: a NaN
+	// weight or quota compares false everywhere and would silently skew the
+	// tenant split or switch the quota off, and a NaN batch window used to
+	// hang the replay.
+	tierSum := 0.0
+	for _, t := range c.Tiers {
+		switch {
+		case !finiteNonNeg(t.Weight):
+			return fmt.Errorf("serve: tier %q weight must be finite and >= 0, got %g", t.Name, t.Weight)
+		case !finiteNonNeg(t.RefillPerSec):
+			return fmt.Errorf("serve: tier %q refill rate must be finite and >= 0, got %g", t.Name, t.RefillPerSec)
+		case !finiteNonNeg(t.Burst):
+			return fmt.Errorf("serve: tier %q burst must be finite and >= 0, got %g", t.Name, t.Burst)
+		case !finiteNonNeg(float64(t.Deadline)):
+			return fmt.Errorf("serve: tier %q deadline must be finite and >= 0 (0 = none), got %g", t.Name, float64(t.Deadline))
+		}
+		tierSum += t.Weight
+	}
+	if !(tierSum > 0) || math.IsInf(tierSum, 1) {
+		return fmt.Errorf("serve: tier weights must have a positive, finite sum, got %g", tierSum)
+	}
+	mixSum := 0.0
+	for _, m := range c.Mix {
+		if !finiteNonNeg(m.Weight) {
+			return fmt.Errorf("serve: mix entry %v weight must be finite and >= 0, got %g", m.Spec, m.Weight)
+		}
+		mixSum += m.Weight
+	}
+	if !(mixSum > 0) || math.IsInf(mixSum, 1) {
+		return fmt.Errorf("serve: mix weights must have a positive, finite sum, got %g", mixSum)
+	}
 	if c.Tenants < 1 || c.Requests < 1 {
 		return errors.New("serve: config needs at least one tenant and one request")
 	}
+	if c.Arrival != Poisson && c.Arrival != Bursty {
+		return fmt.Errorf("serve: unknown arrival pattern %d", c.Arrival)
+	}
 	// A NaN rate never advances the arrival clock, and +Inf puts every
 	// arrival at t = 0.
-	if c.RatePerSec <= 0 || math.IsNaN(c.RatePerSec) || math.IsInf(c.RatePerSec, 1) {
+	if !(c.RatePerSec > 0) || math.IsInf(c.RatePerSec, 1) {
 		return errors.New("serve: arrival rate must be positive")
 	}
 	if c.QueueDepth < 1 || c.MaxInflight < 1 {
 		return errors.New("serve: queue depth and max inflight must be at least 1")
+	}
+	if c.Backpressure != Reject && c.Backpressure != Block {
+		return fmt.Errorf("serve: unknown backpressure policy %d", c.Backpressure)
+	}
+	if !finiteNonNeg(float64(c.BatchWindow)) {
+		return fmt.Errorf("serve: batch window must be finite and >= 0, got %g", float64(c.BatchWindow))
 	}
 	if c.Parallel < 0 {
 		return fmt.Errorf("serve: parallel must be >= 0 (0 = GOMAXPROCS), got %d", c.Parallel)
@@ -228,6 +268,9 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// finiteNonNeg reports whether v is a finite number >= 0 (false for NaN).
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 func (c *Config) ctxErr() error {
 	if c.Ctx == nil {
 		return nil
@@ -236,7 +279,7 @@ func (c *Config) ctxErr() error {
 }
 
 // Outcome is a request's terminal state.
-type Outcome int
+type Outcome uint8
 
 const (
 	outcomePending Outcome = iota
@@ -262,14 +305,12 @@ func (o Outcome) Err() error {
 	return nil
 }
 
-// request is one tenant request moving through the front end.
+// request is the replay state of one trace arrival; the server keeps them
+// in one slice indexed like the trace, which carries the tenant and spec.
 type request struct {
-	id       int
-	tenant   int
-	tier     int
-	spec     RequestSpec
 	arrived  sim.Time
 	finished sim.Time
+	tier     int32
 	outcome  Outcome
 	batched  bool // served as part of a fused batch
 }
@@ -285,15 +326,36 @@ const (
 )
 
 // unit is a schedulable service unit: one request, or a fused batch of
-// same-spec requests.
+// same-spec requests. It is its own completion record on the platform's
+// FairServer (JobDone) and its own queueing-deadline event (Fire).
 type unit struct {
+	s          *server
 	platform   int
 	spec       RequestSpec
 	members    []*request
-	demand     float64  // inner-simulation makespan, seconds
-	flops      float64  // useful work, for goodput
-	deadlineAt sim.Time // earliest member deadline; 0 = none
+	one        [1]*request // members' backing array for a singleton
+	demand     float64     // inner-simulation makespan, seconds
+	flops      float64     // useful work, for goodput
+	deadlineAt sim.Time    // earliest member deadline; 0 = none
 	state      unitState
+}
+
+// JobDone implements sim.JobDone: the unit's service has completed.
+func (u *unit) JobDone(_, end sim.Time) {
+	u.s.complete(u.s.plats[u.platform], u, end)
+}
+
+// Fire implements sim.Handler: the unit's queueing deadline. It is a no-op
+// once the unit has left the wait lists.
+func (u *unit) Fire() {
+	if u.state != unitQueued && u.state != unitSpilled {
+		return
+	}
+	s, p := u.s, u.s.plats[u.platform]
+	u.state = unitDropped
+	p.backlog -= u.demand
+	s.finishUnit(u, OutcomeTimedOut, s.eng.Now())
+	s.admitNext(p)
 }
 
 // tenantState is a token bucket plus the tenant's tier.
@@ -319,21 +381,41 @@ type platformState struct {
 }
 
 type server struct {
-	cfg     *Config
-	eng     *sim.Engine
-	demands *demandTable
-	tenants []tenantState
-	plats   []*platformState
-	batches map[RequestSpec]*pendingBatch
-	reqs    []*request
+	cfg       *Config
+	eng       *sim.Engine
+	demands   *demandTable
+	tenants   []tenantState
+	plats     []*platformState
+	batches   map[RequestSpec]*pendingBatch
+	timerFree []*batchTimer
+	reqs      []request
 
 	servedFlops float64
 	err         error
 }
 
 type pendingBatch struct {
-	members []*request
-	gen     int // invalidates stale window-flush timers
+	spec    RequestSpec
+	members []*request // reused across flushes; a unit copies them
+	gen     int        // invalidates stale window-flush timers
+}
+
+// batchTimer is a pooled batching-window timer: when the window closes it
+// flushes its batch, unless a full batch already flushed that generation.
+type batchTimer struct {
+	s   *server
+	b   *pendingBatch
+	gen int
+}
+
+// Fire implements sim.Handler.
+func (t *batchTimer) Fire() {
+	s, b, gen := t.s, t.b, t.gen
+	t.b = nil
+	s.timerFree = append(s.timerFree, t)
+	if b.gen == gen && len(b.members) > 0 {
+		s.flushBatch(b)
+	}
 }
 
 // assignTiers splits the tenant population into contiguous tier blocks
@@ -387,17 +469,20 @@ func Run(cfg Config) (*Report, error) {
 			cap:  sim.NewFairServer(s.eng, fmt.Sprintf("serve.%s", name), 1.0),
 		})
 	}
-	s.reqs = make([]*request, len(trace))
-	for i, a := range trace {
-		req := &request{
-			id:      i,
-			tenant:  a.Tenant,
-			tier:    s.tenants[a.Tenant].tier,
-			spec:    a.Spec,
-			arrived: a.At,
+	// Arrivals stream from the trace rather than sitting in the event heap:
+	// each one fires before any event at its own instant, exactly as if all
+	// of them had been scheduled up front (see sim.Engine.RunBefore), so the
+	// heap holds only in-flight work. RunBefore panics if the trace ever
+	// went back in time; GenerateTrace's times never decrease.
+	s.reqs = make([]request, len(trace))
+	for i := range trace {
+		a := &trace[i]
+		req := &s.reqs[i]
+		*req = request{tier: int32(s.tenants[a.Tenant].tier), arrived: a.At}
+		if s.eng.RunBefore(a.At); s.eng.Stopped() {
+			break
 		}
-		s.reqs[i] = req
-		s.eng.At(a.At, func() { s.onArrival(req) })
+		s.onArrival(req, a)
 	}
 	s.eng.Run()
 	if s.err != nil {
@@ -418,13 +503,13 @@ func (s *server) fail(err error) {
 
 // onArrival runs the admission pipeline for one request: quota, then
 // batching or direct dispatch.
-func (s *server) onArrival(req *request) {
+func (s *server) onArrival(req *request, a *Arrival) {
 	if err := s.cfg.ctxErr(); err != nil {
 		s.fail(err)
 		return
 	}
 	now := s.eng.Now()
-	tn := &s.tenants[req.tenant]
+	tn := &s.tenants[a.Tenant]
 	tier := &s.cfg.Tiers[req.tier]
 	tn.tokens += float64(now-tn.last) * tier.RefillPerSec
 	if tn.tokens > tier.Burst {
@@ -437,48 +522,57 @@ func (s *server) onArrival(req *request) {
 	}
 	tn.tokens--
 
-	if s.cfg.BatchMax > 1 && req.spec.Count <= 1 && req.spec.N < s.cfg.BatchThresholdN {
-		s.addToBatch(req)
+	if s.cfg.BatchMax > 1 && a.Spec.Count <= 1 && a.Spec.N < s.cfg.BatchThresholdN {
+		s.addToBatch(req, a.Spec)
 		return
 	}
-	s.dispatch(s.newUnit(req.spec, []*request{req}))
+	s.dispatch(s.newUnit(a.Spec, req))
 }
 
 // addToBatch parks a sub-threshold request in its spec's pending batch,
 // flushing on BatchMax or after the batching window.
-func (s *server) addToBatch(req *request) {
+func (s *server) addToBatch(req *request, spec RequestSpec) {
 	req.batched = true
-	b := s.batches[req.spec]
+	b := s.batches[spec]
 	if b == nil {
-		b = &pendingBatch{}
-		s.batches[req.spec] = b
+		b = &pendingBatch{spec: spec}
+		s.batches[spec] = b
 	}
 	b.members = append(b.members, req)
 	if len(b.members) >= s.cfg.BatchMax {
-		s.flushBatch(req.spec)
+		s.flushBatch(b)
 		return
 	}
 	if len(b.members) == 1 {
-		gen := b.gen
-		spec := req.spec
-		s.eng.After(s.cfg.BatchWindow, func() {
-			if cur := s.batches[spec]; cur != nil && cur.gen == gen && len(cur.members) > 0 {
-				s.flushBatch(spec)
-			}
-		})
+		var t *batchTimer
+		if n := len(s.timerFree); n > 0 {
+			t = s.timerFree[n-1]
+			s.timerFree = s.timerFree[:n-1]
+		} else {
+			t = &batchTimer{s: s}
+		}
+		t.b, t.gen = b, b.gen
+		s.eng.AtHandler(s.eng.Now()+s.cfg.BatchWindow, t)
 	}
 }
 
-func (s *server) flushBatch(spec RequestSpec) {
-	b := s.batches[spec]
-	members := b.members
-	b.members = nil
+func (s *server) flushBatch(b *pendingBatch) {
+	u := s.newUnit(b.spec, b.members...)
+	clear(b.members)
+	b.members = b.members[:0]
 	b.gen++
-	s.dispatch(s.newUnit(spec, members))
+	s.dispatch(u)
 }
 
-func (s *server) newUnit(spec RequestSpec, members []*request) *unit {
-	u := &unit{spec: spec, members: members}
+// newUnit builds a unit over a copy of members; a singleton is held inline.
+func (s *server) newUnit(spec RequestSpec, members ...*request) *unit {
+	u := &unit{s: s, spec: spec}
+	if len(members) == 1 {
+		u.one[0] = members[0]
+		u.members = u.one[:]
+	} else {
+		u.members = append([]*request(nil), members...)
+	}
 	for _, m := range members {
 		if d := s.cfg.Tiers[m.tier].Deadline; d > 0 {
 			at := m.arrived + d
@@ -542,15 +636,7 @@ func (s *server) enqueue(p *platformState, u *unit, list *[]*unit, st unitState)
 		if now := s.eng.Now(); at < now {
 			at = now // batching window may have consumed the whole patience
 		}
-		s.eng.At(at, func() {
-			if u.state != unitQueued && u.state != unitSpilled {
-				return
-			}
-			u.state = unitDropped
-			p.backlog -= u.demand
-			s.finishUnit(u, OutcomeTimedOut, s.eng.Now())
-			s.admitNext(p)
-		})
+		s.eng.AtHandler(at, u)
 	}
 }
 
@@ -561,9 +647,7 @@ func (s *server) start(p *platformState, u *unit) {
 	if p.inflight > p.inflightHi {
 		p.inflightHi = p.inflight
 	}
-	p.cap.Submit(u.demand, 0, sim.JobFunc(func(start, end sim.Time) {
-		s.complete(p, u, end)
-	}))
+	p.cap.Submit(u.demand, 0, u)
 }
 
 // complete retires a served unit and pulls waiting work forward. It runs

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"xkblas/internal/blasops"
+	"xkblas/internal/sim"
 )
 
 // testConfig is a small, fast scenario: one platform, one cheap spec, no
@@ -312,26 +316,68 @@ func TestParseHelpers(t *testing.T) {
 	}
 }
 
-// TestConfigValidation covers the config error surface.
+// TestConfigValidation covers the config error surface: every row must
+// make Run return an error promptly — not run, panic or hang.
 func TestConfigValidation(t *testing.T) {
+	nan := math.NaN()
+	allTiers := func(c *Config, w float64) {
+		for i := range c.Tiers {
+			c.Tiers[i].Weight = w
+		}
+	}
 	for name, mod := range map[string]func(*Config){
-		"empty fleet":      func(c *Config) { c.Fleet = nil },
-		"unknown platform": func(c *Config) { c.Fleet = []string{"nonesuch"} },
-		"no tiers":         func(c *Config) { c.Tiers = nil },
-		"no mix":           func(c *Config) { c.Mix = nil },
-		"no tenants":       func(c *Config) { c.Tenants = 0 },
-		"no requests":      func(c *Config) { c.Requests = 0 },
-		"bad rate":         func(c *Config) { c.RatePerSec = 0 },
-		"NaN rate":         func(c *Config) { c.RatePerSec = math.NaN() },
-		"+Inf rate":        func(c *Config) { c.RatePerSec = math.Inf(1) },
-		"bad queue":        func(c *Config) { c.QueueDepth = 0 },
-		"bad inflight":     func(c *Config) { c.MaxInflight = 0 },
-		"bad parallel":     func(c *Config) { c.Parallel = -1 },
+		"empty fleet":           func(c *Config) { c.Fleet = nil },
+		"unknown platform":      func(c *Config) { c.Fleet = []string{"nonesuch"} },
+		"no tiers":              func(c *Config) { c.Tiers = nil },
+		"no mix":                func(c *Config) { c.Mix = nil },
+		"no tenants":            func(c *Config) { c.Tenants = 0 },
+		"no requests":           func(c *Config) { c.Requests = 0 },
+		"bad rate":              func(c *Config) { c.RatePerSec = 0 },
+		"NaN rate":              func(c *Config) { c.RatePerSec = nan },
+		"+Inf rate":             func(c *Config) { c.RatePerSec = math.Inf(1) },
+		"bad queue":             func(c *Config) { c.QueueDepth = 0 },
+		"bad inflight":          func(c *Config) { c.MaxInflight = 0 },
+		"bad parallel":          func(c *Config) { c.Parallel = -1 },
+		"NaN batch window":      func(c *Config) { c.BatchWindow = sim.Time(nan) },
+		"negative batch window": func(c *Config) { c.BatchWindow = -1 },
+		"+Inf batch window":     func(c *Config) { c.BatchWindow = sim.Time(math.Inf(1)) },
+		"negative tier weight":  func(c *Config) { c.Tiers[0].Weight = -1 },
+		"NaN tier weight":       func(c *Config) { c.Tiers[1].Weight = nan },
+		"zero tier weights":     func(c *Config) { allTiers(c, 0) },
+		"NaN tier weights":      func(c *Config) { allTiers(c, nan) },
+		"NaN refill":            func(c *Config) { c.Tiers[0].RefillPerSec = nan },
+		"negative refill":       func(c *Config) { c.Tiers[0].RefillPerSec = -1 },
+		"NaN burst":             func(c *Config) { c.Tiers[0].Burst = nan },
+		"NaN deadline":          func(c *Config) { c.Tiers[0].Deadline = sim.Time(nan) },
+		"negative deadline":     func(c *Config) { c.Tiers[0].Deadline = -1 },
+		"negative mix weight":   func(c *Config) { c.Mix[0].Weight = -1 },
+		"zero mix weights":      func(c *Config) { c.Mix[0].Weight, c.Mix[1].Weight = 0, 0 },
+		"NaN mix weight":        func(c *Config) { c.Mix[1].Weight = nan },
+		"unknown arrival":       func(c *Config) { c.Arrival = ArrivalPattern(7) },
+		"unknown backpressure":  func(c *Config) { c.Backpressure = BackpressurePolicy(7) },
 	} {
 		cfg := testConfig()
 		mod(&cfg)
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("%s: Run accepted an invalid config", name)
+		fault := make(chan string, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					fault <- fmt.Sprintf("panicked: %v", r)
+				}
+			}()
+			if _, err := Run(cfg); err == nil {
+				fault <- "accepted the config"
+				return
+			}
+			fault <- ""
+		}()
+		select {
+		case f := <-fault:
+			if f != "" {
+				t.Errorf("%s: Run %s", name, f)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Run still running after 10 s", name)
 		}
 	}
 }
@@ -382,4 +428,26 @@ func TestCheckedReplay(t *testing.T) {
 	if rep.Failed != 0 {
 		t.Fatalf("%d requests failed under the auditor", rep.Failed)
 	}
+}
+
+// BenchmarkReplay times whole Run calls on a 20k-request bursty replay of
+// the default scenario (trace generation, demand prewarm at one worker,
+// the replay and the report) and reports the cost per request.
+func BenchmarkReplay(b *testing.B) {
+	cfg := Defaults()
+	cfg.Requests = 20000
+	cfg.Parallel = 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	reqs := float64(b.N) * float64(cfg.Requests)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/reqs, "ns/req")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/reqs, "allocs/req")
 }

@@ -231,9 +231,11 @@ func (e *Engine) pop() *event {
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would silently reorder causality.
+// panics: it would silently reorder causality. So does a NaN time, which
+// compares false against every other time and would break the heap's
+// (time, sequence) order.
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
@@ -245,7 +247,7 @@ func (e *Engine) At(t Time, fn func()) {
 // steady-state scheduling touches the heap nowhere. Ordering relative to
 // At-scheduled events follows the same (time, sequence) rule.
 func (e *Engine) AtHandler(t Time, h Handler) {
-	if t < e.now {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
@@ -255,9 +257,9 @@ func (e *Engine) AtHandler(t Time, h Handler) {
 }
 
 // After schedules fn to run d seconds of virtual time from now. Negative
-// delays panic.
+// and NaN delays panic.
 func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
+	if !(d >= 0) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	e.At(e.now+d, fn)
@@ -296,6 +298,30 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		// The run covered the whole interval, so the clock advances to the
 		// deadline.
 		e.now = deadline
+	}
+	return e.now
+}
+
+// RunBefore fires, in order, every pending event strictly earlier than t,
+// then moves the clock to t. It streams a time-sorted external input into
+// the simulation: for each item in order, call RunBefore(item's time) and
+// handle the item directly; call Run after the last. That fires the same
+// events in the same order as scheduling every item with At up front,
+// before any other event. Up front, each item would carry a lower sequence
+// number than every other event and so fire first at its instant; the
+// strict bound leaves exactly the events at that instant pending. Item
+// times must never decrease: a t before now, or NaN, panics as At does.
+// After Stop the clock stays at the last fired event's time; the caller
+// checks Stopped and feeds no more items.
+func (e *Engine) RunBefore(t Time) Time {
+	if !(t >= e.now) {
+		panic(fmt.Sprintf("sim: RunBefore(%v) before now %v", t, e.now))
+	}
+	// An event time is below t exactly when it is at most the next float64
+	// below t.
+	e.RunUntil(Time(math.Nextafter(float64(t), math.Inf(-1))))
+	if !e.stop.Load() {
+		e.now = t
 	}
 	return e.now
 }

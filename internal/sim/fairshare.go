@@ -18,7 +18,13 @@ type FairServer struct {
 	name string
 	rate float64
 
-	jobs      map[*fairJob]struct{}
+	// jobs holds the in-flight jobs in submission order. Nothing depends on
+	// that order: completions are sorted (sortJobs), the minimum residual is
+	// order-free, and each job's progress is its own.
+	jobs      []*fairJob
+	finished  []*fairJob // advance's scratch: this instant's completions
+	jobFree   []*fairJob // recycled job records
+	wakeFree  []*fairWake
 	lastUpd   Time
 	wakeToken uint64
 	seq       uint64 // submission counter: deterministic completion ties
@@ -53,7 +59,6 @@ func NewFairServer(eng *Engine, name string, rate float64) *FairServer {
 		eng:  eng,
 		name: name,
 		rate: rate,
-		jobs: make(map[*fairJob]struct{}),
 	}
 }
 
@@ -71,14 +76,22 @@ func (s *FairServer) Submit(size float64, overhead Time, done JobDone) {
 	}
 	s.advance()
 	s.seq++
-	j := &fairJob{
+	var j *fairJob
+	if n := len(s.jobFree); n > 0 {
+		j = s.jobFree[n-1]
+		s.jobFree[n-1] = nil
+		s.jobFree = s.jobFree[:n-1]
+	} else {
+		j = new(fairJob)
+	}
+	*j = fairJob{
 		remaining: size + float64(overhead)*s.rate, // fold overhead into units
 		size:      size,
 		startAt:   s.eng.Now(),
 		seq:       s.seq,
 		done:      done,
 	}
-	s.jobs[j] = struct{}{}
+	s.jobs = append(s.jobs, j)
 	s.stats.Submitted++
 	if len(s.jobs) > s.stats.InflightMax {
 		s.stats.InflightMax = len(s.jobs)
@@ -122,31 +135,47 @@ func (s *FairServer) advance() {
 	if dt > 0 {
 		s.stats.Busy += dt
 		share := float64(dt) * s.rate / float64(len(s.jobs))
-		for j := range s.jobs {
+		for _, j := range s.jobs {
 			j.remaining -= share
 		}
 	}
-	var finished []*fairJob
-	for j := range s.jobs {
-		if j.remaining <= s.finishEps() {
-			finished = append(finished, j)
+	eps := s.finishEps()
+	live := s.jobs[:0]
+	for _, j := range s.jobs {
+		if j.remaining <= eps {
+			s.finished = append(s.finished, j)
+		} else {
+			live = append(live, j)
 		}
 	}
+	if len(s.finished) == 0 {
+		return
+	}
+	clear(s.jobs[len(live):])
+	s.jobs = live
 	// Deterministic completion order: by start time, then remaining work,
-	// then submission order (map iteration must never decide ties).
+	// then submission order.
+	finished := s.finished
 	sortJobs(finished)
 	for _, j := range finished {
-		delete(s.jobs, j)
 		s.stats.Served++
 		s.stats.Units += j.size
 	}
+	// The scratch slice is safe to walk while callbacks run: a re-entrant
+	// Submit returns from advance before touching it. Each record goes back
+	// to the pool before its callback, so that Submit can reuse it.
 	s.advancing = true
-	for _, j := range finished {
-		if j.done != nil {
-			j.done.JobDone(j.startAt, now)
+	for i, j := range finished {
+		done, start := j.done, j.startAt
+		j.done = nil
+		s.jobFree = append(s.jobFree, j)
+		finished[i] = nil
+		if done != nil {
+			done.JobDone(start, now)
 		}
 	}
 	s.advancing = false
+	s.finished = finished[:0]
 }
 
 func sortJobs(js []*fairJob) {
@@ -167,27 +196,47 @@ func less(a, b *fairJob) bool {
 	return a.seq < b.seq
 }
 
+// fairWake is a pooled wake-up event: it carries the token of the schedule
+// that armed it, and is a no-op once a newer schedule supersedes it.
+type fairWake struct {
+	s     *FairServer
+	token uint64
+}
+
+// Fire implements Handler.
+func (w *fairWake) Fire() {
+	s, token := w.s, w.token
+	s.wakeFree = append(s.wakeFree, w)
+	if token != s.wakeToken {
+		return // superseded by a newer schedule
+	}
+	s.advance()
+	s.reschedule()
+}
+
 // reschedule arms a wake-up at the next completion instant.
 func (s *FairServer) reschedule() {
 	if len(s.jobs) == 0 {
 		return
 	}
 	minRemaining := -1.0
-	for j := range s.jobs {
+	for _, j := range s.jobs {
 		if minRemaining < 0 || j.remaining < minRemaining {
 			minRemaining = j.remaining
 		}
 	}
 	eta := Time(minRemaining * float64(len(s.jobs)) / s.rate)
 	s.wakeToken++
-	token := s.wakeToken
-	s.eng.After(eta, func() {
-		if token != s.wakeToken {
-			return // superseded by a newer schedule
-		}
-		s.advance()
-		s.reschedule()
-	})
+	var w *fairWake
+	if n := len(s.wakeFree); n > 0 {
+		w = s.wakeFree[n-1]
+		s.wakeFree[n-1] = nil
+		s.wakeFree = s.wakeFree[:n-1]
+	} else {
+		w = &fairWake{s: s}
+	}
+	w.token = s.wakeToken
+	s.eng.AtHandler(s.eng.Now()+eta, w)
 }
 
 // ServiceTime reports the unloaded duration of a job (Resource).
@@ -205,9 +254,12 @@ func (s *FairServer) Stats() ResourceStats { return s.stats }
 // Reset returns the server to its initial idle state (Resource). In-flight
 // jobs are dropped: their wake-up events are assumed gone via Engine.Reset.
 func (s *FairServer) Reset() {
-	for j := range s.jobs {
-		delete(s.jobs, j)
+	for i, j := range s.jobs {
+		j.done = nil
+		s.jobFree = append(s.jobFree, j)
+		s.jobs[i] = nil
 	}
+	s.jobs = s.jobs[:0]
 	s.lastUpd = 0
 	s.wakeToken = 0
 	s.seq = 0

@@ -248,3 +248,34 @@ func TestFairServerCompletionOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestFairServerSteadyStateAllocFree: once the job, wake and event records
+// are warm, a Submit → wake → complete cycle allocates nothing, a Submit
+// re-entered from a completion callback included.
+func TestFairServerSteadyStateAllocFree(t *testing.T) {
+	e := NewEngine()
+	s := NewFairServer(e, "ps", 100)
+	n := 0
+	done := JobFunc(func(_, _ Time) { n++ })
+	resubmit := JobFunc(func(_, _ Time) {
+		n++
+		s.Submit(30, 0, done)
+	})
+	cycle := func() {
+		s.Submit(100, 0, done)
+		s.Submit(50, Microseconds(1), resubmit)
+		s.Submit(100, 0, done)
+		e.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("warm fair-share cycle allocates %.1f objects, want 0", allocs)
+	}
+	// AllocsPerRun calls its function once more than asked, as a warm-up.
+	if want := 4 * (1 + 21); n != want {
+		t.Fatalf("%d completions, want %d", n, want)
+	}
+	if s.Active() != 0 {
+		t.Fatalf("active after drain = %d", s.Active())
+	}
+}

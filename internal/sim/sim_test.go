@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -160,6 +162,125 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	NewEngine().After(-1, func() {})
+}
+
+// nopHandler is a Handler that does nothing.
+type nopHandler struct{}
+
+func (nopHandler) Fire() {}
+
+// TestEngineNaNTimePanics: a NaN time compares false against every other
+// time, so it must be refused like a past time rather than enter the heap
+// and break its (time, sequence) order.
+func TestEngineNaNTimePanics(t *testing.T) {
+	nan := Time(math.NaN())
+	e := NewEngine()
+	e.At(1, func() {})
+	for name, schedule := range map[string]func(){
+		"At":        func() { e.At(nan, func() {}) },
+		"AtHandler": func() { e.AtHandler(nan, nopHandler{}) },
+		"After":     func() { e.After(nan, func() {}) },
+		"RunBefore": func() { e.RunBefore(nan) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a NaN time", name)
+				}
+			}()
+			schedule()
+		}()
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d after the rejected calls, want 1", e.Pending())
+	}
+	if end := e.Run(); end != 1 {
+		t.Fatalf("run ended at %v, want 1", end)
+	}
+}
+
+// TestRunBeforeMatchesUpfront: streaming a time-sorted input through
+// RunBefore fires the same events in the same order, on the same clock, as
+// scheduling the whole input up front with At. The stream has duplicate
+// timestamps, its handlers schedule events at their own instant and later
+// (some landing on a later item's timestamp), and Stop is called both by a
+// stream item and by an event that RunBefore fires.
+func TestRunBeforeMatchesUpfront(t *testing.T) {
+	times := []Time{0, 0, 0.5, 1, 1, 1, 1.5, 2.5, 3, 3, 4, 4.5, 7, 7}
+	run := func(stream bool, stopTag string) ([]string, Time, int) {
+		e := NewEngine()
+		var log []string
+		rec := func(tag string) {
+			log = append(log, fmt.Sprintf("%s@%v", tag, e.Now()))
+			if tag == stopTag {
+				e.Stop()
+			}
+		}
+		item := func(i int) {
+			rec(fmt.Sprintf("item%d", i))
+			e.After(0, func() { rec(fmt.Sprintf("now%d", i)) })
+			e.After(Time(i%4)*0.5, func() {
+				rec(fmt.Sprintf("later%d", i))
+				e.After(1, func() { rec(fmt.Sprintf("chain%d", i)) })
+			})
+		}
+		if stream {
+			for i, at := range times {
+				if e.RunBefore(at); e.Stopped() {
+					break
+				}
+				item(i)
+			}
+		} else {
+			for i, at := range times {
+				e.At(at, func() { item(i) })
+			}
+		}
+		e.Run()
+		return log, e.Now(), e.Pending()
+	}
+	for _, stopTag := range []string{"", "item6", "later3", "chain1"} {
+		want, wantEnd, _ := run(false, stopTag)
+		got, gotEnd, pending := run(true, stopTag)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("stop %q: streamed order\n%v\nwant up-front order\n%v", stopTag, got, want)
+		}
+		if gotEnd != wantEnd {
+			t.Fatalf("stop %q: streamed clock ends at %v, want %v", stopTag, gotEnd, wantEnd)
+		}
+		if stopTag == "" && pending != 0 {
+			t.Fatalf("streamed run left %d events pending", pending)
+		}
+	}
+}
+
+// TestRunBeforeClock: RunBefore leaves events at t itself pending, moves the
+// clock to t, refuses a t before now, and leaves the clock alone once the
+// engine is stopped.
+func TestRunBeforeClock(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	for _, at := range []Time{1, 2, 2, 3} {
+		e.At(at, func() { fired = append(fired, e.Now()) })
+	}
+	if now := e.RunBefore(2); now != 2 || len(fired) != 1 || e.Pending() != 3 {
+		t.Fatalf("RunBefore(2): now %v, fired %v, pending %d; want 2, [1], 3", now, fired, e.Pending())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("RunBefore before now did not panic")
+			}
+		}()
+		e.RunBefore(1.5)
+	}()
+	e.At(2.5, func() { e.Stop() })
+	if now := e.RunBefore(10); now != 2.5 || e.Pending() != 1 {
+		t.Fatalf("stopped RunBefore: now %v, pending %d; want 2.5, 1", now, e.Pending())
+	}
+	if now := e.RunBefore(20); now != 2.5 {
+		t.Fatalf("RunBefore on a stopped engine moved the clock to %v", now)
+	}
 }
 
 func TestServerFIFOAndRate(t *testing.T) {
