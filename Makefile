@@ -14,10 +14,11 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages with multi-goroutine code: the
-# parallel sweep harness, the engine it drives, the parallel host GEMM, and
-# the runtime under the randomized audit sweep.
+# parallel sweep harness and its leaf memo, the process-wide pool of idle
+# library contexts, the engine they drive, the parallel host GEMM, and the
+# runtime under the randomized audit sweep.
 race:
-	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/hostblas/... ./internal/xkrt/...
+	$(GO) test -race ./internal/bench/... ./internal/baseline/... ./internal/sim/... ./internal/hostblas/... ./internal/xkrt/...
 
 # Cancellation/deadline propagation under the race detector: the engine's
 # cross-goroutine stop flag, the runtime's watchdog Cancel protocol, the
@@ -71,13 +72,14 @@ topo-check: golden-check
 
 # Serving-path gate: the multi-tenant front end's unit and determinism
 # tests under the race detector (prewarm is the one concurrent phase), plus
-# a quick deterministic load replay through the xkserve binary — two runs
-# of one seed must produce byte-identical reports.
+# a quick deterministic load replay through the xkserve binary — a run on
+# recycled library contexts and an audited run, whose contexts are always
+# built fresh, must produce byte-identical reports.
 serve-check:
 	$(GO) test -race -count=1 ./internal/serve/
 	$(GO) test -race -count=1 -run 'Serve' ./cmd/xkbench/
 	$(GO) run ./cmd/xkserve -requests 300 -parallel 8 > .serve-check.a.txt && \
-		$(GO) run ./cmd/xkserve -requests 300 -parallel 2 -no-reuse > .serve-check.b.txt && \
+		$(GO) run ./cmd/xkserve -requests 300 -parallel 2 -check > .serve-check.b.txt && \
 		diff -u .serve-check.a.txt .serve-check.b.txt && rm -f .serve-check.a.txt .serve-check.b.txt
 
 # Batched-dispatch gate: the model-derived crossover contract (the
@@ -111,7 +113,9 @@ bench:
 # arena contract behind million-task runs); a whole timing-mode GEMM with
 # write-back, on a reset handle, stays within 0.5 objects per retired task
 # under work stealing and DMDAS (the transfer path: hop joins,
-# under-transfer records, waiters, write-backs); warm multi-hop transfers,
+# under-transfer records, waiters, write-backs); a library leaf on a
+# recycled idle context stays within its per-run budget (no engine,
+# platform, runtime or arena records); warm multi-hop transfers,
 # warm fair-share submit/wake/complete cycles, DMDAS placement and source
 # selection allocate nothing, and neither do the host tile kernels at any
 # flag combination; then report the ns/op and allocs/op benchmarks
@@ -120,6 +124,7 @@ bench:
 bench-alloc:
 	$(GO) test -count=1 -run 'TestSubmitSteadyStateAllocBudget|TestTileQueriesAllocFree' ./internal/xkrt/
 	$(GO) test -count=1 -run 'TestTimingGemmAllocBudget' ./internal/core/
+	$(GO) test -count=1 -run 'TestRecycledLeafAllocBudget' ./internal/baseline/
 	$(GO) test -count=1 -run 'TestTransferMultiHopAllocFree|TestFairServerSteadyStateAllocFree' ./internal/sim/
 	$(GO) test -count=1 -run 'TestTileKernelsAllocFree' ./internal/hostblas/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitComplete|BenchmarkDAGBuild|BenchmarkDMDASAssign|BenchmarkSelectSource' -benchmem ./internal/xkrt/

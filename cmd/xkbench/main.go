@@ -112,12 +112,14 @@ func main() {
 		os.Exit(2)
 	}
 	// run carries every run-wide setting to the experiment drivers; its
-	// Ctx is the deadline/SIGINT context built below.
+	// Ctx is the deadline/SIGINT context built below. Its leaf memo lets
+	// every experiment of this invocation share the leaves it simulates.
 	run := bench.Config{
 		Parallel:     *parallel,
 		Check:        *checkFlag,
 		Metrics:      *metricsFlag,
 		StreamWindow: *window,
+		Memo:         bench.NewLeafMemo(),
 	}
 	if *platformFlag != "" {
 		plat, ok := topology.Lookup(*platformFlag)

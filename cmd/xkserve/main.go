@@ -44,7 +44,6 @@ func main() {
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker goroutines prewarming the demand table (results are bit-identical at any level)")
 	checkFlag := flag.Bool("check", false, "run every inner simulation under the coherence-invariant auditor")
-	noReuse := flag.Bool("no-reuse", false, "disable handle-pool recycling of inner library contexts")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound for the run (0 = none); Ctrl-C always aborts")
 	jsonPath := flag.String("json", "", "write the report's metrics snapshot as JSON to this path (- for stdout)")
 	quiet := flag.Bool("quiet", false, "suppress the human-readable report")
@@ -72,7 +71,6 @@ func main() {
 	cfg.BatchMax = *batchMax
 	cfg.Parallel = *parallel
 	cfg.Check = *checkFlag
-	cfg.NoReuse = *noReuse
 
 	if *timeout < 0 {
 		fail(2, fmt.Errorf("xkserve: -timeout must be >= 0, got %v", *timeout))

@@ -93,64 +93,6 @@ type Request struct {
 	// window instead of materializing whole. 0 keeps the historical
 	// whole-graph submission.
 	StreamWindow int
-
-	// Handles, when non-nil, recycles library contexts across runs instead
-	// of rebuilding engine, platform, runtime and every pool per
-	// repetition. A pool must only be shared by requests that agree on
-	// platform, links, options, scenario-independent policy and memory
-	// reservation — the bench harness uses one pool per measured point
-	// (single library), which satisfies this. A recycled handle is Reset()
-	// to its freshly built state and reproduces a fresh run bit for bit.
-	Handles *HandlePool
-}
-
-// HandlePool recycles library contexts: Acquire returns a reset pooled
-// handle (nil when empty or when the request cannot reuse one), Release
-// returns a handle whose run completed cleanly. It is safe for concurrent
-// use by the parallel sweep workers; because a reset handle is
-// bit-identical to a fresh one, the nondeterministic pairing of handles to
-// runs never shows in results.
-type HandlePool struct {
-	mu   sync.Mutex
-	free []*core.Handle
-}
-
-// NewHandlePool returns an empty pool.
-func NewHandlePool() *HandlePool { return &HandlePool{} }
-
-// acquire pops and resets a pooled handle for the request, retargeting its
-// tile size. Check runs never reuse: the coherence auditor is attached at
-// build time and its observation must span a context's whole lifetime.
-func (p *HandlePool) acquire(req Request) *core.Handle {
-	if p == nil || req.Check {
-		return nil
-	}
-	p.mu.Lock()
-	var h *core.Handle
-	if n := len(p.free); n > 0 {
-		h = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	if h == nil {
-		return nil
-	}
-	h.Reset()
-	h.NB = req.NB
-	return h
-}
-
-// Release offers a handle back to the pool. Failed or cancelled runs drop
-// their handle (nil error only), as do Check runs; a nil pool ignores the
-// call.
-func (p *HandlePool) Release(h *core.Handle, req Request, err error) {
-	if p == nil || h == nil || err != nil || req.Check {
-		return
-	}
-	p.mu.Lock()
-	p.free = append(p.free, h)
-	p.mu.Unlock()
 }
 
 // canceled reports the request's context error (nil for a nil or live
@@ -203,29 +145,65 @@ type Composer interface {
 	RunComposition(req Request) Result
 }
 
-// newHandle builds a timing-mode library context for one request, reusing
-// a pooled one when the request carries a HandlePool. fresh reports whether
-// the handle was built rather than recycled — one-time shaping such as a
-// memory reservation applies only then (it survives Reset). Kernel noise is
-// run-scoped state Reset does not touch, so recycled handles always pass
-// through EnableNoise: a zero amplitude disarms jitter left by an earlier
-// repetition.
-func newHandle(req Request, opts xkrt.Options) (h *core.Handle, fresh bool) {
+// idle holds the process's idle timing-mode library contexts, shared by
+// every library, point and caller. It is the package's only mutable state:
+// it holds no configuration, and it cannot change a result, because a
+// reset context reproduces a freshly built one bit for bit
+// (TestHandlePoolRunsBitIdentical). The garbage collector may empty it at
+// any time; a run that finds nothing to reuse builds a context.
+var idle sync.Pool
+
+// simContext is one timing-mode library context — engine, platform,
+// runtime and their arenas — with the request key it was built for.
+type simContext struct {
+	h     *core.Handle
+	plat  *topology.Platform // the request's Platform; nil is the default DGX-1
+	links device.LinkModel
+}
+
+// acquire returns a context for req shaped as opts and reserve: an idle
+// context built for the same platform pointer and link model, reset, or
+// else a fresh build. Options and the memory reservation take the same
+// path either way (xkrt.Runtime.SetOptions, device.Platform.ReserveMemory),
+// as does kernel noise, which a zero amplitude disarms. Check runs never
+// reuse: the auditor is attached at build time and must observe the
+// context's whole life.
+func acquire(req Request, opts xkrt.Options, reserve float64) *simContext {
 	if req.StreamWindow > 0 {
 		opts.StreamWindow = req.StreamWindow
 	}
-	if h = req.Handles.acquire(req); h == nil {
+	var c *simContext
+	if !req.Check {
+		// An idle context built for another key is dropped, never reused.
+		if v, _ := idle.Get().(*simContext); v != nil && v.plat == req.Platform && v.links == req.Links {
+			c = v
+		}
+	}
+	if c != nil {
+		c.h.Reset()
+		c.h.NB = req.NB
+		c.h.RT.SetOptions(opts)
+	} else {
 		plat := req.Platform
 		if plat == nil {
 			plat = topology.DGX1()
 		}
-		h = core.NewHandle(core.Config{Platform: plat, TileSize: req.NB, Options: opts, Links: req.Links, Check: req.Check})
-		fresh = true
+		h := core.NewHandle(core.Config{Platform: plat, TileSize: req.NB, Options: opts, Links: req.Links, Check: req.Check})
+		c = &simContext{h: h, plat: req.Platform, links: req.Links}
 	}
-	if req.NoiseAmp > 0 || !fresh {
-		h.Plat.Model.EnableNoise(req.NoiseAmp, req.NoiseSeed)
+	c.h.Plat.ReserveMemory(reserve)
+	c.h.Plat.Model.EnableNoise(req.NoiseAmp, req.NoiseSeed)
+	return c
+}
+
+// release returns the context of a clean run to the idle pool. Failed or
+// cancelled runs drop theirs (they may hold stranded tasks), and so do
+// Check runs.
+func (c *simContext) release(req Request, err error) {
+	if err != nil || req.Check {
+		return
 	}
-	return h, fresh
+	idle.Put(c)
 }
 
 // armCancel connects the request's context to the handle's runtime: a
@@ -401,18 +379,11 @@ func (l *StdLib) Supports(r blasops.Routine) bool {
 	return false
 }
 
-// prepare builds the handle with the policy applied. The memory
-// reservation shrinks pool capacity, which Reset preserves, so it applies
-// to fresh handles only — a recycled one already carries it.
-func (l *StdLib) prepare(req Request) (*core.Handle, *trace.Recorder) {
-	h, fresh := newHandle(req, l.Opts)
-	if fresh && l.MemReserve > 0 {
-		for _, g := range h.Plat.GPUs {
-			keep := int64(float64(g.Mem.Capacity()) * (1 - l.MemReserve))
-			g.Mem = device.NewMemPool(keep)
-		}
-	}
-	return h, attachTrace(h, req)
+// prepare acquires a context with the library's policy and memory
+// reservation applied.
+func (l *StdLib) prepare(req Request) (*simContext, *trace.Recorder) {
+	c := acquire(req, l.Opts, l.MemReserve)
+	return c, attachTrace(c.h, req)
 }
 
 // Run implements Library.
@@ -423,9 +394,9 @@ func (l *StdLib) Run(req Request) Result {
 	if err := req.canceled(); err != nil {
 		return Result{Err: &xkrt.CanceledError{Cause: err}}
 	}
-	h, rec := l.prepare(req)
-	res := runStandard(h, req, rec)
-	req.Handles.Release(h, req, res.Err)
+	c, rec := l.prepare(req)
+	res := runStandard(c.h, req, rec)
+	c.release(req, res.Err)
 	if l.ConvertGBs > 0 {
 		res = l.addConversionCost(req, res)
 	}
@@ -456,8 +427,9 @@ func (l *StdLib) RunComposition(req Request) (res Result) {
 	if err := req.canceled(); err != nil {
 		return Result{Err: &xkrt.CanceledError{Cause: err}}
 	}
-	h, rec := l.prepare(req)
-	defer func() { req.Handles.Release(h, req, res.Err) }()
+	c, rec := l.prepare(req)
+	h := c.h
+	defer func() { c.release(req, res.Err) }()
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}

@@ -80,8 +80,9 @@ func (l *StdLib) RunBatched(req Request, batch blasops.Batch, mode DispatchMode)
 		return Result{Err: &xkrt.CanceledError{Cause: err}}
 	}
 	req.Routine = batch.Routine
-	h, rec := l.prepare(req)
-	defer func() { req.Handles.Release(h, req, res.Err) }()
+	c, rec := l.prepare(req)
+	h := c.h
+	defer func() { c.release(req, res.Err) }()
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}

@@ -156,22 +156,23 @@ func TestRunBatchedCrossoverParity(t *testing.T) {
 }
 
 // TestRunBatchedDeterministic pins bit-identical batched timelines across a
-// rerun and a recycled pooled handle.
+// rerun and a recycled context.
 func TestRunBatchedDeterministic(t *testing.T) {
 	lib := XKBlas().(*StdLib)
 	batch := blasops.UniformBatch(blasops.Gemm, 12, 96, 96, 96)
-	base := lib.RunBatched(batchReq(512), batch, DispatchAuto)
+	freshReq := batchReq(512)
+	freshReq.Platform = freshPlatform()
+	base := lib.RunBatched(freshReq, batch, DispatchAuto)
 	if base.Err != nil {
 		t.Fatal(base.Err)
 	}
-	pool := NewHandlePool()
 	req := batchReq(512)
-	req.Handles = pool
-	warm := lib.RunBatched(req, batch, DispatchAuto) // populates the pool
+	req.Platform = freshPlatform()
+	warm := lib.RunBatched(req, batch, DispatchAuto) // leaves its context idle
 	if warm.Err != nil {
 		t.Fatal(warm.Err)
 	}
-	pooled := lib.RunBatched(req, batch, DispatchAuto) // recycled handle
+	pooled := lib.RunBatched(req, batch, DispatchAuto) // recycled context
 	if pooled.Err != nil {
 		t.Fatal(pooled.Err)
 	}

@@ -34,9 +34,10 @@ func (l cublasMGLib) Run(req Request) (res Result) {
 	}
 	// Peer transfers between the block-cyclic homes use NVLink when
 	// available but without topology ranking or forwarding heuristics.
-	h, _ := newHandle(req, xkrt.Options{Window: 3, Policy: &policy.NoHeuristicNoTopo})
+	c := acquire(req, xkrt.Options{Window: 3, Policy: &policy.NoHeuristicNoTopo}, 0)
+	h := c.h
 	rec := attachTrace(h, req)
-	defer func() { req.Handles.Release(h, req, res.Err) }()
+	defer func() { c.release(req, res.Err) }()
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("cublas-mg: %v", r), Rec: rec}

@@ -36,8 +36,9 @@ func (l *StdLib) RunFused(req Request, count int) (res Result) {
 	if err := req.canceled(); err != nil {
 		return Result{Err: &xkrt.CanceledError{Cause: err}}
 	}
-	h, rec := l.prepare(req)
-	defer func() { req.Handles.Release(h, req, res.Err) }()
+	c, rec := l.prepare(req)
+	h := c.h
+	defer func() { c.release(req, res.Err) }()
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}

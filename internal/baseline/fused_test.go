@@ -53,20 +53,21 @@ func TestRunFusedAmortizes(t *testing.T) {
 }
 
 // TestRunFusedDeterministicAcrossPool pins that a fused batch on a recycled
-// pooled handle reproduces a fresh handle's timeline bit for bit — the
-// property the serving front end's demand memoization rests on.
+// context reproduces a fresh context's timeline bit for bit — the property
+// the serving front end's demand memoization rests on.
 func TestRunFusedDeterministicAcrossPool(t *testing.T) {
 	lib := XKBlas().(*StdLib)
-	fresh := lib.RunFused(fusedReq(512, 512), 4)
+	freshReq := fusedReq(512, 512)
+	freshReq.Platform = freshPlatform()
+	fresh := lib.RunFused(freshReq, 4)
 	if fresh.Err != nil {
 		t.Fatal(fresh.Err)
 	}
-	pool := NewHandlePool()
 	req := fusedReq(512, 512)
-	req.Handles = pool
-	// Seed the pool with a run of a different shape, so the second run
-	// recycles a reset, retargeted handle.
-	if res := lib.Run(Request{Routine: blasops.Gemm, N: 2048, NB: 1024, Scenario: DataOnHost, Handles: pool}); res.Err != nil {
+	req.Platform = freshPlatform()
+	// Leave an idle context of a different shape, so the fused run
+	// recycles a reset, retargeted one.
+	if res := lib.Run(Request{Routine: blasops.Gemm, N: 2048, NB: 1024, Scenario: DataOnHost, Platform: req.Platform}); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	pooled := lib.RunFused(req, 4)

@@ -56,9 +56,10 @@ func (l *slateLib) Run(req Request) (res Result) {
 	if err := req.canceled(); err != nil {
 		return Result{Err: &xkrt.CanceledError{Cause: err}}
 	}
-	h, _ := newHandle(req, slateOpts())
+	c := acquire(req, slateOpts(), 0)
+	h := c.h
 	rec := attachTrace(h, req)
-	defer func() { req.Handles.Release(h, req, res.Err) }()
+	defer func() { c.release(req, res.Err) }()
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("slate: %v", r), Rec: rec}

@@ -65,12 +65,11 @@ func BatchSweep(w io.Writer, cfg Config, quick bool, forceCount, forceN int) {
 		// One leg per (count, size, mode): every leg is a single
 		// deterministic simulated run, so the grid can fan out across
 		// workers and still print bit-identical tables at any -parallel.
-		pool := baseline.NewHandlePool()
 		runLeg := func(ci, li int) {
 			cl := &cells[ci]
 			req := baseline.Request{
 				Routine: blasops.Gemm, N: cl.n, NB: 512, Platform: plat,
-				Scenario: baseline.DataOnHost, Check: cfg.Check, Ctx: cfg.Ctx, Handles: pool,
+				Scenario: baseline.DataOnHost, Check: cfg.Check, Ctx: cfg.Ctx,
 			}
 			cl.legs[li] = lib.RunBatched(req,
 				blasops.UniformBatch(blasops.Gemm, cl.count, cl.n, cl.n, cl.n), modes[li])

@@ -1,15 +1,17 @@
 // Package bench is the measurement harness reproducing the paper's
 // methodology (§IV-A): for each (library, routine, N) it sweeps the tile
 // sizes {1024, 2048, 4096} — extended to 8192/16384 for cuBLAS-XT and
-// SLATE — keeps the best-performing tile, discards a warm-up run, and
-// reports the mean of repeated runs with a 95% confidence interval
-// (repetitions differ by deterministic kernel-time jitter seeds).
+// SLATE — keeps the best-performing tile, and reports the mean of repeated
+// runs with a 95% confidence interval (repetitions differ by deterministic
+// kernel-time jitter seeds). The paper also discards a warm-up run; a
+// simulated run inherits nothing from earlier runs, so there is nothing to
+// warm and the harness simulates measured repetitions only.
 //
 // A Config is the only way to set a run. Every experiment driver takes
 // the caller's Config and applies its run-wide fields — platform,
-// parallelism, audit, metrics, context and stream window — to every
-// simulation it starts; the package keeps no mutable state of its own, so
-// a leaf simulation is a function of its Config and request alone.
+// parallelism, audit, metrics, context, stream window and leaf memo — to
+// every simulation it starts; the package keeps no mutable state of its
+// own, so a leaf simulation is a function of its Config and request alone.
 package bench
 
 import (
@@ -68,8 +70,8 @@ type Config struct {
 	// batch extensions.
 	Platform *topology.Platform
 	Scenario baseline.Scenario
-	// Runs is the number of measured repetitions (after one discarded
-	// warm-up); the paper uses 8.
+	// Runs is the number of measured repetitions; the paper uses 8 (after
+	// a discarded warm-up, which a simulation does not need).
 	Runs int
 	// NoiseAmp is the kernel jitter amplitude (0 disables noise and
 	// collapses the CI to zero).
@@ -107,6 +109,11 @@ type Config struct {
 	// whole; 0 leaves runs byte-identical to the historical whole-graph
 	// submission.
 	StreamWindow int
+	// Memo, when non-nil, shares leaf results across every sweep that
+	// carries it (cmd/xkbench builds one per invocation): a leaf whose key
+	// was already simulated is read, not simulated again. Memoized
+	// results are shared read-only. nil simulates every leaf.
+	Memo *LeafMemo
 
 	// repSeeds seeds repetition rep's kernel noise with rep·131 instead of
 	// the sweep rule rep·7919 + N + NB. Only the scalability and Summit
@@ -115,8 +122,8 @@ type Config struct {
 }
 
 // runWide returns the run-wide part of cfg — platform, parallelism, audit,
-// metrics, context and stream window — as the base every experiment
-// driver builds its own sweeps on.
+// metrics, context, stream window and leaf memo — as the base every
+// experiment driver builds its own sweeps on.
 func (cfg Config) runWide() Config {
 	return Config{
 		Platform:     cfg.Platform,
@@ -125,6 +132,7 @@ func (cfg Config) runWide() Config {
 		Metrics:      cfg.Metrics,
 		Ctx:          cfg.Ctx,
 		StreamWindow: cfg.StreamWindow,
+		Memo:         cfg.Memo,
 	}
 }
 
@@ -221,12 +229,13 @@ func feasibleTiles(cfg Config, lib baseline.Library, n int) []int {
 	return out
 }
 
-// runRep executes one simulated repetition (rep 0 is the discarded
-// warm-up). Each run owns a private platform and sim.Engine — recycled
-// through the point's handle pool when one is passed, built fresh
-// otherwise — so repetitions are independent and safe to execute
-// concurrently.
-func runRep(cfg Config, pool *baseline.HandlePool, lib baseline.Library, r blasops.Routine, n, nb, rep int) baseline.Result {
+// runRep executes measured repetition rep (1-based) of one tile: a leaf.
+// Its kernel noise is seeded rep·7919 + N + NB, or rep·131 under
+// repSeeds. Each leaf runs on a private context (engine, platform and
+// runtime, recycled from baseline's idle pool), so leaves are independent
+// and safe to execute concurrently. With cfg.Memo set, a leaf already
+// simulated in this invocation is read from the memo instead.
+func runRep(cfg Config, lib baseline.Library, r blasops.Routine, n, nb, rep int) baseline.Result {
 	if cfg.Ctx != nil {
 		// Cancelled sweep: skip the leaf without building a simulation.
 		if err := cfg.Ctx.Err(); err != nil {
@@ -237,7 +246,7 @@ func runRep(cfg Config, pool *baseline.HandlePool, lib baseline.Library, r blaso
 	if cfg.repSeeds {
 		seed = int64(rep) * 131
 	}
-	return lib.Run(baseline.Request{
+	req := baseline.Request{
 		Routine:      r,
 		N:            n,
 		NB:           nb,
@@ -249,32 +258,32 @@ func runRep(cfg Config, pool *baseline.HandlePool, lib baseline.Library, r blaso
 		Metrics:      cfg.Metrics,
 		Ctx:          cfg.Ctx,
 		StreamWindow: cfg.StreamWindow,
-		Handles:      pool,
-	})
+	}
+	return cfg.Memo.leaf(lib.Name(), req, func() baseline.Result { return lib.Run(req) })
 }
 
-// tileRuns holds the per-repetition results of one candidate tile size.
+// tileRuns holds the measured repetitions of one candidate tile size.
 // upTo is the number of populated entries: the sequential path stops filling
 // at the first error, the parallel path always fills all of them; reduction
 // only reads entries up to the first error, so both populations reduce to
 // the same Point.
 type tileRuns struct {
 	nb   int
-	res  []baseline.Result // indexed by rep; entry 0 is the warm-up
+	res  []baseline.Result // entry i holds repetition i+1
 	upTo int
 }
 
 // measureTilesSequential reproduces the sequential per-tile inner loop:
-// warm-up then measured repetitions, stopping a tile at its first error.
-func measureTilesSequential(cfg Config, pool *baseline.HandlePool, lib baseline.Library, r blasops.Routine, n int, tiles []int) []tileRuns {
+// repetitions 1..Runs, stopping a tile at its first error.
+func measureTilesSequential(cfg Config, lib baseline.Library, r blasops.Routine, n int, tiles []int) []tileRuns {
 	runs := effectiveRuns(cfg)
 	out := make([]tileRuns, len(tiles))
 	for ti, nb := range tiles {
-		tr := tileRuns{nb: nb, res: make([]baseline.Result, runs+1)}
-		for rep := 0; rep <= runs; rep++ {
-			tr.res[rep] = runRep(cfg, pool, lib, r, n, nb, rep)
-			tr.upTo = rep + 1
-			if tr.res[rep].Err != nil {
+		tr := tileRuns{nb: nb, res: make([]baseline.Result, runs)}
+		for i := range tr.res {
+			tr.res[i] = runRep(cfg, lib, r, n, nb, i+1)
+			tr.upTo = i + 1
+			if tr.res[i].Err != nil {
 				break
 			}
 		}
@@ -296,14 +305,10 @@ func reducePoint(lib baseline.Library, r blasops.Routine, n int, tiles []tileRun
 	for _, tr := range tiles {
 		var samples []float64
 		var failed error
-		for rep := 0; rep < tr.upTo; rep++ {
-			res := tr.res[rep]
+		for _, res := range tr.res[:tr.upTo] {
 			if res.Err != nil {
 				failed = res.Err
 				break
-			}
-			if rep == 0 {
-				continue // warm-up
 			}
 			samples = append(samples, res.GFlops)
 		}
@@ -318,8 +323,8 @@ func reducePoint(lib baseline.Library, r blasops.Routine, n int, tiles []tileRun
 				GFlops: mean, CI95: ci, Runs: len(samples),
 				// First measured repetition: deterministic for a given
 				// config, so sequential and parallel sweeps agree.
-				Decisions: tr.res[1].Decisions,
-				Metrics:   tr.res[1].Metrics}
+				Decisions: tr.res[0].Decisions,
+				Metrics:   tr.res[0].Metrics}
 		}
 	}
 	if best.Err != nil && lastErr != nil {
@@ -342,8 +347,8 @@ func leafCanceled(err error) bool {
 // an arbitrary subset of the configured repetitions.
 func pointCanceled(trs []tileRuns) bool {
 	for _, tr := range trs {
-		for rep := 0; rep < tr.upTo; rep++ {
-			if leafCanceled(tr.res[rep].Err) {
+		for _, res := range tr.res[:tr.upTo] {
+			if leafCanceled(res.Err) {
 				return true
 			}
 		}
@@ -370,22 +375,17 @@ func canceledPoint(cfg Config, lib baseline.Library, r blasops.Routine, n int) P
 }
 
 // MeasurePoint measures one (lib, routine, N) with best-tile selection.
-// Every repetition and tile candidate of the point reuses one pool of
-// library contexts (engine, platform, runtime and their arenas survive
-// across runs via Reset) instead of rebuilding them per leaf; a recycled
-// context reproduces a fresh one bit for bit, so results are unchanged.
 // With cfg.Parallel > 1 the per-tile/per-repetition simulations run on a
 // bounded worker pool; the result is bit-identical to the sequential path.
 // If cfg.Ctx is cancelled mid-measurement the point comes back with the
 // context's error instead of a partial reduction.
 func MeasurePoint(cfg Config, lib baseline.Library, r blasops.Routine, n int) Point {
 	tiles := feasibleTiles(cfg, lib, n)
-	pool := baseline.NewHandlePool()
 	var trs []tileRuns
 	if cfg.Parallel > 1 {
-		trs = measureTilesParallel(cfg, pool, lib, r, n, tiles)
+		trs = measureTilesParallel(cfg, lib, r, n, tiles)
 	} else {
-		trs = measureTilesSequential(cfg, pool, lib, r, n, tiles)
+		trs = measureTilesSequential(cfg, lib, r, n, tiles)
 	}
 	if pointCanceled(trs) {
 		return canceledPoint(cfg, lib, r, n)

@@ -59,15 +59,15 @@ func (p *workerPool) Wait() { p.wg.Wait() }
 // first failing repetition — later slots are filled too — but reducePoint
 // reads repetitions in order and stops at the first error, so the reduced
 // Point is identical.
-func measureTilesParallel(cfg Config, handles *baseline.HandlePool, lib baseline.Library, r blasops.Routine, n int, tiles []int) []tileRuns {
+func measureTilesParallel(cfg Config, lib baseline.Library, r blasops.Routine, n int, tiles []int) []tileRuns {
 	runs := effectiveRuns(cfg)
 	out := make([]tileRuns, len(tiles))
 	pool := newWorkerPool(cfg.Parallel)
 	for ti, nb := range tiles {
-		out[ti] = tileRuns{nb: nb, res: make([]baseline.Result, runs+1), upTo: runs + 1}
-		for rep := 0; rep <= runs; rep++ {
+		out[ti] = tileRuns{nb: nb, res: make([]baseline.Result, runs), upTo: runs}
+		for i := range runs {
 			pool.Submit(func() {
-				out[ti].res[rep] = runRep(cfg, handles, lib, r, n, nb, rep)
+				out[ti].res[i] = runRep(cfg, lib, r, n, nb, i+1)
 			})
 		}
 	}
@@ -93,23 +93,18 @@ func runSweepParallel(cfg Config) []Point {
 	for pi, pl := range plans {
 		tiles := feasibleTiles(cfg, pl.lib, pl.n)
 		grids[pi] = make([]tileRuns, len(tiles))
-		leaves := int64(len(tiles)) * int64(runs+1)
+		leaves := int64(len(tiles)) * int64(runs)
 		if leaves == 0 {
 			// No feasible tile: the point is already complete.
 			done <- pi
 			continue
 		}
 		remaining[pi].Store(leaves)
-		// One handle pool per point: every leaf of the point shares one
-		// library (hence one context configuration), so its engines,
-		// platforms and runtime arenas are recycled across tiles and
-		// repetitions instead of rebuilt per leaf.
-		handles := baseline.NewHandlePool()
 		for ti, nb := range tiles {
-			grids[pi][ti] = tileRuns{nb: nb, res: make([]baseline.Result, runs+1), upTo: runs + 1}
-			for rep := 0; rep <= runs; rep++ {
+			grids[pi][ti] = tileRuns{nb: nb, res: make([]baseline.Result, runs), upTo: runs}
+			for i := range runs {
 				pool.Submit(func() {
-					grids[pi][ti].res[rep] = runRep(cfg, handles, pl.lib, pl.r, pl.n, nb, rep)
+					grids[pi][ti].res[i] = runRep(cfg, pl.lib, pl.r, pl.n, nb, i+1)
 					if remaining[pi].Add(-1) == 0 {
 						done <- pi
 					}

@@ -97,8 +97,8 @@ func NewHandle(cfg Config) *Handle {
 // records, tasks, tiles, replicas) keeps its capacity, and a reset handle
 // reproduces the virtual timeline of a fresh one bit for bit. Run-scoped
 // attachments are dropped: re-attach an auditor and re-arm kernel noise
-// per repetition. A memory reservation installed by swapping a GPU's pool
-// survives (Reset keeps pool capacity and merely empties it).
+// per repetition. A memory reservation (Platform.ReserveMemory) survives:
+// Reset keeps pool capacity and merely empties it.
 func (h *Handle) Reset() {
 	h.Eng.Reset()
 	h.Plat.Reset()

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -170,6 +171,39 @@ func TestKernelNoiseDeterministicAndBounded(t *testing.T) {
 		if a[i] < base*0.98 || a[i] > base*1.02 {
 			t.Fatalf("noise out of ±2%%: %g vs base %g", a[i], base)
 		}
+	}
+}
+
+// TestKernelNoiseReseedMatchesFresh: re-arming noise on a model that
+// already jittered restarts its generator in place, and the sequence
+// matches a fresh model of the same seed; a zero amplitude disarms it.
+func TestKernelNoiseReseedMatchesFresh(t *testing.T) {
+	draw := func(m *KernelModel) []float64 {
+		out := make([]float64, 50)
+		for i := range out {
+			out[i] = m.EffectiveFlops(blasops.Gemm, 1e9, 1024, 1024, 1024)
+		}
+		return out
+	}
+	reused := DefaultKernelModel(7.8e12)
+	reused.EnableNoise(0.02, 3)
+	draw(reused)
+	rng := reused.rng
+	for _, seed := range []int64{11, 3, 11} {
+		fresh := DefaultKernelModel(7.8e12)
+		fresh.EnableNoise(0.02, seed)
+		reused.EnableNoise(0.02, seed)
+		if reused.rng != rng {
+			t.Fatal("EnableNoise replaced the generator instead of reseeding it")
+		}
+		if got, want := draw(reused), draw(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: reseeded jitter %v differs from fresh %v", seed, got[:3], want[:3])
+		}
+	}
+	reused.EnableNoise(0, 11)
+	base := DefaultKernelModel(7.8e12).EffectiveFlops(blasops.Gemm, 1e9, 1024, 1024, 1024)
+	if got := reused.EffectiveFlops(blasops.Gemm, 1e9, 1024, 1024, 1024); got != base {
+		t.Fatalf("zero amplitude left jitter on: %g vs %g", got, base)
 	}
 }
 

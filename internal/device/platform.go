@@ -291,6 +291,20 @@ func (p *Platform) Reset() {
 	}
 }
 
+// ReserveMemory sets every GPU's usable memory to its spec capacity less
+// the given fraction (0 restores full capacity), modelling allocator
+// overheads such as BLASX's duplicated cache tiers. Call it on empty pools:
+// at build time or right after Reset.
+func (p *Platform) ReserveMemory(frac float64) {
+	for _, g := range p.GPUs {
+		capacity := p.Topo.GPUSpecOf(g.ID).MemoryBytes
+		if frac != 0 {
+			capacity = int64(float64(capacity) * (1 - frac))
+		}
+		g.Mem.capacity = capacity
+	}
+}
+
 // Route returns the ordered resource hops a transfer src→dst crosses: the
 // charged hops of the topology's routed path, DMA engines first. Every hop
 // queues the full payload; completion is the latest hop completion (see

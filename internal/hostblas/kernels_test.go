@@ -223,8 +223,13 @@ func TestKernelsMatchReferenceBitExact(t *testing.T) {
 // TestTileKernelsAllocFree is the allocation gate of the functional-mode
 // tile kernels: at tile size 32 no routine allocates at any flag
 // combination (scratch comes from a sync.Pool), so a functional run's
-// memory does not grow with its kernel count.
+// memory does not grow with its kernel count. The race detector makes
+// sync.Pool drop items at random, so the count is only asserted without
+// it (make bench-alloc).
 func TestTileKernelsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	defer SetParallelism(0)
 	SetParallelism(1)
 	rng := rand.New(rand.NewSource(32))

@@ -26,14 +26,13 @@ type demand struct {
 }
 
 // demandTable memoizes service demands. Each demand is a pure function of
-// its key — the inner simulation is deterministic, and recycled pooled
-// handles are bit-identical to fresh ones — so the table can be prewarmed
+// its key — the inner simulation is deterministic, and a recycled library
+// context is bit-identical to a fresh one — so the table can be prewarmed
 // by parallel workers in any completion order without changing a value.
 type demandTable struct {
 	cfg   *Config
 	lib   *baseline.StdLib
 	topos []*topology.Platform
-	pools []*baseline.HandlePool // per platform; nil slots when disabled
 
 	mu sync.Mutex
 	m  map[demandKey]demand
@@ -44,7 +43,6 @@ func newDemandTable(cfg *Config) *demandTable {
 		cfg:   cfg,
 		lib:   baseline.XKBlas().(*baseline.StdLib),
 		topos: make([]*topology.Platform, len(cfg.Fleet)),
-		pools: make([]*baseline.HandlePool, len(cfg.Fleet)),
 		m:     make(map[demandKey]demand),
 	}
 	for i, name := range cfg.Fleet {
@@ -53,9 +51,6 @@ func newDemandTable(cfg *Config) *demandTable {
 			panic(fmt.Sprintf("serve: fleet platform %q vanished from registry", name))
 		}
 		dt.topos[i] = topo
-		if !cfg.NoReuse {
-			dt.pools[i] = baseline.NewHandlePool()
-		}
 	}
 	return dt
 }
@@ -88,7 +83,6 @@ func (d *demandTable) measure(k demandKey) demand {
 		Platform: d.topos[k.platform],
 		Check:    d.cfg.Check,
 		Ctx:      d.cfg.Ctx,
-		Handles:  d.pools[k.platform],
 	}
 	var res baseline.Result
 	switch {

@@ -12,7 +12,7 @@
 // makespan of actually running its DAG (via baseline.StdLib) on that
 // platform, memoized per (platform, spec, batch size) in a demand table.
 // Demands are pure functions of their key, so the table may be prewarmed by
-// parallel workers and recycled through a HandlePool without perturbing a
+// parallel workers on recycled library contexts without perturbing a
 // single output bit — replaying one trace at -parallel 1, 2 or 8 produces
 // byte-identical reports.
 //
@@ -145,10 +145,8 @@ type Config struct {
 	// results are identical at any value). 0 means GOMAXPROCS.
 	Parallel int
 	// Check attaches the strict coherence auditor to every inner
-	// simulation (bypasses handle reuse).
+	// simulation; audited simulations always build a fresh context.
 	Check bool
-	// NoReuse disables HandlePool recycling of inner library contexts.
-	NoReuse bool
 	// Ctx, when non-nil, aborts the run (prewarm and replay) once
 	// cancelled; Run returns the context's error.
 	Ctx context.Context

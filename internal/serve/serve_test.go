@@ -84,9 +84,10 @@ func TestGenerateTraceDeterministic(t *testing.T) {
 }
 
 // TestReplayDeterministic is the arrival-replay determinism contract: one
-// seeded trace replayed at any prewarm parallelism, with or without handle
-// reuse, yields byte-identical per-tenant histograms and rejection counts
-// (compared through the full metrics-snapshot JSON).
+// seeded trace replayed at any prewarm parallelism, on recycled library
+// contexts or on the fresh ones audited runs build, yields byte-identical
+// per-tenant histograms and rejection counts (compared through the full
+// metrics-snapshot JSON).
 func TestReplayDeterministic(t *testing.T) {
 	cfg := testConfig()
 	cfg.Fleet = []string{"dgx1", "dgx2"}
@@ -98,8 +99,8 @@ func TestReplayDeterministic(t *testing.T) {
 		{"rerun", func(*Config) {}},
 		{"parallel=1", func(c *Config) { c.Parallel = 1 }},
 		{"parallel=8", func(c *Config) { c.Parallel = 8 }},
-		{"no-reuse", func(c *Config) { c.NoReuse = true }},
-		{"no-reuse parallel=8", func(c *Config) { c.NoReuse = true; c.Parallel = 8 }},
+		{"check", func(c *Config) { c.Check = true }},
+		{"check parallel=8", func(c *Config) { c.Check = true; c.Parallel = 8 }},
 	} {
 		c := cfg
 		variant.mod(&c)

@@ -101,13 +101,14 @@ func (e *Engine) Stop() { e.stop.Store(true) }
 // Stopped reports whether Stop has been called since the last Reset.
 func (e *Engine) Stopped() bool { return e.stop.Load() }
 
-// maxFreeRetained caps the event free list across Reset calls. One bigN run
-// leaves hundreds of thousands of recycled events behind, and a pooled
-// engine (baseline.HandlePool) would otherwise hold that peak-event-count
-// memory forever. 16384 pooled events are far above the steady-state
-// in-flight count of any sweep point, so the cap never costs steady-state
-// allocations.
-const maxFreeRetained = 1 << 14
+// MaxFreeRetained caps the records a free list keeps across a Reset: the
+// engine's event free list here, and the runtime's task arena above it.
+// One bigN run leaves hundreds of thousands of recycled events behind, and
+// a context that baseline keeps idle for the next run would otherwise hold
+// that peak memory forever. 16384 pooled events are far above the
+// steady-state in-flight count of any sweep point, so the cap never costs
+// steady-state allocations.
+const MaxFreeRetained = 1 << 14
 
 // Reset returns the engine to its initial state — clock at zero, no pending
 // events, counters cleared — while keeping the heap capacity and a bounded
@@ -126,10 +127,10 @@ func (e *Engine) Reset() {
 		e.events[i] = nil
 	}
 	e.events = e.events[:0]
-	if len(e.free) > maxFreeRetained {
+	if len(e.free) > MaxFreeRetained {
 		// Reallocate rather than reslice: a reslice would pin the
 		// peak-sized backing array the cap exists to release.
-		e.free = append(make([]*event, 0, maxFreeRetained), e.free[:maxFreeRetained]...)
+		e.free = append(make([]*event, 0, MaxFreeRetained), e.free[:MaxFreeRetained]...)
 	}
 	e.now = 0
 	e.seq = 0

@@ -105,20 +105,20 @@ func TestEventPoolRecyclesAcrossRuns(t *testing.T) {
 }
 
 // TestEngineFreeListCapped asserts the Reset retention bound: a run that
-// leaves far more recycled events than maxFreeRetained behind must not pin
+// leaves far more recycled events than MaxFreeRetained behind must not pin
 // them all in a pooled engine.
 func TestEngineFreeListCapped(t *testing.T) {
 	e := NewEngine()
-	n := maxFreeRetained*2 + 100
+	n := MaxFreeRetained*2 + 100
 	for i := 0; i < n; i++ {
 		e.At(Time(i), func() {})
 	}
 	e.Reset() // all pending events recycled into the free list, then capped
-	if len(e.free) > maxFreeRetained {
-		t.Fatalf("free list holds %d events after Reset, cap is %d", len(e.free), maxFreeRetained)
+	if len(e.free) > MaxFreeRetained {
+		t.Fatalf("free list holds %d events after Reset, cap is %d", len(e.free), MaxFreeRetained)
 	}
-	if cap(e.free) > 2*maxFreeRetained {
-		t.Fatalf("free list backing array cap %d survived Reset, want <= %d", cap(e.free), 2*maxFreeRetained)
+	if cap(e.free) > 2*MaxFreeRetained {
+		t.Fatalf("free list backing array cap %d survived Reset, want <= %d", cap(e.free), 2*MaxFreeRetained)
 	}
 	// The engine still works and reproduces a fresh engine's behavior.
 	fired := 0

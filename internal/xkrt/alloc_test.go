@@ -7,6 +7,7 @@ import (
 
 	"xkblas/internal/cache"
 	"xkblas/internal/matrix"
+	"xkblas/internal/sim"
 )
 
 // TestSubmitSteadyStateAllocBudget is the allocation gate behind `make
@@ -134,6 +135,35 @@ func TestResetAfterCancelClearsDependencyRows(t *testing.T) {
 	if end := rig.rt.Barrier(); end != full {
 		t.Fatalf("wave after a cancelled run finished at %v, fresh runtime at %v", end, full)
 	}
+	if err := rig.rt.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetCapsTaskArena: the task arena is most of what an idle pooled
+// context holds, so Reset keeps at most sim.MaxFreeRetained recycled task
+// records (the engine's event free-list bound) and releases the
+// peak-sized backing array; the runtime keeps working afterwards.
+func TestResetCapsTaskArena(t *testing.T) {
+	rig := newBenchRig()
+	waves := sim.MaxFreeRetained/(benchGrid*benchGrid) + 2
+	for w := 0; w < waves; w++ {
+		rig.submitWave()
+	}
+	rig.rt.Barrier()
+	if got := len(rig.rt.taskFree); got <= sim.MaxFreeRetained {
+		t.Fatalf("only %d recycled tasks after %d waves: the cap is not exercised", got, waves)
+	}
+	rig.reset()
+	if got := len(rig.rt.taskFree); got > sim.MaxFreeRetained {
+		t.Fatalf("task free list holds %d records after Reset, cap is %d", got, sim.MaxFreeRetained)
+	}
+	if got := cap(rig.rt.taskFree); got > 2*sim.MaxFreeRetained {
+		t.Fatalf("task free list backing array cap %d survived Reset", got)
+	}
+	rig.m = rig.rt.Register(matrix.NewShape(benchGrid*256, benchGrid*256), 256)
+	rig.submitWave()
+	rig.rt.Barrier()
 	if err := rig.rt.Err(); err != nil {
 		t.Fatal(err)
 	}

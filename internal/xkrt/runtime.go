@@ -180,30 +180,40 @@ type RuntimeStats struct {
 // functional selects real-data mode. Invalid options panic; call
 // Options.Validate first to get the error instead.
 func New(eng *sim.Engine, plat *device.Platform, functional bool, opt Options) *Runtime {
-	if err := opt.Validate(); err != nil {
-		panic(err)
-	}
 	n := len(plat.GPUs)
-	if opt.GridP == 0 || opt.GridQ == 0 {
-		opt.GridP, opt.GridQ = defaultGrid(n)
-	}
 	rt := &Runtime{
 		Eng:     eng,
 		Plat:    plat,
 		Cache:   cache.New(plat, functional),
-		Opt:     opt,
-		pol:     *opt.Policy,
 		queues:  make([]taskQueue, n),
 		window:  make([]int, n),
 		estLoad: make([]sim.Time, n),
 	}
+	rt.SetOptions(opt)
 	rt.reg = metrics.NewRegistry()
 	rt.counters = policy.NewCounters(rt.reg)
 	rt.stallHist = rt.reg.Histogram("rt.stall_seconds", StallBuckets)
-	rt.Cache.Evictor = rt.pol.Evictor
 	rt.Cache.Counters = rt.counters
 	rt.windowFull = func() bool { return rt.live >= rt.Opt.StreamWindow }
 	return rt
+}
+
+// SetOptions installs opt: the policy bundle (source selector, scheduler,
+// evictor), the pipeline and stream windows and the owner grid, derived
+// from the GPU count when unset. New applies its options through it, and a
+// recycled runtime takes another configuration through it after Reset, so
+// a retargeted runtime runs exactly like one built with opt. Call it
+// between runs only. Invalid options panic, as in New.
+func (rt *Runtime) SetOptions(opt Options) {
+	if err := opt.Validate(); err != nil {
+		panic(err)
+	}
+	if opt.GridP == 0 || opt.GridQ == 0 {
+		opt.GridP, opt.GridQ = defaultGrid(len(rt.Plat.GPUs))
+	}
+	rt.Opt = opt
+	rt.pol = *opt.Policy
+	rt.Cache.Evictor = rt.pol.Evictor
 }
 
 // Reset returns the runtime (and its cache) to the freshly built state so
@@ -246,6 +256,12 @@ func (rt *Runtime) Reset() {
 	rt.cancelMu.Unlock()
 	rt.stats = RuntimeStats{}
 	rt.Obs = nil
+	if len(rt.taskFree) > sim.MaxFreeRetained {
+		// The task arena is most of what an idle context holds. Keep the
+		// engine's free-list bound, reallocating as Engine.Reset does so
+		// the surplus records and the peak-sized array are released.
+		rt.taskFree = append(make([]*Task, 0, sim.MaxFreeRetained), rt.taskFree[:sim.MaxFreeRetained]...)
+	}
 	rt.tasksLiveMax = 0
 	rt.live = 0
 	for i := rt.admitHead; i < len(rt.admitQ); i++ {
