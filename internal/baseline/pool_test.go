@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 
@@ -112,6 +113,16 @@ func poolRoster() []poolLeaf {
 		}},
 		std(XKBlasNoHeuristicNoTopo(), blasops.Trsm, 4096, 1024, DataOnHost, 15),
 		std(DPLASMA(), blasops.Gemm, 4096, 1024, DataOnHost, 16),
+		// XKBlas, BLASX and SLATE GEMM at both scenarios and both tile
+		// sizes, each after a library of another reservation or driver.
+		std(BLASX(), blasops.Gemm, 4096, 2048, DataOnDevice, 17),
+		std(Slate(), blasops.Gemm, 4096, 1024, DataOnDevice, 18),
+		std(XKBlas(), blasops.Gemm, 4096, 2048, DataOnHost, 19),
+		std(BLASX(), blasops.Gemm, 4096, 1024, DataOnDevice, 20),
+		std(Slate(), blasops.Gemm, 4096, 2048, DataOnHost, 21),
+		std(XKBlas(), blasops.Gemm, 4096, 1024, DataOnDevice, 22),
+		std(BLASX(), blasops.Gemm, 4096, 2048, DataOnHost, 23),
+		std(Slate(), blasops.Gemm, 4096, 2048, DataOnDevice, 24),
 		std(XKBlas(), blasops.Gemm, 4096, 1024, DataOnHost, 0),
 	}
 }
@@ -124,7 +135,8 @@ func poolRoster() []poolLeaf {
 // statistics, decisions and the metrics snapshot. The roster covers every
 // driver (standard, SLATE, cuBLAS-MG, Chameleon LAPACK, batched, fused,
 // composition), every scheduler and evictor, BLASX's reservation and a
-// heavier one under which runs evict.
+// heavier one under which runs evict, and XKBlas, BLASX and SLATE GEMM in
+// both scenarios at both tile sizes.
 func TestHandlePoolRunsBitIdentical(t *testing.T) {
 	roster := poolRoster()
 	fresh := make([]Result, len(roster))
@@ -134,9 +146,10 @@ func TestHandlePoolRunsBitIdentical(t *testing.T) {
 			t.Fatalf("%s: fresh run failed: %v", leaf.name, fresh[i].Err)
 		}
 	}
-	for _, i := range []int{3, 7} {
-		if fresh[i].Decisions.EvictClean == 0 {
-			t.Fatalf("%s evicted nothing: the reservation is not exercised", roster[i].name)
+	for i, leaf := range roster {
+		if (strings.HasPrefix(leaf.name, "pressure-lru") || strings.HasPrefix(leaf.name, "pressure-dmdas")) &&
+			fresh[i].Decisions.EvictClean == 0 {
+			t.Fatalf("%s evicted nothing: the reservation is not exercised", leaf.name)
 		}
 	}
 

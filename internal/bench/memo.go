@@ -12,9 +12,11 @@ import (
 // is one Library.Run of the harness, and it is a function of its key
 // alone: Fig. 3, Table II and Fig. 5 all measure the same XKBlas points,
 // so the later sweeps read the first one's leaves instead of simulating
-// them again. Concurrent workers simulate each key once; the others wait
-// for its result. A cancelled leaf is never stored. Memoized results are
-// shared read-only: callers must not mutate a Result's Metrics snapshot.
+// them again. Keys repeat only across sweeps that run one after another
+// (within one sweep every leaf key is distinct), so a miss simply
+// simulates the leaf and stores it; a cancelled leaf is never stored.
+// Memoized results are shared read-only: callers must not mutate a
+// Result's Metrics snapshot.
 //
 // The caller owns the table (cmd/xkbench builds one per invocation and
 // hands it to every driver through Config.Memo). A nil *LeafMemo
@@ -22,12 +24,12 @@ import (
 // needs.
 type LeafMemo struct {
 	mu     sync.Mutex
-	leaves map[leafKey]*leafEntry
+	leaves map[leafKey]baseline.Result
 }
 
 // NewLeafMemo returns an empty memo.
 func NewLeafMemo() *LeafMemo {
-	return &LeafMemo{leaves: make(map[leafKey]*leafEntry)}
+	return &LeafMemo{leaves: make(map[leafKey]baseline.Result)}
 }
 
 // leafKey is everything a leaf's result depends on. The library is keyed
@@ -48,15 +50,6 @@ type leafKey struct {
 	check, metrics bool
 }
 
-// leafEntry is one claimed key: done closes when its owner has finished
-// the simulation, and stored reports whether res is the key's result (a
-// cancelled leaf is not).
-type leafEntry struct {
-	done   chan struct{}
-	res    baseline.Result
-	stored bool
-}
-
 // leaf returns the result of the leaf lib runs for req, calling run to
 // simulate it unless the memo already holds it.
 func (m *LeafMemo) leaf(lib string, req baseline.Request, run func() baseline.Result) baseline.Result {
@@ -68,30 +61,17 @@ func (m *LeafMemo) leaf(lib string, req baseline.Request, run func() baseline.Re
 		scenario: req.Scenario, platform: req.Platform, noise: req.NoiseAmp,
 		window: req.StreamWindow, check: req.Check, metrics: req.Metrics,
 	}
-	for {
-		m.mu.Lock()
-		e, claimed := m.leaves[key]
-		if !claimed {
-			e = &leafEntry{done: make(chan struct{})}
-			m.leaves[key] = e
-		}
-		m.mu.Unlock()
-		if claimed {
-			<-e.done
-			if e.stored {
-				return e.res
-			}
-			// The owner was cancelled and released the key: claim it.
-			continue
-		}
-		e.res = run()
-		e.stored = !leafCanceled(e.res.Err)
-		if !e.stored {
-			m.mu.Lock()
-			delete(m.leaves, key)
-			m.mu.Unlock()
-		}
-		close(e.done)
-		return e.res
+	m.mu.Lock()
+	res, ok := m.leaves[key]
+	m.mu.Unlock()
+	if ok {
+		return res
 	}
+	res = run()
+	if !leafCanceled(res.Err) {
+		m.mu.Lock()
+		m.leaves[key] = res
+		m.mu.Unlock()
+	}
+	return res
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -108,44 +107,6 @@ func TestLeafMemoSkipsCancelledLeaf(t *testing.T) {
 	other.Metrics = true
 	if m.leaf("lib", other, run(nil)); calls != 4 {
 		t.Fatal("requests with different Metrics shared one leaf")
-	}
-}
-
-// TestLeafMemoConcurrentClaim: workers asking for one key at once simulate
-// it once; if the owner is cancelled, a waiter simulates it instead of
-// reading the cancelled result.
-func TestLeafMemoConcurrentClaim(t *testing.T) {
-	m := NewLeafMemo()
-	req := baseline.Request{Routine: blasops.Gemm, N: 4096, NB: 1024}
-	var calls atomic.Int64
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	results := make([]baseline.Result, 8)
-	for i := range results {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = m.leaf("lib", req, func() baseline.Result {
-				if calls.Add(1) == 1 {
-					<-release
-					return baseline.Result{Err: context.Canceled}
-				}
-				return baseline.Result{GFlops: 7}
-			})
-		}()
-	}
-	close(release)
-	wg.Wait()
-	canceled := 0
-	for _, r := range results {
-		if r.Err != nil {
-			canceled++
-		} else if r.GFlops != 7 {
-			t.Fatalf("waiter read %v", r.GFlops)
-		}
-	}
-	if canceled != 1 || calls.Load() != 2 {
-		t.Fatalf("%d cancelled results and %d simulations, want 1 and 2", canceled, calls.Load())
 	}
 }
 

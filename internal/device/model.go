@@ -32,7 +32,6 @@ type KernelModel struct {
 	// multiplicative jitter of ±NoiseAmp to kernel times, modelling run-to-
 	// run variance so the harness' confidence intervals are non-degenerate.
 	NoiseAmp float64
-	src      rand.Source // rng's generator, reseeded in place
 	rng      *rand.Rand
 }
 
@@ -130,18 +129,16 @@ func (m *KernelModel) Time(r blasops.Routine, flops float64, mm, nn, kk int) sim
 
 // EnableNoise turns on deterministic jitter with the given amplitude and
 // seed; a non-positive amplitude turns it off. A model that already has a
-// generator reseeds its source in place, which restarts it exactly as a
-// fresh source of that seed would (Float64 reads no other Rand state), so
-// a recycled model jitters like a new one.
+// generator reseeds it in place, which restarts it exactly as a fresh
+// generator of that seed would, so a recycled model jitters like a new one.
 func (m *KernelModel) EnableNoise(amp float64, seed int64) {
 	m.NoiseAmp = amp
 	switch {
 	case amp <= 0:
 	case m.rng == nil:
-		m.src = rand.NewSource(seed)
-		m.rng = rand.New(m.src)
+		m.rng = rand.New(rand.NewSource(seed))
 	default:
-		m.src.Seed(seed)
+		m.rng.Seed(seed)
 	}
 }
 
