@@ -190,7 +190,7 @@ func BenchmarkAblationSourcePolicy(b *testing.B) {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			pol := policy.XKBlas
-			pol.Source = policy.Optimistic{Base: c.src, Ranked: true}
+			pol.Source = policy.Optimistic{Base: c.src}
 			lib := xkblasWith("XKBlas-"+c.name, 4, pol)
 			runLib(b, lib, baseline.Request{Routine: blasops.Gemm, N: benchN, NB: benchNB})
 		})

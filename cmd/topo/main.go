@@ -1,7 +1,7 @@
 // Command topo prints a simulated platform's fabric graph: the link map of
 // Fig. 1 (route classes between every GPU pair), per-pair hop counts, and
-// the routed bandwidth matrix. -platform selects any registered platform;
-// the historical -summit flag and the DGX-1 default are preserved.
+// the routed bandwidth matrix. -platform selects any registered platform
+// (the DGX-1 by default; -platform summit describes the Summit-like node).
 package main
 
 import (
@@ -16,17 +16,13 @@ import (
 
 func main() {
 	bandwidth := flag.Bool("bandwidth", false, "measure and print the Fig. 2 bandwidth matrix")
-	summit := flag.Bool("summit", false, "describe the Summit-like POWER9 node instead of the DGX-1")
 	platform := flag.String("platform", "",
-		"render a registered platform's fabric graph (see -platform list); overrides -summit")
+		"render a registered platform's fabric graph (see -platform list; default the DGX-1)")
 	hops := flag.Bool("hops", false, "also print the per-pair routed hop counts")
 	routes := flag.Bool("routes", false, "also print every route's hop-by-hop edge names")
 	flag.Parse()
 
 	p := topology.DGX1()
-	if *summit {
-		p = topology.SummitNode()
-	}
 	if *platform != "" {
 		if *platform == "list" {
 			fmt.Println(strings.Join(topology.Names(), "\n"))

@@ -22,11 +22,6 @@
 //	# every requested sink, and exit nonzero.
 //	xkbench -exp fig5 -timeout 2m -csv partial.csv
 //
-//	# Multi-tenant serving front end (internal/serve): replay a seeded
-//	# tenant workload against a platform fleet. Not part of -exp all.
-//	xkbench -exp serve -quick
-//	xkbench -exp serve -tenants 200 -requests 5000 -backpressure block -serve-json out.json
-//
 //	# Batched small-BLAS dispatch: uniform batches swept over batch count
 //	# and instance size, device-only vs host-only vs the model-derived
 //	# crossover routing, on two fabric designs. Not part of -exp all.
@@ -38,8 +33,8 @@
 //	go tool pprof -top cpu.pprof
 //
 // Paper experiments: table1, fig2, fig3, table2, fig4, fig5, fig6, fig7,
-// fig8, fig9. Extensions: scale, summit, hermitian, pinning, factor, serve,
-// batch.
+// fig8, fig9. Extensions: scale, summit, hermitian, pinning, factor, bign,
+// batch. The multi-tenant serving front end has its own command, xkserve.
 package main
 
 import (
@@ -59,12 +54,11 @@ import (
 	"xkblas/internal/blasops"
 	"xkblas/internal/check"
 	"xkblas/internal/metrics"
-	"xkblas/internal/serve"
 	"xkblas/internal/topology"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1,fig2,fig3,table2,fig4,fig5,fig6,fig7,fig8,fig9,scale,summit,hermitian,pinning,factor,bign,sweep,serve,batch,all")
+	exp := flag.String("exp", "all", "experiment: table1,fig2,fig3,table2,fig4,fig5,fig6,fig7,fig8,fig9,scale,summit,hermitian,pinning,factor,bign,sweep,batch,all")
 	platformFlag := flag.String("platform", "",
 		"simulated platform from the topology registry (empty = the DGX-1 of the paper); an unknown name lists the registered platforms and exits nonzero")
 	quick := flag.Bool("quick", false, "reduced sizes and repetitions")
@@ -88,16 +82,6 @@ func main() {
 		"collect per-run utilization metrics (resource occupancy, link-class traffic, cache and scheduler counters); prints a per-point rollup table and, with -csv out.csv, writes the full snapshots to out.metrics.json")
 	window := flag.Int("window", 0,
 		"stream every run's task DAG through a bounded admission window of this many live tasks instead of materializing it whole (0 = whole graph); results are bit-identical at any window mode, only peak memory changes")
-	tenants := flag.Int("tenants", 120, "serve experiment: simulated tenant count")
-	requests := flag.Int("requests", 1200, "serve experiment: request count to replay (-quick runs 300)")
-	arrivalFlag := flag.String("arrival", "bursty", "serve experiment: arrival process, poisson or bursty (two-state MMPP)")
-	rate := flag.Float64("rate", 300, "serve experiment: mean aggregate arrival rate, requests per virtual second")
-	seed := flag.Int64("seed", 1, "serve experiment: load-generator seed; one seed replays one trace bit for bit")
-	fleetFlag := flag.String("fleet", "dgx1,dgx2", "serve experiment: comma-separated platforms from the topology registry")
-	qdepth := flag.Int("qdepth", 8, "serve experiment: bounded admission-queue depth per platform")
-	backpressureFlag := flag.String("backpressure", "reject",
-		"serve experiment: policy when the admission queue is full — reject (typed error) or block (unbounded spill)")
-	serveJSON := flag.String("serve-json", "", "serve experiment: write the report's metrics snapshot as JSON to this path")
 	batchCount := flag.Int("batch-count", 0,
 		"batch experiment: pin the batch size (instances per request) instead of sweeping the default grid (0 = sweep)")
 	batchN := flag.Int("batch-n", 0,
@@ -210,17 +194,6 @@ func main() {
 			points = append(points, pts...)
 		case "batch":
 			bench.BatchSweep(w, run, *quick, *batchCount, *batchN)
-		case "serve":
-			cfg, err := serveConfig(*fleetFlag, *arrivalFlag, *backpressureFlag,
-				*tenants, *requests, *qdepth, *parallel, *rate, *seed, *quick, *checkFlag, ctx)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit(2)
-			}
-			if _, err := serveRun(w, cfg, *serveJSON); err != nil {
-				fmt.Fprintf(os.Stderr, "xkbench: serve: %v\n", err)
-				exitErr = true
-			}
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			flag.Usage()
@@ -327,61 +300,6 @@ func flagProblem(window, parallel, runs, batchCount, batchN int, sizes, tiles st
 		}
 	}
 	return ""
-}
-
-// serveConfig builds the multi-tenant serving scenario from the flag set.
-// -quick keeps the flags' tenant/fleet shape but trims the replay to 300
-// requests unless -requests was moved off its default.
-func serveConfig(fleet, arrival, backpressure string, tenants, requests, qdepth, parallel int,
-	rate float64, seed int64, quick, check bool, ctx context.Context) (serve.Config, error) {
-	cfg := serve.Defaults()
-	var err error
-	if cfg.Fleet, err = serve.ParseFleet(fleet); err != nil {
-		return cfg, err
-	}
-	if cfg.Arrival, err = serve.ParseArrival(arrival); err != nil {
-		return cfg, err
-	}
-	if cfg.Backpressure, err = serve.ParseBackpressure(backpressure); err != nil {
-		return cfg, err
-	}
-	cfg.Tenants = tenants
-	cfg.Requests = requests
-	if quick && requests == 1200 {
-		cfg.Requests = 300
-	}
-	cfg.QueueDepth = qdepth
-	cfg.Parallel = parallel
-	cfg.RatePerSec = rate
-	cfg.Seed = seed
-	cfg.Check = check
-	cfg.Ctx = ctx
-	return cfg, nil
-}
-
-// serveRun executes the serving scenario, prints its report, and
-// optionally writes the report's metrics snapshot as JSON.
-func serveRun(w io.Writer, cfg serve.Config, jsonPath string) (*serve.Report, error) {
-	rep, err := serve.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep.WriteText(w)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return nil, err
-		}
-		werr := rep.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return nil, werr
-		}
-		fmt.Fprintf(w, "wrote serve metrics snapshot to %s\n", jsonPath)
-	}
-	return rep, nil
 }
 
 // writeCSVTo writes the points as CSV to wc and closes it, reporting the

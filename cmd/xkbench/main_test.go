@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -166,54 +165,6 @@ func TestWriteMetricsJSONFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeExperimentDeterministic drives the -exp serve path end to end
-// at -quick scale: config assembly from flag values, the replay, the text
-// report and the JSON sink — twice, byte-identically.
-func TestServeExperimentDeterministic(t *testing.T) {
-	run := func(parallel int) (string, []byte) {
-		t.Helper()
-		cfg, err := serveConfig("dgx1,dgx2", "bursty", "reject",
-			120, 1200, 8, parallel, 300, 1, true /* quick */, false, context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.Requests != 300 {
-			t.Fatalf("-quick kept %d requests, want 300", cfg.Requests)
-		}
-		path := filepath.Join(t.TempDir(), "serve.json")
-		var text bytes.Buffer
-		rep, err := serveRun(&text, cfg, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Served == 0 {
-			t.Fatal("quick serve experiment served nothing")
-		}
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var decoded any
-		if err := json.Unmarshal(blob, &decoded); err != nil {
-			t.Fatalf("serve-json sink is not valid JSON: %v", err)
-		}
-		// Drop the sink confirmation line: it names the per-run temp dir.
-		report := text.String()
-		if i := strings.Index(report, "wrote "); i >= 0 {
-			report = report[:i]
-		}
-		return report, blob
-	}
-	text1, json1 := run(1)
-	text8, json8 := run(8)
-	if text1 != text8 {
-		t.Fatalf("serve reports differ across -parallel:\n%s\nvs\n%s", text1, text8)
-	}
-	if !bytes.Equal(json1, json8) {
-		t.Fatal("serve JSON sinks differ across -parallel")
-	}
-}
-
 // TestBatchExperimentDeterministic drives the -exp batch path end to end
 // at one pinned sweep point (-batch-count 8 -batch-n 256): the rendered
 // table must be byte-identical across the sweep's -parallel fan-out.
@@ -232,21 +183,6 @@ func TestBatchExperimentDeterministic(t *testing.T) {
 		if !strings.Contains(a, want) {
 			t.Fatalf("batch sweep output lacks %q:\n%s", want, a)
 		}
-	}
-}
-
-// TestServeConfigRejectsBadFlags pins flag validation to exit-code-2
-// errors rather than mid-run surprises.
-func TestServeConfigRejectsBadFlags(t *testing.T) {
-	ctx := context.Background()
-	if _, err := serveConfig("nonesuch", "bursty", "reject", 120, 1200, 8, 1, 300, 1, false, false, ctx); err == nil {
-		t.Fatal("unknown fleet platform must fail")
-	}
-	if _, err := serveConfig("dgx1", "fractal", "reject", 120, 1200, 8, 1, 300, 1, false, false, ctx); err == nil {
-		t.Fatal("unknown arrival pattern must fail")
-	}
-	if _, err := serveConfig("dgx1", "bursty", "drop", 120, 1200, 8, 1, 300, 1, false, false, ctx); err == nil {
-		t.Fatal("unknown backpressure policy must fail")
 	}
 }
 

@@ -10,6 +10,7 @@
 //	xkserve -arrival poisson -backpressure block
 //	xkserve -json - -quiet                    # metrics snapshot JSON on stdout, nothing else
 //	xkserve -cpuprofile cpu.pprof             # profile the replay's host time (-memprofile: allocations)
+//	xkserve -requests 300 -check              # audit every inner simulation; summary on stderr
 //
 // Two invocations with the same flags produce byte-identical reports: the
 // workload is a pure function of the seed and the serving simulation runs
@@ -25,6 +26,7 @@ import (
 	"os/signal"
 	"runtime"
 
+	"xkblas/internal/check"
 	"xkblas/internal/metrics"
 	"xkblas/internal/serve"
 )
@@ -43,7 +45,8 @@ func main() {
 	batchMax := flag.Int("batch-max", 8, "max requests fused into one batched DAG (<=1 disables batching)")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker goroutines prewarming the demand table (results are bit-identical at any level)")
-	checkFlag := flag.Bool("check", false, "run every inner simulation under the coherence-invariant auditor")
+	checkFlag := flag.Bool("check", false,
+		"run every inner simulation under the coherence-invariant auditor; prints the audit summary on stderr and exits nonzero on any violation")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound for the run (0 = none); Ctrl-C always aborts")
 	jsonPath := flag.String("json", "", "write the report's metrics snapshot as JSON to this path (- for stdout)")
 	quiet := flag.Bool("quiet", false, "suppress the human-readable report")
@@ -128,6 +131,14 @@ func main() {
 		}
 		if werr != nil {
 			exit(1, werr)
+		}
+	}
+	if *checkFlag {
+		// On stderr, so a checked report diffs clean against an unchecked one.
+		drains, violations := check.Stats()
+		fmt.Fprintf(os.Stderr, "coherence audit: %d clean drains, %d violations\n", drains, violations)
+		if violations > 0 {
+			exit(1, nil)
 		}
 	}
 	exit(0, nil)

@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		float64(res.Cache.D2HBytes)/1e9, res.Cache.D2HCount,
 		float64(res.Cache.P2PBytes)/1e9, res.Cache.P2PCount,
 		res.Cache.Evictions)
-	fmt.Fprintf(stdout, "decisions: %s\n\n", res.Rec.Decisions)
+	fmt.Fprintf(stdout, "decisions: %s\n\n", res.Decisions)
 
 	fmt.Fprintln(stdout, "Cumulative GPU time by operation kind (Fig. 6 style):")
 	cum := res.Rec.CumulativeByKind()

@@ -8,9 +8,16 @@
 // paper's experimental isolation (every real library ultimately calls
 // cuBLAS kernels). Each policy is expressed through the shared xkrt runtime
 // (source restrictions, scheduler, pipeline depth, flush discipline) plus,
-// where the real library's structure demands it, a custom driver (SLATE's
+// where the real library's structure demands it, a custom body (SLATE's
 // panel-synchronous block outer product, cuBLAS-MG's included
 // distribution, Chameleon LAPACK's layout conversions).
+//
+// Every driver runs through one measurement protocol, StdLib.Call: it
+// owns the cancellation check, the recycled context, the trace recorder,
+// the cancellation hook, panic recovery, the final drain and the Result.
+// A driver keeps only its request validation and a Body that registers
+// operands, submits the call and names the start of the measured
+// interval and the call's useful flops.
 package baseline
 
 import (
@@ -95,15 +102,6 @@ type Request struct {
 	StreamWindow int
 }
 
-// canceled reports the request's context error (nil for a nil or live
-// context).
-func (req Request) canceled() error {
-	if req.Ctx == nil {
-		return nil
-	}
-	return req.Ctx.Err()
-}
-
 // Result is one measurement outcome.
 type Result struct {
 	Elapsed sim.Time
@@ -117,19 +115,6 @@ type Result struct {
 	// Request.Metrics was set).
 	Metrics metrics.Snapshot
 	Err     error
-}
-
-// collectMetrics gathers the handle's utilization snapshot when the request
-// asked for one (nil otherwise). The trace recorder's per-GPU occupancy
-// rides along when tracing is active.
-func collectMetrics(req Request, h *core.Handle, rec *trace.Recorder) metrics.Snapshot {
-	if !req.Metrics {
-		return nil
-	}
-	if rec != nil {
-		rec.PublishMetrics(h.RT.Registry(), len(h.Plat.GPUs))
-	}
-	return h.RT.CollectMetrics()
 }
 
 // Library is a multi-GPU BLAS implementation under test.
@@ -206,46 +191,26 @@ func (c *simContext) release(req Request, err error) {
 	idle.Put(c)
 }
 
-// armCancel connects the request's context to the handle's runtime: a
-// watchdog goroutine cancels the run (aborting the engine at the current
-// virtual time) the moment the context is done. The returned release func
-// must be deferred by the caller — it reaps the watchdog when the run
-// completes first. With no cancellable context this is a no-op: no
-// goroutine is spawned and the simulation is untouched.
-func armCancel(req Request, h *core.Handle) (release func()) {
+// armCancel aborts the run on h (the engine stops at the current virtual
+// time) the moment the request's context is done. The returned disarm func
+// must be deferred: once it returns, the cancellation can no longer touch
+// h — a must once h goes back to the idle pool and the next run may pick
+// it up. A nil context arms nothing and leaves the simulation untouched.
+func armCancel(req Request, h *core.Handle) (disarm func()) {
 	ctx := req.Ctx
-	if ctx == nil || ctx.Done() == nil {
+	if ctx == nil {
 		return func() {}
 	}
-	if err := ctx.Err(); err != nil {
-		h.RT.Cancel(err)
-		return func() {}
-	}
-	stop := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		select {
-		case <-ctx.Done():
-			h.RT.Cancel(ctx.Err())
-		case <-stop:
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		h.RT.Cancel(ctx.Err())
+		close(fired)
+	})
+	return func() {
+		if !stop() {
+			<-fired
 		}
-	}()
-	// Waiting for the watchdog (not merely signalling it) guarantees the
-	// handle is untouched after release returns — a must once handles are
-	// pooled and the next run may pick this one up.
-	return func() { close(stop); <-exited }
-}
-
-// attachTrace wires a recorder into the handle when requested.
-func attachTrace(h *core.Handle, req Request) *trace.Recorder {
-	if !req.Trace {
-		return nil
 	}
-	rec := trace.NewRecorder()
-	h.RT.Cache.Observer = rec
-	h.RT.Obs = rec
-	return rec
 }
 
 // operands builds the shape-only matrices of a square-N routine invocation
@@ -290,57 +255,29 @@ func submitRoutine(h *core.Handle, r blasops.Routine, ms []*xkrt.Matrix) {
 	}
 }
 
-// gflops converts a virtual duration into the paper's GFlop/s metric for
-// one square-N routine call (thin wrapper over the shared blasops helper).
-func gflops(r blasops.Routine, n int, d sim.Time) float64 {
-	return blasops.GFlops(blasops.FlopsSquare(r, n), float64(d))
-}
-
-// runStandard executes the common measurement protocol on a prepared
-// handle: DataOnHost times submit→coherent(out)→sync; DataOnDevice
-// distributes first, then times submit→sync (results stay resident).
-func runStandard(h *core.Handle, req Request, rec *trace.Recorder) (res Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}
-		}
-	}()
-	defer armCancel(req, h)()
-	ins, out := operands(h, req.Routine, req.N)
-	if req.Scenario == DataOnDevice {
-		p, q := 4, 2
-		if n := len(h.Plat.GPUs); n != 8 {
-			p, q = n, 1
-		}
-		for _, m := range ins {
-			h.Distribute2DBlockCyclicAsync(m, p, q)
-		}
+// distribute submits the §IV-C 2D block-cyclic placement of ms — a (4,2)
+// grid on 8 GPUs, (n,1) otherwise — and returns the start of the measured
+// interval. On data-on-device the placement precedes the interval:
+// distribute drains it and clears the recorder. On data-on-host
+// (cuBLAS-MG, whose call distributes its operands) the interval starts
+// before the placement.
+func distribute(h *core.Handle, rec *trace.Recorder, ms []*xkrt.Matrix, scen Scenario) sim.Time {
+	start := h.Now()
+	p, q := 4, 2
+	if n := len(h.Plat.GPUs); n != 8 {
+		p, q = n, 1
+	}
+	for _, m := range ms {
+		h.Distribute2DBlockCyclicAsync(m, p, q)
+	}
+	if scen == DataOnDevice {
 		h.Sync()
 		if rec != nil {
-			rec.Reset() // distribution is outside the measured interval
+			rec.Reset()
 		}
+		start = h.Now()
 	}
-	t0 := h.Now()
-	submitRoutine(h, req.Routine, ins)
-	if req.Scenario == DataOnHost {
-		h.MemoryCoherentAsync(out)
-	}
-	end := h.Sync()
-	if err := h.RT.Err(); err != nil {
-		return Result{Err: err, Rec: rec}
-	}
-	el := end - t0
-	if rec != nil {
-		rec.Decisions = h.RT.Decisions()
-	}
-	return Result{
-		Elapsed:   el,
-		GFlops:    gflops(req.Routine, req.N, el),
-		Rec:       rec,
-		Cache:     h.RT.Cache.Stats(),
-		Decisions: h.RT.Decisions(),
-		Metrics:   collectMetrics(req, h, rec),
-	}
+	return start
 }
 
 // StdLib is a library whose behaviour is fully captured by a runtime policy
@@ -379,37 +316,93 @@ func (l *StdLib) Supports(r blasops.Routine) bool {
 	return false
 }
 
-// prepare acquires a context with the library's policy and memory
-// reservation applied.
-func (l *StdLib) prepare(req Request) (*simContext, *trace.Recorder) {
+// Body is the measured part of one library call: it registers the call's
+// operands on h, places them when the scenario asks for it, submits the
+// call, and returns the start of the measured interval and the call's
+// useful flops. rec is the run's trace recorder, nil unless the request
+// traces.
+type Body func(h *core.Handle, rec *trace.Recorder) (start sim.Time, flops float64)
+
+// Call runs body under the measurement protocol every driver shares
+// (§IV-A). A request whose context is already done returns its
+// cancellation at once. Otherwise Call takes an idle context shaped by the
+// library's options and memory reservation, attaches the trace recorder,
+// arms cancellation, runs body, drains the call and rates the interval
+// body started. A clean run returns its context to the idle pool; a
+// failed, cancelled or panicking one drops it, and so does a Check run.
+func (l *StdLib) Call(req Request, body Body) (res Result) {
+	if req.Ctx != nil && req.Ctx.Err() != nil {
+		return Result{Err: &xkrt.CanceledError{Cause: req.Ctx.Err()}}
+	}
 	c := acquire(req, l.Opts, l.MemReserve)
-	return c, attachTrace(c.h, req)
+	h := c.h
+	var rec *trace.Recorder
+	if req.Trace {
+		rec = trace.NewRecorder()
+		h.RT.Cache.Observer = rec
+		h.RT.Obs = rec
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}
+		}
+		c.release(req, res.Err)
+	}()
+	defer armCancel(req, h)()
+	start, flops := body(h, rec)
+	end := h.Sync()
+	if err := h.RT.Err(); err != nil {
+		return Result{Err: err, Rec: rec}
+	}
+	res = Result{Elapsed: end - start, Rec: rec, Cache: h.RT.Cache.Stats(), Decisions: h.RT.Decisions()}
+	res.GFlops = blasops.GFlops(flops, float64(res.Elapsed))
+	if req.Metrics {
+		// The recorder's per-GPU occupancy rides along when tracing.
+		if rec != nil {
+			rec.PublishMetrics(h.RT.Registry(), len(h.Plat.GPUs))
+		}
+		res.Metrics = h.RT.CollectMetrics()
+	}
+	return res
 }
 
-// Run implements Library.
+// Run implements Library with the standard body: data-on-host times
+// submit→coherent(out)→sync; data-on-device distributes first, outside
+// the interval, then times submit→sync (results stay resident). Chameleon
+// LAPACK's layout conversions are charged after the call.
 func (l *StdLib) Run(req Request) Result {
 	if !l.Supports(req.Routine) {
 		return Result{Err: fmt.Errorf("%s does not implement %v", l.LibName, req.Routine)}
 	}
-	if err := req.canceled(); err != nil {
-		return Result{Err: &xkrt.CanceledError{Cause: err}}
-	}
-	c, rec := l.prepare(req)
-	res := runStandard(c.h, req, rec)
-	c.release(req, res.Err)
-	if l.ConvertGBs > 0 {
+	res := l.Call(req, standard(req, false))
+	if l.ConvertGBs > 0 && res.Err == nil {
 		res = l.addConversionCost(req, res)
 	}
 	return res
+}
+
+// standard is the body of one square-N routine call under the request's
+// scenario. distributeInCall submits the 2D distribution inside a
+// data-on-host interval too, as cuBLAS-MG's call does.
+func standard(req Request, distributeInCall bool) Body {
+	return func(h *core.Handle, rec *trace.Recorder) (sim.Time, float64) {
+		ins, out := operands(h, req.Routine, req.N)
+		start := h.Now()
+		if req.Scenario == DataOnDevice || distributeInCall {
+			start = distribute(h, rec, ins, req.Scenario)
+		}
+		submitRoutine(h, req.Routine, ins)
+		if req.Scenario == DataOnHost {
+			h.MemoryCoherentAsync(out)
+		}
+		return start, blasops.FlopsSquare(req.Routine, req.N)
+	}
 }
 
 // addConversionCost charges LAPACK↔tile layout conversions on the host:
 // every operand converts in, the written operand converts back out,
 // serialized on the host memory system before/after the GPU section.
 func (l *StdLib) addConversionCost(req Request, res Result) Result {
-	if res.Err != nil {
-		return res
-	}
 	bytes := float64(req.N) * float64(req.N) * matrix.WordSize
 	nOperands := 3
 	if req.Routine == blasops.Syrk || req.Routine == blasops.Trmm || req.Routine == blasops.Trsm {
@@ -417,49 +410,28 @@ func (l *StdLib) addConversionCost(req Request, res Result) Result {
 	}
 	conv := sim.Time((float64(nOperands) + 1) * bytes / (l.ConvertGBs * 1e9))
 	res.Elapsed += conv
-	res.GFlops = gflops(req.Routine, req.N, res.Elapsed)
+	res.GFlops = blasops.GFlops(blasops.FlopsSquare(req.Routine, req.N), float64(res.Elapsed))
 	return res
 }
 
 // RunComposition implements Composer: TRSM(L,B in place) then GEMM
 // (D += B·C), with this library's inter-call semantics.
-func (l *StdLib) RunComposition(req Request) (res Result) {
-	if err := req.canceled(); err != nil {
-		return Result{Err: &xkrt.CanceledError{Cause: err}}
-	}
-	c, rec := l.prepare(req)
-	h := c.h
-	defer func() { c.release(req, res.Err) }()
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}
+func (l *StdLib) RunComposition(req Request) Result {
+	return l.Call(req, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
+		n := req.N
+		A := h.Register(matrix.NewShape(n, n))
+		B := h.Register(matrix.NewShape(n, n))
+		C := h.Register(matrix.NewShape(n, n))
+		D := h.Register(matrix.NewShape(n, n))
+		start := h.Now()
+		h.TrsmAsync(core.Left, core.Lower, core.NoTrans, core.NonUnit, 1, A, B)
+		if l.InterCallBarrier {
+			h.MemoryCoherentAsync(B)
+			h.Sync()
 		}
-	}()
-	defer armCancel(req, h)()
-	n := req.N
-	A := h.Register(matrix.NewShape(n, n))
-	B := h.Register(matrix.NewShape(n, n))
-	C := h.Register(matrix.NewShape(n, n))
-	D := h.Register(matrix.NewShape(n, n))
-	t0 := h.Now()
-	h.TrsmAsync(core.Left, core.Lower, core.NoTrans, core.NonUnit, 1, A, B)
-	if l.InterCallBarrier {
+		h.GemmAsync(core.NoTrans, core.NoTrans, 1, B, C, 1, D)
 		h.MemoryCoherentAsync(B)
-		h.Sync()
-	}
-	h.GemmAsync(core.NoTrans, core.NoTrans, 1, B, C, 1, D)
-	h.MemoryCoherentAsync(B)
-	h.MemoryCoherentAsync(D)
-	end := h.Sync()
-	if err := h.RT.Err(); err != nil {
-		return Result{Err: err, Rec: rec}
-	}
-	el := end - t0
-	flops := blasops.FlopsSquare(blasops.Trsm, n) + blasops.FlopsSquare(blasops.Gemm, n)
-	gf := blasops.GFlops(flops, float64(el))
-	if rec != nil {
-		rec.Decisions = h.RT.Decisions()
-	}
-	return Result{Elapsed: el, GFlops: gf, Rec: rec, Cache: h.RT.Cache.Stats(),
-		Decisions: h.RT.Decisions(), Metrics: collectMetrics(req, h, rec)}
+		h.MemoryCoherentAsync(D)
+		return start, blasops.FlopsSquare(blasops.Trsm, n) + blasops.FlopsSquare(blasops.Gemm, n)
+	})
 }

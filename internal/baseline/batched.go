@@ -9,16 +9,9 @@ import (
 	"xkblas/internal/matrix"
 	"xkblas/internal/sim"
 	"xkblas/internal/topology"
+	"xkblas/internal/trace"
 	"xkblas/internal/xkrt"
 )
-
-// BatchRunner is implemented by libraries that can execute a batched
-// small-GEMM-style request: many independent instances of one routine with
-// per-instance shapes, routed between the host BLAS path and the tiled
-// device path by the dispatch model.
-type BatchRunner interface {
-	RunBatched(req Request, batch blasops.Batch, mode DispatchMode) Result
-}
 
 // batchOperands registers the operands of one batch instance with their
 // rectangular shapes (the shape table of operandDims) and reports the
@@ -56,14 +49,15 @@ func submitHostInstance(h *core.Handle, r blasops.Routine, bi blasops.BatchInsta
 	}))
 }
 
-// RunBatched implements BatchRunner: every instance of the batch routes to
-// the host BLAS server or the tiled device path according to mode, all
-// submitted up front and drained by a single sync, so the host CPU works
-// under the device pipeline instead of blocking it. The measured interval
-// is the batch makespan; GFlops rates the batch's total useful flops over
-// it. Decisions are counted per instance in Decisions.DispatchDevice /
-// DispatchHost and surface as the dispatch.* metrics.
-func (l *StdLib) RunBatched(req Request, batch blasops.Batch, mode DispatchMode) (res Result) {
+// RunBatched executes a batched small-GEMM-style request: every instance
+// of the batch routes to the host BLAS server or the tiled device path
+// according to mode, all submitted up front and drained by a single sync,
+// so the host CPU works under the device pipeline instead of blocking it.
+// The measured interval is the batch makespan; GFlops rates the batch's
+// total useful flops over it. Decisions are counted per instance in
+// Decisions.DispatchDevice / DispatchHost and surface as the dispatch.*
+// metrics.
+func (l *StdLib) RunBatched(req Request, batch blasops.Batch, mode DispatchMode) Result {
 	if err := batch.Validate(); err != nil {
 		return Result{Err: err}
 	}
@@ -76,48 +70,27 @@ func (l *StdLib) RunBatched(req Request, batch blasops.Batch, mode DispatchMode)
 	if req.Scenario != DataOnHost {
 		return Result{Err: fmt.Errorf("baseline: batched runs support the data-on-host scenario only")}
 	}
-	if err := req.canceled(); err != nil {
-		return Result{Err: &xkrt.CanceledError{Cause: err}}
-	}
-	req.Routine = batch.Routine
-	c, rec := l.prepare(req)
-	h := c.h
-	defer func() { c.release(req, res.Err) }()
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}
+	return l.Call(req, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
+		dm := dispatchModelFor(h.Plat)
+		dm.Window = h.RT.Opt.Window
+		dm.NB = req.NB
+		count := batch.Count()
+		ngpu := len(h.Plat.GPUs)
+		start := h.Now()
+		devIdx := 0
+		for _, bi := range batch.Instances {
+			host := mode == DispatchHostOnly ||
+				(mode == DispatchAuto && dm.UseHost(batch.Routine, bi, count))
+			h.RT.CountDispatch(host)
+			if host {
+				submitHostInstance(h, batch.Routine, bi)
+				continue
+			}
+			ins, out := batchOperands(h, batch.Routine, bi, topology.DeviceID(devIdx%ngpu))
+			devIdx++
+			submitRoutine(h, batch.Routine, ins)
+			h.MemoryCoherentAsync(out)
 		}
-	}()
-	defer armCancel(req, h)()
-	dm := dispatchModelFor(h.Plat)
-	dm.Window = h.RT.Opt.Window
-	dm.NB = req.NB
-	count := batch.Count()
-	ngpu := len(h.Plat.GPUs)
-	t0 := h.Now()
-	devIdx := 0
-	for _, bi := range batch.Instances {
-		host := mode == DispatchHostOnly ||
-			(mode == DispatchAuto && dm.UseHost(batch.Routine, bi, count))
-		h.RT.CountDispatch(host)
-		if host {
-			submitHostInstance(h, batch.Routine, bi)
-			continue
-		}
-		ins, out := batchOperands(h, batch.Routine, bi, topology.DeviceID(devIdx%ngpu))
-		devIdx++
-		submitRoutine(h, batch.Routine, ins)
-		h.MemoryCoherentAsync(out)
-	}
-	end := h.Sync()
-	if err := h.RT.Err(); err != nil {
-		return Result{Err: err, Rec: rec}
-	}
-	el := end - t0
-	gf := blasops.GFlops(batch.Flops(), float64(el))
-	if rec != nil {
-		rec.Decisions = h.RT.Decisions()
-	}
-	return Result{Elapsed: el, GFlops: gf, Rec: rec, Cache: h.RT.Cache.Stats(),
-		Decisions: h.RT.Decisions(), Metrics: collectMetrics(req, h, rec)}
+		return start, batch.Flops()
+	})
 }

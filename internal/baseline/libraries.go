@@ -41,7 +41,7 @@ func XKBlasNearest() Library {
 		Opts: xkrt.Options{
 			Window: 4,
 			Policy: &policy.Bundle{
-				Source:    policy.Optimistic{Base: policy.NearestFirst{}, Ranked: true},
+				Source:    policy.Optimistic{Base: policy.NearestFirst{}},
 				Scheduler: policy.WorkStealing{},
 				Evictor:   policy.LRUReadOnlyFirst{},
 			},

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -55,6 +57,9 @@ type BigNConfig struct {
 	// interleaved per-tile flush — with a stream window, the
 	// configuration that exhausts device memory once C outgrows it.
 	FlushEnd bool
+	// Ctx, when non-nil, bounds the run: a done context starts nothing,
+	// and one that fires mid-run aborts it at the current virtual time.
+	Ctx context.Context
 }
 
 // BigNResult is one big-N run outcome with the memory high-water marks.
@@ -70,12 +75,22 @@ type BigNResult struct {
 }
 
 // RunBigNGemm executes one timing-mode GEMM (C = A·B + C) at the given
-// size on a fresh DGX-1 context.
+// size on a fresh DGX-1 context. A cancelled run's Err matches both
+// xkrt.ErrCanceled and the context's error.
 func RunBigNGemm(cfg BigNConfig) (res BigNResult) {
 	res = BigNResult{N: cfg.N, NB: cfg.NB, Window: cfg.Window}
+	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+		res.Err = &xkrt.CanceledError{Cause: cfg.Ctx.Err()}
+		return res
+	}
 	opts := xkrt.DefaultOptions()
 	opts.StreamWindow = cfg.Window
 	h := core.NewHandle(core.Config{TileSize: cfg.NB, Options: opts, Check: cfg.Check})
+	if cfg.Ctx != nil {
+		// The handle is never reused, so a cancellation that lands after
+		// the run returned touches nothing that matters.
+		defer context.AfterFunc(cfg.Ctx, func() { h.RT.Cancel(cfg.Ctx.Err()) })()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("bign: %v", r)
@@ -131,17 +146,18 @@ func bigNLine(w io.Writer, label string, r BigNResult) {
 // that carries 1.40M tasks through a fixed window. quick shrinks the sizes
 // below the device-memory wall (so the OOM leg is skipped) and keeps only
 // the live-task contrast. The runs always simulate the DGX-1; of the
-// caller's Config only Check applies.
+// caller's Config only Check and Ctx apply: once Ctx is done no further
+// configuration starts, and each one left prints its ERROR line.
 func BigN(w io.Writer, run Config, quick bool) []BigNResult {
 	const nb = 2048
 	const window = 4096
 	fmt.Fprintf(w, "Beyond-paper GEMM scale (timing mode, DGX-1)\n\n")
 	var out []BigNResult
 	if quick {
-		r := RunBigNGemm(BigNConfig{N: 57344, NB: nb, Check: run.Check})
+		r := RunBigNGemm(BigNConfig{N: 57344, NB: nb, Check: run.Check, Ctx: run.Ctx})
 		bigNLine(w, "whole graph", r)
 		out = append(out, r)
-		r = RunBigNGemm(BigNConfig{N: 57344, NB: nb, Window: 1024, Check: run.Check})
+		r = RunBigNGemm(BigNConfig{N: 57344, NB: nb, Window: 1024, Check: run.Check, Ctx: run.Ctx})
 		bigNLine(w, "streamed, interleaved flush", r)
 		out = append(out, r)
 		fmt.Fprintf(w, "\npeak live tasks: %d whole-graph vs %d streamed (bound: window = %d)\n",
@@ -150,20 +166,20 @@ func BigN(w io.Writer, run Config, quick bool) []BigNResult {
 	}
 	// Whole-graph reference at the largest size below the device-memory
 	// wall: completes, but holds every task of the DAG live at once.
-	r := RunBigNGemm(BigNConfig{N: 139264, NB: nb, Check: run.Check})
+	r := RunBigNGemm(BigNConfig{N: 139264, NB: nb, Check: run.Check, Ctx: run.Ctx})
 	bigNLine(w, "whole graph", r)
 	out = append(out, r)
 	// Streamed with end-of-call coherency at full scale: the flush pass
 	// trails the generator, dirty C outgrows the pools, device OOM. The
 	// error is the expected outcome and is reported, not fatal.
-	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window, FlushEnd: true, Check: run.Check})
+	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window, FlushEnd: true, Check: run.Check, Ctx: run.Ctx})
 	bigNLine(w, "streamed, flush at end", r)
-	if r.Err != nil {
+	if r.Err != nil && !errors.Is(r.Err, xkrt.ErrCanceled) {
 		fmt.Fprintf(w, "%-28s expected: end-of-call coherency cannot bound the dirty footprint at this scale\n", "")
 	}
 	// The streaming builder: 1.40M tasks through a fixed window with the
 	// dirty footprint bounded by interleaved write-back.
-	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window, Check: run.Check})
+	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window, Check: run.Check, Ctx: run.Ctx})
 	bigNLine(w, "streamed, interleaved flush", r)
 	out = append(out, r)
 	nt := (229376 + nb - 1) / nb

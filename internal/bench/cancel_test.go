@@ -154,7 +154,7 @@ func TestMeasurePointPreCancelledContext(t *testing.T) {
 // TestRunSweepCancelRealLibraries cancels a real simulated sweep after the
 // first committed point: the completed prefix must be bit-identical to the
 // uncancelled sweep and the rest must carry context.Canceled. This drives
-// the full path — context watchdog, engine abort, runtime ErrCanceled,
+// the full path — cancellation hook, engine abort, runtime ErrCanceled,
 // auditor-accepted cancelled drain.
 func TestRunSweepCancelRealLibraries(t *testing.T) {
 	base := Config{
@@ -199,7 +199,7 @@ func (w *cancelAfterLines) Write(p []byte) (int, error) {
 }
 
 // TestCancelledSweepLeaksNoGoroutines runs a cancelled parallel sweep of
-// real libraries — worker pool, per-run context watchdogs and all — and
+// real libraries — worker pool, per-run cancellation hooks and all — and
 // verifies every goroutine winds down afterwards.
 func TestCancelledSweepLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -10,9 +12,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"xkblas/internal/check"
 	"xkblas/internal/topology"
+	"xkblas/internal/xkrt"
 )
 
 // parallelRun is the run-wide Config of the driver tests: every host CPU,
@@ -59,9 +63,10 @@ func TestNoExportedPackageVars(t *testing.T) {
 	}
 }
 
-// TestCheckAuditsHandleDrivers locks -check coverage of the drivers that
-// build core handles themselves: with Config.Check each run drains under
-// the auditor, so the process-wide clean-drain count grows and no
+// TestCheckAuditsHandleDrivers locks -check coverage of the handle-level
+// drivers (the extensions that submit through baseline's StdLib.Call, and
+// bign, which builds its own handle): with Config.Check each run drains
+// under the auditor, so the process-wide clean-drain count grows and no
 // violation appears.
 func TestCheckAuditsHandleDrivers(t *testing.T) {
 	run := Config{Check: true}
@@ -86,6 +91,53 @@ func TestCheckAuditsHandleDrivers(t *testing.T) {
 		}
 		if strings.Contains(buf.String(), "ERROR") {
 			t.Errorf("%s reported errors:\n%s", tc.name, buf.String())
+		}
+	}
+}
+
+// TestHandleDriversCancelled: once the run's context is done, the
+// handle-level drivers start no simulation — no audited drain appears
+// under Check — and every big-N configuration reports the cancellation,
+// each on its own ERROR line.
+func TestHandleDriversCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	run := Config{Check: true, Ctx: ctx}
+	for _, tc := range []struct {
+		name       string
+		fn         func(io.Writer, Config, bool)
+		errorLines int // ERROR lines expected; 0 leaves the output unchecked
+	}{
+		{"hermitian", Hermitian, 0},
+		{"pinning", PinningCost, 0},
+		{"factor", Factorizations, 0},
+		{"bign quick", func(w io.Writer, cfg Config, _ bool) {
+			for _, r := range BigN(w, cfg, true) {
+				if !errors.Is(r.Err, context.Canceled) || !errors.Is(r.Err, xkrt.ErrCanceled) {
+					t.Errorf("bign quick: N=%d error %v, want a cancellation", r.N, r.Err)
+				}
+			}
+		}, 2},
+		{"bign full", func(w io.Writer, cfg Config, _ bool) {
+			for _, r := range BigN(w, cfg, false) {
+				if !errors.Is(r.Err, context.Canceled) || !errors.Is(r.Err, xkrt.ErrCanceled) {
+					t.Errorf("bign full: N=%d error %v, want a cancellation", r.N, r.Err)
+				}
+			}
+		}, 3},
+	} {
+		drains, _ := check.Stats()
+		var buf bytes.Buffer
+		start := time.Now()
+		tc.fn(&buf, run, true)
+		if el := time.Since(start); el > 2*time.Second {
+			t.Errorf("%s: took %v on a cancelled context", tc.name, el)
+		}
+		if d, _ := check.Stats(); d != drains {
+			t.Errorf("%s: %d simulations drained on a cancelled context", tc.name, d-drains)
+		}
+		if got := strings.Count(buf.String(), "ERROR"); tc.errorLines > 0 && got != tc.errorLines {
+			t.Errorf("%s: %d ERROR lines, want %d:\n%s", tc.name, got, tc.errorLines, buf.String())
 		}
 	}
 }

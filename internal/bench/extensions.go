@@ -8,7 +8,9 @@ import (
 	"xkblas/internal/blasops"
 	"xkblas/internal/core"
 	"xkblas/internal/matrix"
+	"xkblas/internal/sim"
 	"xkblas/internal/topology"
+	"xkblas/internal/trace"
 	"xkblas/internal/xkrt"
 )
 
@@ -155,30 +157,25 @@ func Factorizations(w io.Writer, cfg Config, quick bool) {
 // measureFactor runs one factorization in timing mode; panelSync inserts a
 // barrier after each panel's tasks (fork-join style).
 func measureFactor(cfg Config, r blasops.Routine, n, nb int, panelSync bool) float64 {
-	h := newHandle(cfg, nb)
-	A := h.Register(matrix.NewShape(n, n))
-	t0 := h.Now()
-	submit := func(m *xkrt.Matrix) {
-		if r == blasops.Potrf {
-			h.PotrfAsync(core.Lower, m)
-		} else {
-			h.GetrfNoPivAsync(m)
+	return callXKBlas(cfg, nb, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
+		A := h.Register(matrix.NewShape(n, n))
+		start := h.Now()
+		switch {
+		case panelSync:
+			// Same task set, but processed one tile-panel at a time through
+			// sub-matrix calls with barriers (fork-join emulation).
+			for k := 0; k < A.Rows(); k++ {
+				h.PanelFactorAsync(r, A, k)
+				h.Sync()
+			}
+		case r == blasops.Potrf:
+			h.PotrfAsync(core.Lower, A)
+		default:
+			h.GetrfNoPivAsync(A)
 		}
-	}
-	if !panelSync {
-		submit(A)
-	} else {
-		// Same task set, but processed one tile-panel at a time through
-		// sub-matrix calls with barriers (fork-join emulation).
-		nt := A.Rows()
-		for k := 0; k < nt; k++ {
-			h.PanelFactorAsync(r, A, k)
-			h.Sync()
-		}
-	}
-	h.MemoryCoherentAsync(A)
-	el := h.Sync() - t0
-	return blasops.GFlops(blasops.FlopsSquare(r, n), float64(el))
+		h.MemoryCoherentAsync(A)
+		return start, blasops.FlopsSquare(r, n)
+	})
 }
 
 // PinningCost quantifies the methodology note of §IV-A: every library
@@ -204,54 +201,57 @@ func PinningCost(w io.Writer, cfg Config, quick bool) {
 }
 
 func measureGemmPinning(cfg Config, n, nb int, chargePin bool) float64 {
-	h := newHandle(cfg, nb)
-	a := h.Register(matrix.NewShape(n, n))
-	b := h.Register(matrix.NewShape(n, n))
-	c := h.Register(matrix.NewShape(n, n))
-	t0 := h.Now()
-	if chargePin {
-		// Registration precedes any transfer, as with cudaHostRegister.
-		for _, m := range []*xkrt.Matrix{a, b, c} {
-			h.PinAsync(m)
+	return callXKBlas(cfg, nb, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
+		a := h.Register(matrix.NewShape(n, n))
+		b := h.Register(matrix.NewShape(n, n))
+		c := h.Register(matrix.NewShape(n, n))
+		start := h.Now()
+		if chargePin {
+			// Registration precedes any transfer, as with cudaHostRegister.
+			for _, m := range []*xkrt.Matrix{a, b, c} {
+				h.PinAsync(m)
+			}
+			h.Sync()
 		}
-		h.Sync()
-	}
-	h.GemmAsync(core.NoTrans, core.NoTrans, 1, a, b, 1, c)
-	h.MemoryCoherentAsync(c)
-	el := h.Sync() - t0
-	return blasops.GFlops(blasops.FlopsSquare(blasops.Gemm, n), float64(el))
+		h.GemmAsync(core.NoTrans, core.NoTrans, 1, a, b, 1, c)
+		h.MemoryCoherentAsync(c)
+		return start, blasops.FlopsSquare(blasops.Gemm, n)
+	})
 }
 
 func measureHermitian(cfg Config, r blasops.Routine, n, nb int) float64 {
-	h := newHandle(cfg, nb)
-	z := func() *xkrt.Matrix { return h.RegisterZ(matrix.NewZShape(n, n)) }
-	t0 := h.Now()
-	switch r {
-	case blasops.Zgemm:
-		a, b, c := z(), z(), z()
-		h.ZgemmAsync(core.NoTrans, core.NoTrans, 1, a, b, 1, c)
-		h.MemoryCoherentAsync(c)
-	case blasops.Hemm:
-		a, b, c := z(), z(), z()
-		h.ZhemmAsync(core.Left, core.Lower, 1, a, b, 1, c)
-		h.MemoryCoherentAsync(c)
-	case blasops.Herk:
-		a, c := z(), z()
-		h.ZherkAsync(core.Lower, core.NoTrans, 1, a, 1, c)
-		h.MemoryCoherentAsync(c)
-	case blasops.Her2k:
-		a, b, c := z(), z(), z()
-		h.Zher2kAsync(core.Lower, core.NoTrans, 1, a, b, 1, c)
-		h.MemoryCoherentAsync(c)
-	default:
-		panic(fmt.Sprintf("bench: %v is not a Hermitian-set routine", r))
-	}
-	el := h.Sync() - t0
-	return blasops.GFlops(blasops.FlopsSquare(r, n), float64(el))
+	return callXKBlas(cfg, nb, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
+		z := func() *xkrt.Matrix { return h.RegisterZ(matrix.NewZShape(n, n)) }
+		start := h.Now()
+		switch r {
+		case blasops.Zgemm:
+			a, b, c := z(), z(), z()
+			h.ZgemmAsync(core.NoTrans, core.NoTrans, 1, a, b, 1, c)
+			h.MemoryCoherentAsync(c)
+		case blasops.Hemm:
+			a, b, c := z(), z(), z()
+			h.ZhemmAsync(core.Left, core.Lower, 1, a, b, 1, c)
+			h.MemoryCoherentAsync(c)
+		case blasops.Herk:
+			a, c := z(), z()
+			h.ZherkAsync(core.Lower, core.NoTrans, 1, a, 1, c)
+			h.MemoryCoherentAsync(c)
+		case blasops.Her2k:
+			a, b, c := z(), z(), z()
+			h.Zher2kAsync(core.Lower, core.NoTrans, 1, a, b, 1, c)
+			h.MemoryCoherentAsync(c)
+		default:
+			panic(fmt.Sprintf("bench: %v is not a Hermitian-set routine", r))
+		}
+		return start, blasops.FlopsSquare(r, n)
+	})
 }
 
-// newHandle builds the full-XKBlas timing-mode context of the handle-level
-// extensions on the run's platform, audited when the run is.
-func newHandle(cfg Config, nb int) *core.Handle {
-	return core.NewHandle(core.Config{Platform: cfg.Platform, TileSize: nb, Check: cfg.Check})
+// callXKBlas runs one handle-level extension call on the full XKBlas
+// library through baseline's measurement protocol, at tile size nb on the
+// run's platform: audited, cancellable and on a recycled context like
+// every sweep leaf. A failed or cancelled call measures 0 GFlop/s.
+func callXKBlas(cfg Config, nb int, body baseline.Body) float64 {
+	req := baseline.Request{NB: nb, Platform: cfg.Platform, Check: cfg.Check, Ctx: cfg.Ctx}
+	return baseline.XKBlas().(*baseline.StdLib).Call(req, body).GFlops
 }

@@ -130,7 +130,7 @@ func TestMetricsJSONByteStable(t *testing.T) {
 }
 
 // TestMetricsConcurrentScrape drives updates and Snapshot readers from
-// many goroutines at once, run under -race by `make metrics-race`.
+// many goroutines at once, run under -race by `make race`.
 func TestMetricsConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

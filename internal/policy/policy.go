@@ -289,7 +289,7 @@ var (
 	// optimistic device-to-device forwarding (§III-C) over XKaapi work
 	// stealing.
 	XKBlas = Bundle{
-		Source:    Optimistic{Base: TopoRank{}, Ranked: true},
+		Source:    Optimistic{Base: TopoRank{}},
 		Scheduler: WorkStealing{},
 		Evictor:   LRUReadOnlyFirst{},
 	}
@@ -309,7 +309,7 @@ var (
 	// XKBlasDMDAS keeps both heuristics but schedules with StarPU's DMDAS
 	// instead of work stealing.
 	XKBlasDMDAS = Bundle{
-		Source:    Optimistic{Base: TopoRank{}, Ranked: true},
+		Source:    Optimistic{Base: TopoRank{}},
 		Scheduler: DMDAS{},
 		Evictor:   LRUReadOnlyFirst{},
 	}

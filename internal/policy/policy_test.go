@@ -113,7 +113,7 @@ func TestHostOnlyRejectsAllPeers(t *testing.T) {
 
 func TestOptimisticChainHitCountsTaken(t *testing.T) {
 	topo := topology.DGX1()
-	sel := Optimistic{Base: TopoRank{}, Ranked: true}
+	sel := Optimistic{Base: TopoRank{}}
 	c := NewCounters(metrics.NewRegistry())
 	tile := newFakeTile()
 	tile.host = true
@@ -129,7 +129,7 @@ func TestOptimisticChainHitCountsTaken(t *testing.T) {
 
 func TestOptimisticChainMissCountsMissed(t *testing.T) {
 	topo := topology.DGX1()
-	sel := Optimistic{Base: TopoRank{}, Ranked: true}
+	sel := Optimistic{Base: TopoRank{}}
 	c := NewCounters(metrics.NewRegistry())
 
 	// No transfer in flight anywhere: the heuristic looks and misses.
@@ -212,7 +212,7 @@ func TestBundleValidate(t *testing.T) {
 	}
 	want := "optimistic(topo-rank)/work-stealing/lru-read-only-first"
 	got := Bundle{
-		Source:    Optimistic{Base: TopoRank{}, Ranked: true},
+		Source:    Optimistic{Base: TopoRank{}},
 		Scheduler: WorkStealing{},
 		Evictor:   LRUReadOnlyFirst{},
 	}.Name()

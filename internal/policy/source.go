@@ -172,12 +172,10 @@ func (s SameSwitch) PickPeer(topo *topology.Platform, cands topology.DeviceSet, 
 // Optimistic wraps a base selector with the paper's second heuristic
 // (§III-C): when the base falls back to a host read, chain onto a replica
 // already in flight to another GPU and forward device-to-device instead of
-// issuing a second PCIe host read. Ranked selects the chain target by link
-// rank to the destination (the full XKBLAS configuration); unranked takes
-// the first in-flight destination.
+// issuing a second PCIe host read. The chain target is the in-flight
+// destination with the best link rank to the destination.
 type Optimistic struct {
-	Base   SourceSelector
-	Ranked bool
+	Base SourceSelector
 }
 
 // Name implements SourceSelector.
@@ -189,18 +187,14 @@ func (o Optimistic) PickPeer(topo *topology.Platform, cands topology.DeviceSet, 
 }
 
 // PickInflight implements SourceSelector: the in-flight destination with
-// the best link to dst (rank order when Ranked, else first), excluding dst
+// the best link rank to dst (the lowest id among equals), excluding dst
 // itself. Chain hits and misses are counted in c.
 func (o Optimistic) PickInflight(topo *topology.Platform, tile TileView, dst topology.DeviceID, c *Counters) (topology.DeviceID, bool) {
 	var best topology.DeviceID = -1
 	bestRank := -1
 	for s := tile.InflightDsts().Without(dst); !s.Empty(); s = s.Rest() {
 		g := s.First()
-		r := 0
-		if o.Ranked {
-			r = topo.P2PPerformanceRank(g, dst)
-		}
-		if best < 0 || r > bestRank {
+		if r := topo.P2PPerformanceRank(g, dst); best < 0 || r > bestRank {
 			best, bestRank = g, r
 		}
 	}

@@ -291,8 +291,7 @@ func TestOutcomeErrors(t *testing.T) {
 	}
 }
 
-// TestParseHelpers covers the flag-parsing surface shared by xkbench and
-// xkserve.
+// TestParseHelpers covers xkserve's flag-parsing surface.
 func TestParseHelpers(t *testing.T) {
 	if _, err := ParseFleet("dgx1, dgx2"); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 
 	"xkblas/internal/cache"
 	"xkblas/internal/metrics"
-	"xkblas/internal/policy"
 	"xkblas/internal/sim"
 	"xkblas/internal/topology"
 )
@@ -63,10 +62,6 @@ func (e Event) Duration() sim.Time { return e.End - e.Start }
 // kernel observer.
 type Recorder struct {
 	Events []Event
-	// Decisions is the policy-decision counter snapshot the producing run
-	// attaches when it completes; Reset does not clear it (it accumulates
-	// over the runtime's whole lifetime, like the runtime's own counters).
-	Decisions policy.Decisions
 }
 
 // NewRecorder returns an empty recorder.

@@ -32,7 +32,7 @@ func auditSources() []policy.SourceSelector {
 		policy.LowestID{},
 		policy.HostOnly{},
 		policy.SameSwitch{Base: policy.TopoRank{}},
-		policy.Optimistic{Base: policy.TopoRank{}, Ranked: true},
+		policy.Optimistic{Base: policy.TopoRank{}},
 		policy.Optimistic{Base: policy.LowestID{}},
 	}
 }

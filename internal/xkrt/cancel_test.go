@@ -173,3 +173,55 @@ func TestCanceledErrorMatching(t *testing.T) {
 		t.Fatal("cause-less CanceledError must still match and describe itself")
 	}
 }
+
+// TestCancelStopsStreamAdmission: a streamed generator cancelled
+// mid-generation keeps the window's bound. A stopped engine frees no
+// window room, so every later submission that finds the window full is
+// dropped unadmitted instead of growing the graph; the generator runs to
+// its end cheaply and Barrier reports the cancellation.
+func TestCancelStopsStreamAdmission(t *testing.T) {
+	const window, nt, nb = 16, 8, 64
+	spec := KernelSpec{
+		Routine: blasops.Gemm, M: nb, N: nb, K: nb,
+		Flops: 2 * float64(nb) * float64(nb) * float64(nb),
+	}
+	gemm := func(cut sim.Time) *Runtime {
+		eng := sim.NewEngine()
+		opt := DefaultOptions()
+		opt.StreamWindow = window
+		rt := New(eng, device.NewPlatform(eng, topology.DGX1()), false, opt)
+		if cut > 0 {
+			eng.At(cut, func() { rt.Cancel(context.Canceled) })
+		}
+		a := rt.Register(matrix.NewShape(nt*nb, nt*nb), nb)
+		b := rt.Register(matrix.NewShape(nt*nb, nt*nb), nb)
+		c := rt.Register(matrix.NewShape(nt*nb, nt*nb), nb)
+		for i := 0; i < nt; i++ {
+			for j := 0; j < nt; j++ {
+				for k := 0; k < nt; k++ {
+					rt.Submit("sgemm", spec, 0, RW(c.Tile(i, j)), R(a.Tile(i, k)), R(b.Tile(k, j)))
+				}
+				rt.SubmitFlush(c.Tile(i, j))
+			}
+		}
+		rt.Barrier()
+		return rt
+	}
+	ref := gemm(0)
+	if err := ref.Err(); err != nil {
+		t.Fatalf("uncancelled run failed: %v", err)
+	}
+	if ref.TasksLiveMax() > window {
+		t.Fatalf("uncancelled run: peak live tasks %d exceed the window %d", ref.TasksLiveMax(), window)
+	}
+	rt := gemm(ref.Eng.Now() / 4)
+	if err := rt.Err(); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("run error = %v, want a cancellation", err)
+	}
+	if run, total := rt.Stats().TasksRun, ref.Stats().TasksRun; run == 0 || run >= total {
+		t.Fatalf("cancelled run retired %d of %d tasks: the cancellation missed the generation", run, total)
+	}
+	if got := rt.TasksLiveMax(); got > window {
+		t.Fatalf("cancelled run: peak live tasks %d exceed the window %d", got, window)
+	}
+}

@@ -23,7 +23,7 @@ import (
 var tileQuerySelectors = []policy.SourceSelector{
 	policy.TopoRank{},
 	policy.SameSwitch{Base: policy.TopoRank{}},
-	policy.Optimistic{Base: policy.TopoRank{}, Ranked: true},
+	policy.Optimistic{Base: policy.TopoRank{}},
 }
 
 // policyRig holds a DGX-1 runtime with two tiles in a fixed replica state

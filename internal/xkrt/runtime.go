@@ -478,8 +478,10 @@ func (rt *Runtime) recycleTask(t *Task) {
 // like a sequential-consistency superscalar: reads depend on the last
 // writer; writes depend on the last writer and every reader since. With a
 // stream window configured (Options.StreamWindow), Submit may drive the
-// simulation until the window has room. The returned *Task is recycled at
-// completion and must not be retained past Barrier.
+// simulation until the window has room; once the engine is stopped
+// (Cancel), a task that would wait is dropped unadmitted instead. The
+// returned *Task is recycled at completion and must not be retained past
+// Barrier.
 func (rt *Runtime) Submit(name string, kern KernelSpec, priority int, accesses ...Access) *Task {
 	t := rt.newTask(kindCompute, accesses)
 	t.name = name
@@ -514,10 +516,11 @@ func (rt *Runtime) SubmitPrefetch(tile *cache.Tile, dev topology.DeviceID) *Task
 // Without a stream window the task is admitted immediately (the historical
 // behavior). Whole-graph mode wires dependencies now and queues the task
 // for in-order admission at event boundaries; lazy streaming blocks the
-// submitter — driving the engine — until the window has room, then admits.
-// Both streaming modes admit every task at the same virtual instant and at
-// the same event boundary, which is what makes a streamed run bit-identical
-// to its whole-graph reference.
+// submitter — driving the engine — until the window has room, then admits,
+// or drops the task when the engine stopped meanwhile. Both streaming
+// modes admit every task at the same virtual instant and at the same event
+// boundary, which is what makes a streamed run bit-identical to its
+// whole-graph reference.
 func (rt *Runtime) stage(t *Task) {
 	win := rt.Opt.StreamWindow
 	if win <= 0 {
@@ -534,6 +537,13 @@ func (rt *Runtime) stage(t *Task) {
 		t.stallCounted = true
 		rt.windowStalls++
 		rt.Eng.RunWhile(rt.windowFull)
+		if rt.Eng.Stopped() {
+			// A stopped engine frees no window room: drop the task
+			// unadmitted, so a cancelled generator cannot grow the graph
+			// past the window. Barrier reports the run's error.
+			rt.recycleTask(t)
+			return
+		}
 	}
 	rt.admit(t)
 }
