@@ -370,7 +370,7 @@ func customSweep(w *os.File, run bench.Config, libsSpec, routinesSpec, sizesSpec
 		for _, l := range bench.Roster() {
 			byName[l.Name()] = l
 		}
-		for _, l := range []baseline.Library{baseline.XKBlasNoHeuristic(), baseline.XKBlasNoHeuristicNoTopo(), baseline.XKBlasNearest()} {
+		for _, l := range []baseline.Library{baseline.XKBlasNoHeuristic(), baseline.XKBlasNoHeuristicNoTopo()} {
 			byName[l.Name()] = l
 		}
 		for _, name := range strings.Split(libsSpec, ",") {

@@ -190,89 +190,109 @@ func verifyReal(w io.Writer, cfgName string, opt xkrt.Options, rng *rand.Rand) i
 
 func verifyComplex(w io.Writer, cfgName string, opt xkrt.Options, rng *rand.Rand) int {
 	nb := 4 + rng.Intn(6)
+	m := nb + rng.Intn(3*nb)
 	n := nb + rng.Intn(3*nb)
 	k := nb + rng.Intn(3*nb)
 	h := core.NewHandle(core.Config{TileSize: nb, Functional: true, Options: opt})
 	fail := 0
+
+	trans := []core.Trans{core.NoTrans, core.Transpose, core.ConjTrans}
+	herm := []core.Trans{core.NoTrans, core.ConjTrans}
+	uplos := []core.Uplo{core.Lower, core.Upper}
+	sides := []core.Side{core.Left, core.Right}
+	diags := []core.Diag{core.NonUnit, core.Unit}
 	alpha := complex(2*rng.Float64()-1, 2*rng.Float64()-1)
-	uplo := core.Lower
-	if rng.Intn(2) == 0 {
-		uplo = core.Upper
-	}
+	beta := complex(2*rng.Float64()-1, 2*rng.Float64()-1)
 
 	// ZGEMM
 	{
-		a, b, c := randZ(rng, n, k), randZ(rng, k, n), randZ(rng, n, n)
+		ta, tb := pick(rng, trans), pick(rng, trans)
+		a := randZShaped(rng, ta, m, k)
+		b := randZShaped(rng, tb, k, n)
+		c := randZ(rng, m, n)
 		want := c.Clone()
-		zblas.Gemm(core.NoTrans, core.NoTrans, alpha, a, b, 1, want)
+		zblas.Gemm(ta, tb, alpha, a, b, beta, want)
 		A, B, C := h.RegisterZ(a), h.RegisterZ(b), h.RegisterZ(c)
-		h.ZgemmAsync(core.NoTrans, core.NoTrans, alpha, A, B, 1, C)
+		h.ZgemmAsync(ta, tb, alpha, A, B, beta, C)
 		h.MemoryCoherentAsync(C)
 		h.Sync()
-		fail += report(w, cfgName+" ZGEMM", matrix.MaxAbsDiffZ(c, want), 1e-9)
-	}
-	// HERK
-	{
-		a := randZ(rng, n, k)
-		c := randZ(rng, n, n)
-		for i := 0; i < n; i++ {
-			c.Set(i, i, complex(real(c.At(i, i)), 0))
-		}
-		want := c.Clone()
-		zblas.Herk(uplo, core.NoTrans, real(alpha), a, 0.5, want)
-		A, C := h.RegisterZ(a), h.RegisterZ(c)
-		h.ZherkAsync(uplo, core.NoTrans, real(alpha), A, 0.5, C)
-		h.MemoryCoherentAsync(C)
-		h.Sync()
-		fail += report(w, fmt.Sprintf("%s HERK(%c)", cfgName, uplo), matrix.MaxAbsDiffZ(c, want), 1e-9)
+		fail += report(w, fmt.Sprintf("%s ZGEMM(%c%c) nb=%d %dx%dx%d", cfgName, ta, tb, nb, m, n, k),
+			matrix.MaxAbsDiffZ(c, want), 1e-9)
 	}
 	// HEMM
 	{
-		a, b, c := randZ(rng, n, n), randZ(rng, n, n), randZ(rng, n, n)
+		side, uplo := pick(rng, sides), pick(rng, uplos)
+		dim := m
+		if side == core.Right {
+			dim = n
+		}
+		a := randZ(rng, dim, dim)
+		b := randZ(rng, m, n)
+		c := randZ(rng, m, n)
 		want := c.Clone()
-		zblas.Hemm(core.Left, uplo, alpha, a, b, 1, want)
+		zblas.Hemm(side, uplo, alpha, a, b, beta, want)
 		A, B, C := h.RegisterZ(a), h.RegisterZ(b), h.RegisterZ(c)
-		h.ZhemmAsync(core.Left, uplo, alpha, A, B, 1, C)
+		h.ZhemmAsync(side, uplo, alpha, A, B, beta, C)
 		h.MemoryCoherentAsync(C)
 		h.Sync()
-		fail += report(w, fmt.Sprintf("%s HEMM(%c)", cfgName, uplo), matrix.MaxAbsDiffZ(c, want), 1e-9)
+		fail += report(w, fmt.Sprintf("%s HEMM(%c%c)", cfgName, side, uplo),
+			matrix.MaxAbsDiffZ(c, want), 1e-9)
 	}
-	// ZTRSM/ZTRMM round-trip
+	// HERK / HER2K
 	{
-		a := randZ(rng, n, n)
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+complex(float64(n)+6, 0))
+		uplo, tr := pick(rng, uplos), pick(rng, herm)
+		a := randZShaped(rng, tr, n, k)
+		b := randZShaped(rng, tr, n, k)
+		c := randZ(rng, n, n)
+		want := c.Clone()
+		zblas.Her2k(uplo, tr, alpha, a, b, real(beta), want)
+		A, B, C := h.RegisterZ(a), h.RegisterZ(b), h.RegisterZ(c)
+		h.Zher2kAsync(uplo, tr, alpha, A, B, real(beta), C)
+		h.MemoryCoherentAsync(C)
+		h.Sync()
+		fail += report(w, fmt.Sprintf("%s HER2K(%c%c)", cfgName, uplo, tr),
+			matrix.MaxAbsDiffZ(c, want), 1e-9)
+
+		c2 := randZ(rng, n, n)
+		want2 := c2.Clone()
+		zblas.Herk(uplo, tr, real(alpha), a, real(beta), want2)
+		C2 := h.RegisterZ(c2)
+		h.ZherkAsync(uplo, tr, real(alpha), h.RegisterZ(a), real(beta), C2)
+		h.MemoryCoherentAsync(C2)
+		h.Sync()
+		fail += report(w, fmt.Sprintf("%s HERK(%c%c)", cfgName, uplo, tr),
+			matrix.MaxAbsDiffZ(c2, want2), 1e-9)
+	}
+	// ZTRMM / ZTRSM
+	{
+		side, uplo, ta, diag := pick(rng, sides), pick(rng, uplos), pick(rng, trans), pick(rng, diags)
+		dim := m
+		if side == core.Right {
+			dim = n
 		}
-		b := randZ(rng, n, k)
-		orig := b.Clone()
+		a := randZ(rng, dim, dim)
+		for i := 0; i < dim; i++ {
+			a.Set(i, i, a.At(i, i)+complex(float64(dim)+4, 0))
+		}
+		b := randZ(rng, m, n)
+		want := b.Clone()
+		zblas.Trmm(side, uplo, ta, diag, alpha, a, want)
 		A, B := h.RegisterZ(a), h.RegisterZ(b)
-		h.ZtrsmAsync(core.Left, uplo, core.ConjTrans, core.NonUnit, alpha, A, B)
-		h.ZtrmmAsync(core.Left, uplo, core.ConjTrans, core.NonUnit, 1, A, B)
+		h.ZtrmmAsync(side, uplo, ta, diag, alpha, A, B)
 		h.MemoryCoherentAsync(B)
 		h.Sync()
-		want := orig.Clone()
-		for j := 0; j < want.N; j++ {
-			for i := 0; i < want.M; i++ {
-				want.Set(i, j, alpha*orig.At(i, j))
-			}
-		}
-		fail += report(w, fmt.Sprintf("%s ZTRSM/ZTRMM(%c)", cfgName, uplo),
-			matrix.MaxAbsDiffZ(b, want), 1e-7)
-	}
-	// HER2K
-	{
-		a, b := randZ(rng, n, k), randZ(rng, n, k)
-		c := randZ(rng, n, n)
-		for i := 0; i < n; i++ {
-			c.Set(i, i, complex(real(c.At(i, i)), 0))
-		}
-		want := c.Clone()
-		zblas.Her2k(uplo, core.NoTrans, alpha, a, b, 0.7, want)
-		A, B, C := h.RegisterZ(a), h.RegisterZ(b), h.RegisterZ(c)
-		h.Zher2kAsync(uplo, core.NoTrans, alpha, A, B, 0.7, C)
-		h.MemoryCoherentAsync(C)
+		fail += report(w, fmt.Sprintf("%s ZTRMM(%c%c%c%c)", cfgName, side, uplo, ta, diag),
+			matrix.MaxAbsDiffZ(b, want), 1e-8)
+
+		b2 := randZ(rng, m, n)
+		want2 := b2.Clone()
+		zblas.Trsm(side, uplo, ta, diag, alpha, a, want2)
+		B2 := h.RegisterZ(b2)
+		h.ZtrsmAsync(side, uplo, ta, diag, alpha, h.RegisterZ(a), B2)
+		h.MemoryCoherentAsync(B2)
 		h.Sync()
-		fail += report(w, fmt.Sprintf("%s HER2K(%c)", cfgName, uplo), matrix.MaxAbsDiffZ(c, want), 1e-9)
+		fail += report(w, fmt.Sprintf("%s ZTRSM(%c%c%c%c)", cfgName, side, uplo, ta, diag),
+			matrix.MaxAbsDiffZ(b2, want2), 1e-7)
 	}
 	return fail
 }
@@ -294,4 +314,11 @@ func randZ(rng *rand.Rand, m, n int) matrix.ZMat {
 	z := matrix.NewZ(m, n)
 	z.FillRandom(rng)
 	return z
+}
+
+func randZShaped(rng *rand.Rand, t core.Trans, rows, cols int) matrix.ZMat {
+	if t == core.NoTrans {
+		return randZ(rng, rows, cols)
+	}
+	return randZ(rng, cols, rows)
 }

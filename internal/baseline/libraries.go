@@ -28,27 +28,6 @@ func XKBlas() Library {
 	}
 }
 
-// XKBlasNearest swaps the link-rank source selection for the routed
-// fabric-graph distance metric: among valid replicas, read from the one
-// with the fewest charged hops to the destination (bandwidth, then id,
-// breaking ties). On the single-node platforms it agrees with TopoRank
-// almost everywhere; on NVSwitch, multi-node and heterogeneous fabrics the
-// hop metric generalizes where the fixed three-rank ladder cannot.
-func XKBlasNearest() Library {
-	return &StdLib{
-		LibName:  "XKBlas (nearest)",
-		Routines: allSix,
-		Opts: xkrt.Options{
-			Window: 4,
-			Policy: &policy.Bundle{
-				Source:    policy.Optimistic{Base: policy.NearestFirst{}},
-				Scheduler: policy.WorkStealing{},
-				Evictor:   policy.LRUReadOnlyFirst{},
-			},
-		},
-	}
-}
-
 // XKBlasNoHeuristic disables the optimistic device-to-device forwarding
 // only ("XKBlas, no heuristic" in Fig. 3).
 func XKBlasNoHeuristic() Library {

@@ -93,7 +93,7 @@ func BatchSweep(w io.Writer, cfg Config, quick bool, forceCount, forceN int) {
 			"count", "n", "device GF/s", "host GF/s", "crossover GF/s", "routed d/h")
 		for i := range cells {
 			cl := &cells[i]
-			if err := firstErr(cl.legs[:]); err != nil {
+			if err := firstErr(cl.legs[0].Err, cl.legs[1].Err, cl.legs[2].Err); err != nil {
 				fmt.Fprintf(w, "  %-7d %-7d ERROR: %v\n", cl.count, cl.n, err)
 				continue
 			}
@@ -103,14 +103,4 @@ func BatchSweep(w io.Writer, cfg Config, quick bool, forceCount, forceN int) {
 				d.DispatchDevice, d.DispatchHost)
 		}
 	}
-}
-
-// firstErr reports the first failed leg of a batch cell.
-func firstErr(legs []baseline.Result) error {
-	for _, r := range legs {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
 }

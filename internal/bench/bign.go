@@ -147,7 +147,8 @@ func bigNLine(w io.Writer, label string, r BigNResult) {
 // below the device-memory wall (so the OOM leg is skipped) and keeps only
 // the live-task contrast. The runs always simulate the DGX-1; of the
 // caller's Config only Check and Ctx apply: once Ctx is done no further
-// configuration starts, and each one left prints its ERROR line.
+// configuration starts, and each one left prints its ERROR line. The
+// closing live-task comparison prints only when both of its runs succeeded.
 func BigN(w io.Writer, run Config, quick bool) []BigNResult {
 	const nb = 2048
 	const window = 4096
@@ -160,8 +161,10 @@ func BigN(w io.Writer, run Config, quick bool) []BigNResult {
 		r = RunBigNGemm(BigNConfig{N: 57344, NB: nb, Window: 1024, Check: run.Check, Ctx: run.Ctx})
 		bigNLine(w, "streamed, interleaved flush", r)
 		out = append(out, r)
-		fmt.Fprintf(w, "\npeak live tasks: %d whole-graph vs %d streamed (bound: window = %d)\n",
-			out[0].TasksLiveMax, out[1].TasksLiveMax, 1024)
+		if firstErr(out[0].Err, out[1].Err) == nil {
+			fmt.Fprintf(w, "\npeak live tasks: %d whole-graph vs %d streamed (bound: window = %d)\n",
+				out[0].TasksLiveMax, out[1].TasksLiveMax, 1024)
+		}
 		return out
 	}
 	// Whole-graph reference at the largest size below the device-memory
@@ -182,8 +185,10 @@ func BigN(w io.Writer, run Config, quick bool) []BigNResult {
 	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window, Check: run.Check, Ctx: run.Ctx})
 	bigNLine(w, "streamed, interleaved flush", r)
 	out = append(out, r)
-	nt := (229376 + nb - 1) / nb
-	fmt.Fprintf(w, "\nstreamed run: %d chains, %d compute tasks; peak live tasks %d (bound: window = %d) vs %d whole-graph at N=%d\n",
-		nt*nt, nt*nt*nt, r.TasksLiveMax, window, out[0].TasksLiveMax, out[0].N)
+	if firstErr(out[0].Err, r.Err) == nil {
+		nt := (229376 + nb - 1) / nb
+		fmt.Fprintf(w, "\nstreamed run: %d chains, %d compute tasks; peak live tasks %d (bound: window = %d) vs %d whole-graph at N=%d\n",
+			nt*nt, nt*nt*nt, r.TasksLiveMax, window, out[0].TasksLiveMax, out[0].N)
+	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"io"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -96,35 +97,38 @@ func TestCheckAuditsHandleDrivers(t *testing.T) {
 }
 
 // TestHandleDriversCancelled: once the run's context is done, the
-// handle-level drivers start no simulation — no audited drain appears
-// under Check — and every big-N configuration reports the cancellation,
-// each on its own ERROR line.
+// text-writing experiments start no simulation — no audited drain appears
+// under Check — and every data row prints ERROR with the cause: no
+// measured value, and no gain, ratio or summary line derived from one.
+// Every big-N configuration reports the cancellation on its own row.
 func TestHandleDriversCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	run := Config{Check: true, Ctx: ctx}
+	measured := regexp.MustCompile(`\d\.\d|%|NaN|Inf`)
+	bign := func(quick bool) func(io.Writer, Config, bool) {
+		return func(w io.Writer, cfg Config, _ bool) {
+			for _, r := range BigN(w, cfg, quick) {
+				if !errors.Is(r.Err, context.Canceled) || !errors.Is(r.Err, xkrt.ErrCanceled) {
+					t.Errorf("bign: N=%d error %v, want a cancellation", r.N, r.Err)
+				}
+			}
+		}
+	}
 	for _, tc := range []struct {
-		name       string
-		fn         func(io.Writer, Config, bool)
-		errorLines int // ERROR lines expected; 0 leaves the output unchecked
+		name            string
+		fn              func(io.Writer, Config, bool)
+		header, trailer int // non-empty lines around the data rows
+		rows            int
 	}{
-		{"hermitian", Hermitian, 0},
-		{"pinning", PinningCost, 0},
-		{"factor", Factorizations, 0},
-		{"bign quick", func(w io.Writer, cfg Config, _ bool) {
-			for _, r := range BigN(w, cfg, true) {
-				if !errors.Is(r.Err, context.Canceled) || !errors.Is(r.Err, xkrt.ErrCanceled) {
-					t.Errorf("bign quick: N=%d error %v, want a cancellation", r.N, r.Err)
-				}
-			}
-		}, 2},
-		{"bign full", func(w io.Writer, cfg Config, _ bool) {
-			for _, r := range BigN(w, cfg, false) {
-				if !errors.Is(r.Err, context.Canceled) || !errors.Is(r.Err, xkrt.ErrCanceled) {
-					t.Errorf("bign full: N=%d error %v, want a cancellation", r.N, r.Err)
-				}
-			}
-		}, 3},
+		{"table2", TableII, 2, 1, 3},
+		{"scale", Scalability, 2, 0, 8},
+		{"summit", SummitPrediction, 2, 0, 4},
+		{"hermitian", Hermitian, 1, 0, 8},
+		{"pinning", PinningCost, 2, 0, 2},
+		{"factor", Factorizations, 2, 0, 4},
+		{"bign quick", bign(true), 1, 0, 2},
+		{"bign full", bign(false), 1, 0, 3},
 	} {
 		drains, _ := check.Stats()
 		var buf bytes.Buffer
@@ -136,8 +140,22 @@ func TestHandleDriversCancelled(t *testing.T) {
 		if d, _ := check.Stats(); d != drains {
 			t.Errorf("%s: %d simulations drained on a cancelled context", tc.name, d-drains)
 		}
-		if got := strings.Count(buf.String(), "ERROR"); tc.errorLines > 0 && got != tc.errorLines {
-			t.Errorf("%s: %d ERROR lines, want %d:\n%s", tc.name, got, tc.errorLines, buf.String())
+		var lines []string
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if strings.TrimSpace(l) != "" {
+				lines = append(lines, l)
+			}
+		}
+		if len(lines) != tc.header+tc.rows+tc.trailer {
+			t.Errorf("%s: %d lines, want %d header, %d rows and %d trailer:\n%s",
+				tc.name, len(lines), tc.header, tc.rows, tc.trailer, buf.String())
+			continue
+		}
+		for _, l := range lines[tc.header : tc.header+tc.rows] {
+			i := strings.Index(l, "ERROR: ")
+			if i < 0 || measured.MatchString(l[:i]) || !strings.HasSuffix(l, "context canceled") {
+				t.Errorf("%s: row %q is not a bare ERROR row", tc.name, l)
+			}
 		}
 	}
 }

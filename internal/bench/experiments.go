@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"xkblas/internal/baseline"
 	"xkblas/internal/blasops"
@@ -146,14 +147,19 @@ func TableII(w io.Writer, run Config, quick bool) {
 	noH := baseline.XKBlasNoHeuristic()
 	noHT := baseline.XKBlasNoHeuristicNoTopo()
 	for _, r := range routines {
-		var dodMax, noHMin, noHTMin float64
-		noHMin, noHTMin = 1e18, 1e18
+		var dodMax float64
+		noHMin, noHTMin := math.Inf(1), math.Inf(1)
+		var err error
+		measured := false
 		for _, n := range cfg.Sizes {
 			if n < 16384 {
 				continue
 			}
 			ref := MeasurePoint(cfg, base, r, n)
-			if ref.Err != nil || ref.GFlops == 0 {
+			if err = ref.Err; err != nil {
+				break
+			}
+			if ref.GFlops == 0 {
 				continue
 			}
 			dodCfg := cfg
@@ -161,21 +167,28 @@ func TableII(w io.Writer, run Config, quick bool) {
 			dod := MeasurePoint(dodCfg, base, r, n)
 			nh := MeasurePoint(cfg, noH, r, n)
 			nht := MeasurePoint(cfg, noHT, r, n)
-			if dod.Err == nil {
-				if g := dod.GFlops/ref.GFlops - 1; g > dodMax {
-					dodMax = g
-				}
+			if err = firstErr(dod.Err, nh.Err, nht.Err); err != nil {
+				break
 			}
-			if nh.Err == nil {
-				if g := nh.GFlops/ref.GFlops - 1; g < noHMin {
-					noHMin = g
-				}
+			if g := dod.GFlops/ref.GFlops - 1; g > dodMax {
+				dodMax = g
 			}
-			if nht.Err == nil {
-				if g := nht.GFlops/ref.GFlops - 1; g < noHTMin {
-					noHTMin = g
-				}
+			if g := nh.GFlops/ref.GFlops - 1; g < noHMin {
+				noHMin = g
 			}
+			if g := nht.GFlops/ref.GFlops - 1; g < noHTMin {
+				noHTMin = g
+			}
+			measured = true
+		}
+		if err == nil && !measured {
+			err = fmt.Errorf("no point at N ≥ 16384")
+		}
+		if err != nil {
+			// A row with a failed measurement reports it instead of an
+			// extreme over the points that did complete.
+			fmt.Fprintf(w, "D%-7s ERROR: %v\n", r, err)
+			continue
 		}
 		fmt.Fprintf(w, "D%-7s %+15.1f%% %+13.1f%% %+21.1f%%\n",
 			r, 100*dodMax, 100*noHMin, 100*noHTMin)

@@ -33,19 +33,23 @@ func Scalability(w io.Writer, run Config, quick bool) {
 	for g := 1; g <= 8; g++ {
 		cfg := extensionConfig(run, []int{2048, 4096}, runs)
 		cfg.Platform = topology.DGX1WithGPUs(g)
-		xk := MeasurePoint(cfg, baseline.XKBlas(), blasops.Gemm, n).GFlops
-		xt := MeasurePoint(cfg, baseline.CuBLASXT(), blasops.Gemm, n).GFlops
-		ratio := 0.0
-		if xt > 0 {
-			ratio = xk / xt
+		xk := MeasurePoint(cfg, baseline.XKBlas(), blasops.Gemm, n)
+		xt := MeasurePoint(cfg, baseline.CuBLASXT(), blasops.Gemm, n)
+		if err := firstErr(xk.Err, xt.Err); err != nil {
+			fmt.Fprintf(w, "%-6d ERROR: %v\n", g, err)
+			continue
 		}
-		fmt.Fprintf(w, "%-6d %14.1f %14.1f %9.2fx\n", g, xk, xt, ratio)
+		ratio := 0.0
+		if xt.GFlops > 0 {
+			ratio = xk.GFlops / xt.GFlops
+		}
+		fmt.Fprintf(w, "%-6d %14.1f %14.1f %9.2fx\n", g, xk.GFlops, xt.GFlops, ratio)
 	}
 }
 
 // extensionConfig is the best-tile measurement of the scalability and
 // Summit tables: the given tiles and repetitions over the run-wide part of
-// run, with their own noise-seed rule. A failed point measures 0 GFlop/s.
+// run, with their own noise-seed rule.
 func extensionConfig(run Config, tiles []int, runs int) Config {
 	cfg := run.runWide()
 	cfg.Tiles = tiles
@@ -86,19 +90,23 @@ func SummitPrediction(w io.Writer, run Config, quick bool) {
 			plat *topology.Platform
 		}{run.Platform.Name, run.Platform})
 	}
-	measure := func(lib baseline.Library, plat *topology.Platform) float64 {
+	measure := func(lib baseline.Library, plat *topology.Platform) Point {
 		cfg := extensionConfig(run, []int{2048}, runs)
 		cfg.Platform = plat
-		return MeasurePoint(cfg, lib, blasops.Gemm, n).GFlops
+		return MeasurePoint(cfg, lib, blasops.Gemm, n)
 	}
 	for _, pc := range rows {
 		on := measure(baseline.XKBlas(), pc.plat)
 		off := measure(baseline.XKBlasNoHeuristicNoTopo(), pc.plat)
-		gain := 0.0
-		if off > 0 {
-			gain = 100 * (on/off - 1)
+		if err := firstErr(on.Err, off.Err); err != nil {
+			fmt.Fprintf(w, "%-34s ERROR: %v\n", pc.name, err)
+			continue
 		}
-		fmt.Fprintf(w, "%-34s %12.1f %12.1f %+11.1f%%\n", pc.name, on, off, gain)
+		gain := 0.0
+		if off.GFlops > 0 {
+			gain = 100 * (on.GFlops/off.GFlops - 1)
+		}
+		fmt.Fprintf(w, "%-34s %12.1f %12.1f %+11.1f%%\n", pc.name, on.GFlops, off.GFlops, gain)
 	}
 	// Per-heuristic split on the run's platform (the Fig. 3 decomposition
 	// at one size; DGX-1 unless the run names another).
@@ -109,7 +117,11 @@ func SummitPrediction(w io.Writer, run Config, quick bool) {
 	}
 	onD := measure(baseline.XKBlas(), split)
 	noH := measure(baseline.XKBlasNoHeuristic(), split)
-	fmt.Fprintf(w, "%s optimistic-only contribution: %+5.1f%%\n", label, 100*(onD/noH-1))
+	if err := firstErr(onD.Err, noH.Err); err != nil {
+		fmt.Fprintf(w, "%s optimistic-only contribution: ERROR: %v\n", label, err)
+		return
+	}
+	fmt.Fprintf(w, "%s optimistic-only contribution: %+5.1f%%\n", label, 100*(onD.GFlops/noH.GFlops-1))
 }
 
 // Hermitian measures the complex routines (ZGEMM, HEMM, HERK, HER2K) on
@@ -123,8 +135,12 @@ func Hermitian(w io.Writer, cfg Config, quick bool) {
 	fmt.Fprintln(w, "Extension — complex/Hermitian routines, XKBlas, data-on-host (GFlop/s, complex flops)")
 	for _, r := range blasops.Hermitian() {
 		for _, n := range sizes {
-			gf := measureHermitian(cfg, r, n, 1024)
-			fmt.Fprintf(w, "%-6s N=%-6d %10.1f GF/s\n", r, n, gf)
+			res := measureHermitian(cfg, r, n, 1024)
+			if res.Err != nil {
+				fmt.Fprintf(w, "%-6s N=%-6d ERROR: %v\n", r, n, res.Err)
+				continue
+			}
+			fmt.Fprintf(w, "%-6s N=%-6d %10.1f GF/s\n", r, n, res.GFlops)
 		}
 	}
 }
@@ -145,18 +161,22 @@ func Factorizations(w io.Writer, cfg Config, quick bool) {
 		for _, n := range sizes {
 			async := measureFactor(cfg, r, n, 1024, false)
 			fj := measureFactor(cfg, r, n, 1024, true)
-			ben := 0.0
-			if fj > 0 {
-				ben = 100 * (async/fj - 1)
+			if err := firstErr(async.Err, fj.Err); err != nil {
+				fmt.Fprintf(w, "%-8s %-8d ERROR: %v\n", r, n, err)
+				continue
 			}
-			fmt.Fprintf(w, "%-8s %-8d %14.2f %16.2f %+9.1f%%\n", r, n, async/1000, fj/1000, ben)
+			ben := 0.0
+			if fj.GFlops > 0 {
+				ben = 100 * (async.GFlops/fj.GFlops - 1)
+			}
+			fmt.Fprintf(w, "%-8s %-8d %14.2f %16.2f %+9.1f%%\n", r, n, async.GFlops/1000, fj.GFlops/1000, ben)
 		}
 	}
 }
 
 // measureFactor runs one factorization in timing mode; panelSync inserts a
 // barrier after each panel's tasks (fork-join style).
-func measureFactor(cfg Config, r blasops.Routine, n, nb int, panelSync bool) float64 {
+func measureFactor(cfg Config, r blasops.Routine, n, nb int, panelSync bool) baseline.Result {
 	return callXKBlas(cfg, nb, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
 		A := h.Register(matrix.NewShape(n, n))
 		start := h.Now()
@@ -192,15 +212,19 @@ func PinningCost(w io.Writer, cfg Config, quick bool) {
 	for _, n := range sizes {
 		without := measureGemmPinning(cfg, n, 2048, false)
 		with := measureGemmPinning(cfg, n, 2048, true)
-		pen := 0.0
-		if with > 0 {
-			pen = 100 * (without/with - 1)
+		if err := firstErr(without.Err, with.Err); err != nil {
+			fmt.Fprintf(w, "%-8d ERROR: %v\n", n, err)
+			continue
 		}
-		fmt.Fprintf(w, "%-8d %13.1f GF %15.1f GF %9.1f%%\n", n, without, with, pen)
+		pen := 0.0
+		if with.GFlops > 0 {
+			pen = 100 * (without.GFlops/with.GFlops - 1)
+		}
+		fmt.Fprintf(w, "%-8d %13.1f GF %15.1f GF %9.1f%%\n", n, without.GFlops, with.GFlops, pen)
 	}
 }
 
-func measureGemmPinning(cfg Config, n, nb int, chargePin bool) float64 {
+func measureGemmPinning(cfg Config, n, nb int, chargePin bool) baseline.Result {
 	return callXKBlas(cfg, nb, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
 		a := h.Register(matrix.NewShape(n, n))
 		b := h.Register(matrix.NewShape(n, n))
@@ -219,7 +243,7 @@ func measureGemmPinning(cfg Config, n, nb int, chargePin bool) float64 {
 	})
 }
 
-func measureHermitian(cfg Config, r blasops.Routine, n, nb int) float64 {
+func measureHermitian(cfg Config, r blasops.Routine, n, nb int) baseline.Result {
 	return callXKBlas(cfg, nb, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
 		z := func() *xkrt.Matrix { return h.RegisterZ(matrix.NewZShape(n, n)) }
 		start := h.Now()
@@ -250,8 +274,19 @@ func measureHermitian(cfg Config, r blasops.Routine, n, nb int) float64 {
 // callXKBlas runs one handle-level extension call on the full XKBlas
 // library through baseline's measurement protocol, at tile size nb on the
 // run's platform: audited, cancellable and on a recycled context like
-// every sweep leaf. A failed or cancelled call measures 0 GFlop/s.
-func callXKBlas(cfg Config, nb int, body baseline.Body) float64 {
+// every sweep leaf.
+func callXKBlas(cfg Config, nb int, body baseline.Body) baseline.Result {
 	req := baseline.Request{NB: nb, Platform: cfg.Platform, Check: cfg.Check, Ctx: cfg.Ctx}
-	return baseline.XKBlas().(*baseline.StdLib).Call(req, body).GFlops
+	return baseline.XKBlas().(*baseline.StdLib).Call(req, body)
+}
+
+// firstErr returns the first non-nil error: the cause a row reports when
+// one of its measurements failed.
+func firstErr(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

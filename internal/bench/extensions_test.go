@@ -110,8 +110,8 @@ func sscanFloat(s string, v *float64) (int, error) {
 }
 
 func TestPinningPenaltySubstantial(t *testing.T) {
-	without := measureGemmPinning(Config{}, 16384, 2048, false)
-	with := measureGemmPinning(Config{}, 16384, 2048, true)
+	without := measureGemmPinning(Config{}, 16384, 2048, false).GFlops
+	with := measureGemmPinning(Config{}, 16384, 2048, true).GFlops
 	if with >= without {
 		t.Fatalf("pinning inside the timed section must cost: %.0f vs %.0f", with, without)
 	}
@@ -121,11 +121,11 @@ func TestPinningPenaltySubstantial(t *testing.T) {
 }
 
 func TestHermitianThroughputReasonable(t *testing.T) {
-	gf := measureHermitian(Config{}, blasops.Zgemm, 8192, 1024)
+	gf := measureHermitian(Config{}, blasops.Zgemm, 8192, 1024).GFlops
 	if gf < 10000 || gf > 62400 {
 		t.Fatalf("ZGEMM throughput %0.f GF/s outside plausible range", gf)
 	}
-	herk := measureHermitian(Config{}, blasops.Herk, 8192, 1024)
+	herk := measureHermitian(Config{}, blasops.Herk, 8192, 1024).GFlops
 	if herk <= 0 || herk > gf {
 		t.Fatalf("HERK %0.f GF/s should be positive and below ZGEMM %0.f", herk, gf)
 	}

@@ -115,7 +115,7 @@ func TestLeafMemoSkipsCancelledLeaf(t *testing.T) {
 // both values must be equal, and no two constructors may share a name.
 func TestLeafMemoLibraryNamesUnique(t *testing.T) {
 	constructors := []func() baseline.Library{
-		baseline.XKBlas, baseline.XKBlasNearest, baseline.XKBlasNoHeuristic,
+		baseline.XKBlas, baseline.XKBlasNoHeuristic,
 		baseline.XKBlasNoHeuristicNoTopo, baseline.CuBLASXT, baseline.CuBLASMG,
 		baseline.ChameleonTile, baseline.ChameleonLAPACK, baseline.BLASX,
 		baseline.DPLASMA, baseline.Slate,

@@ -8,6 +8,7 @@ import (
 	"xkblas/internal/matrix"
 	"xkblas/internal/policy"
 	"xkblas/internal/xkrt"
+	"xkblas/internal/zblas"
 )
 
 const tol = 1e-10
@@ -69,6 +70,21 @@ func TestGemmAsyncAlphaZero(t *testing.T) {
 	A, B, C := h.Register(av), h.Register(bv), h.Register(cv)
 	h.GemmAsync(NoTrans, NoTrans, 0, A, B, 0.25, C)
 	verify(t, h, C, cv, want, "gemm alpha=0")
+
+	// The complex call takes the same short-cut: one scale and one flush
+	// per C tile, no product.
+	az, bz, cz := randZMat(rng, 16, 16), randZMat(rng, 16, 16), randZMat(rng, 16, 16)
+	wantZ := cz.Clone()
+	zblas.Gemm(NoTrans, NoTrans, 0, az, bz, complex(0.25, -0.5), wantZ)
+	A, B, C = h.RegisterZ(az), h.RegisterZ(bz), h.RegisterZ(cz)
+	before := h.RT.Stats().TasksRun
+	h.ZgemmAsync(NoTrans, NoTrans, 0, A, B, complex(0.25, -0.5), C)
+	h.MemoryCoherentAsync(C)
+	h.Sync()
+	verifyZ(t, cz, wantZ, "zgemm alpha=0")
+	if ran := h.RT.Stats().TasksRun - before; ran != 8 {
+		t.Errorf("zgemm alpha=0 ran %d tasks, want 8: a scale and a flush per C tile", ran)
+	}
 }
 
 func TestSymmAsyncAllVariants(t *testing.T) {

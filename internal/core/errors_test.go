@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"xkblas/internal/hostblas"
 	"xkblas/internal/matrix"
+	"xkblas/internal/xkrt"
+	"xkblas/internal/zblas"
 )
 
 // Error-path and degenerate-input coverage for the public algorithm layer.
@@ -83,6 +86,25 @@ func TestSyrkAlphaZeroScalesTriangleOnly(t *testing.T) {
 			}
 		}
 	}
+
+	// HERK also zeroes the diagonal's imaginary parts.
+	az, cz := randZMat(rng, n, n), randZMat(rng, n, n)
+	wantZ := cz.Clone()
+	zblas.Herk(Lower, NoTrans, 0, az, 0.5, wantZ)
+	A, C = h.RegisterZ(az), h.RegisterZ(cz)
+	h.ZherkAsync(Lower, NoTrans, 0, A, 0.5, C)
+	h.MemoryCoherentAsync(C)
+	h.Sync()
+	if d := matrix.MaxAbsDiffZ(cz, wantZ); d > 1e-12 {
+		t.Fatalf("alpha=0 herk diff %g", d)
+	}
+	for j := 1; j < n; j++ {
+		for i := 0; i < j; i++ {
+			if cz.At(i, j) != wantZ.At(i, j) {
+				t.Fatal("herk: upper triangle modified")
+			}
+		}
+	}
 }
 
 // TestSyrkSyr2kBetaZeroIgnoresC: with beta = 0 the stored triangle of C is
@@ -93,28 +115,55 @@ func TestSyrkSyr2kBetaZeroIgnoresC(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	const n, nb = 16, 4
 	av, bv := randMat(rng, n, n), randMat(rng, n, n)
+	az, bz := randZMat(rng, n, n), randZMat(rng, n, n)
 	for _, alpha := range []float64{1.3, 0} {
-		for _, routine := range []string{"SYRK", "SYR2K"} {
+		routines := []string{"SYRK", "SYR2K"}
+		if alpha == 0 {
+			// The complex loops' triangle scaling. Their diagonal tile
+			// kernels, zblas.Herk and Her2k, still read C at beta = 0.
+			routines = append(routines, "HERK", "HER2K")
+		}
+		for _, routine := range routines {
 			h := newFunctional(nb)
-			want := matrix.New(n, n) // zeros: the reference never sees the NaNs
-			cv := matrix.New(n, n)
+			// want holds zeros before the reference runs: it never sees
+			// the NaNs. cv and want view the real and imaginary parts of
+			// a complex C as float64 rows.
+			var cv, want matrix.View
+			switch routine {
+			case "SYRK", "SYR2K":
+				cv, want = matrix.New(n, n), matrix.New(n, n)
+			default:
+				cv, want = matrix.NewZ(n, n).V, matrix.NewZ(n, n).V
+			}
 			for i := range cv.Data {
 				cv.Data[i] = math.NaN()
 			}
-			A, C := h.Register(av), h.Register(cv)
-			if routine == "SYRK" {
+			var c *xkrt.Matrix
+			switch routine {
+			case "SYRK":
 				hostblas.Syrk(Lower, NoTrans, alpha, av, 0, want)
-				h.SyrkAsync(Lower, NoTrans, alpha, A, 0, C)
-			} else {
+				c = h.Register(cv)
+				h.SyrkAsync(Lower, NoTrans, alpha, h.Register(av), 0, c)
+			case "SYR2K":
 				hostblas.Syr2k(Lower, NoTrans, alpha, av, bv, 0, want)
-				h.Syr2kAsync(Lower, NoTrans, alpha, A, h.Register(bv), 0, C)
+				c = h.Register(cv)
+				h.Syr2kAsync(Lower, NoTrans, alpha, h.Register(av), h.Register(bv), 0, c)
+			case "HERK":
+				zblas.Herk(Lower, NoTrans, alpha, az, 0, matrix.ZFromView(want))
+				c = h.RegisterZ(matrix.ZFromView(cv))
+				h.ZherkAsync(Lower, NoTrans, alpha, h.RegisterZ(az), 0, c)
+			case "HER2K":
+				za := complex(alpha, -0.4*alpha)
+				zblas.Her2k(Lower, NoTrans, za, az, bz, 0, matrix.ZFromView(want))
+				c = h.RegisterZ(matrix.ZFromView(cv))
+				h.Zher2kAsync(Lower, NoTrans, za, h.RegisterZ(az), h.RegisterZ(bz), 0, c)
 			}
-			h.MemoryCoherentAsync(C)
+			h.MemoryCoherentAsync(c)
 			h.Sync()
 			for j := 0; j < n; j++ {
-				for i := 0; i < n; i++ {
+				for i := 0; i < cv.M; i++ {
 					got := cv.At(i, j)
-					if i < j {
+					if row := i * n / cv.M; row < j {
 						if !math.IsNaN(got) {
 							t.Fatalf("%s alpha=%v: upper C[%d,%d] = %v was written", routine, alpha, i, j, got)
 						}
@@ -145,6 +194,20 @@ func TestTrmmAlphaZeroZeroesB(t *testing.T) {
 			t.Fatal("alpha=0 TRMM must zero B")
 		}
 	}
+
+	az, bz := randZMat(rng, 16, 16), randZMat(rng, 16, 16)
+	wantZ := bz.Clone()
+	zblas.Trmm(Left, Lower, ConjTrans, NonUnit, 0, az, wantZ)
+	A, B = h.RegisterZ(az), h.RegisterZ(bz)
+	h.ZtrmmAsync(Left, Lower, ConjTrans, NonUnit, 0, A, B)
+	h.MemoryCoherentAsync(B)
+	h.Sync()
+	verifyZ(t, bz, wantZ, "ztrmm alpha=0")
+	for _, x := range bz.V.Data {
+		if x != 0 {
+			t.Fatal("alpha=0 ZTRMM must zero B")
+		}
+	}
 }
 
 func TestGemmAsyncRectangularKDominant(t *testing.T) {
@@ -167,5 +230,46 @@ func TestGemmAsyncRectangularKDominant(t *testing.T) {
 	h.Sync()
 	if d := matrix.MaxAbsDiff(cv, want); d > 1e-11 {
 		t.Fatalf("deep-k gemm diff %g", d)
+	}
+}
+
+// TestCancelledRunStopsGeneration: a tile loop on a cancelled runtime
+// stops after its first output tile (or, for TRSM, its first panel)
+// instead of building the whole DAG, and the drain reports the
+// cancellation. Without a stream window Submit never enters the engine,
+// so the loop's own poll is what sees the stopped run.
+func TestCancelledRunStopsGeneration(t *testing.T) {
+	const n, nb = 2048, 256 // 8×8 tiles
+	sq := func(h *Handle) *xkrt.Matrix { return h.Register(matrix.NewShape(n, n)) }
+	zq := func(h *Handle) *xkrt.Matrix { return h.RegisterZ(matrix.NewZShape(n, n)) }
+	cases := []struct {
+		name  string
+		bound int // tasks in one output tile or one panel
+		run   func(h *Handle)
+	}{
+		{"GEMM", 8, func(h *Handle) { h.GemmAsync(NoTrans, Transpose, 1, sq(h), sq(h), 1, sq(h)) }},
+		{"SYMM", 8, func(h *Handle) { h.SymmAsync(Right, Upper, 1, sq(h), sq(h), 1, sq(h)) }},
+		{"SYRK", 8, func(h *Handle) { h.SyrkAsync(Lower, Transpose, 1, sq(h), 1, sq(h)) }},
+		{"SYR2K", 16, func(h *Handle) { h.Syr2kAsync(Upper, NoTrans, 1, sq(h), sq(h), 1, sq(h)) }},
+		{"TRMM", 8, func(h *Handle) { h.TrmmAsync(Left, Lower, Transpose, Unit, 1, sq(h), sq(h)) }},
+		{"TRSM", 64, func(h *Handle) { h.TrsmAsync(Right, Upper, NoTrans, NonUnit, 1, sq(h), sq(h)) }},
+		{"ZGEMM", 8, func(h *Handle) { h.ZgemmAsync(ConjTrans, NoTrans, 1, zq(h), zq(h), 1, zq(h)) }},
+		{"HEMM", 8, func(h *Handle) { h.ZhemmAsync(Left, Lower, 1, zq(h), zq(h), 1, zq(h)) }},
+		{"HERK", 8, func(h *Handle) { h.ZherkAsync(Upper, ConjTrans, 1, zq(h), 1, zq(h)) }},
+		{"HER2K", 16, func(h *Handle) { h.Zher2kAsync(Lower, NoTrans, 1i, zq(h), zq(h), 1, zq(h)) }},
+		{"ZTRMM", 8, func(h *Handle) { h.ZtrmmAsync(Right, Upper, ConjTrans, NonUnit, 1, zq(h), zq(h)) }},
+		{"ZTRSM", 64, func(h *Handle) { h.ZtrsmAsync(Left, Lower, ConjTrans, Unit, 1, zq(h), zq(h)) }},
+	}
+	for _, tc := range cases {
+		h := NewHandle(Config{TileSize: nb})
+		h.RT.Cancel(nil)
+		tc.run(h)
+		if p := h.RT.Pending(); p < 1 || p > tc.bound {
+			t.Errorf("%s: %d tasks pending after a cancelled call, want 1..%d", tc.name, p, tc.bound)
+		}
+		h.Sync()
+		if err := h.RT.Err(); !errors.Is(err, xkrt.ErrCanceled) {
+			t.Errorf("%s: Sync left error %v, want xkrt.ErrCanceled", tc.name, err)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func (h *Handle) getf2Task(at *cache.Tile, prio int) {
 // Upper), stored in the uplo triangle. The PLASMA pdpotrf right-looking
 // loop nest; the opposite triangle is not referenced.
 func (h *Handle) PotrfAsync(uplo Uplo, a *xkrt.Matrix) {
-	requireSquareGrid("potrf", a)
+	requireSquareGrid[float64]("potrf", a)
 	for k := 0; k < a.Rows(); k++ {
 		h.potrfPanel(uplo, a, k)
 	}
@@ -74,28 +74,28 @@ func (h *Handle) potrfPanel(uplo Uplo, a *xkrt.Matrix, k int) {
 		if uplo == Lower {
 			for i := k + 1; i < nt; i++ {
 				// L[i,k] = A[i,k]·L[k,k]⁻ᵀ
-				h.trsmTask(Right, Lower, Transpose, NonUnit, 1, a.Tile(k, k), a.Tile(i, k), prio-1)
+				trsmTask[float64](h, Right, Lower, Transpose, NonUnit, 1, a.Tile(k, k), a.Tile(i, k), prio-1)
 			}
 			for i := k + 1; i < nt; i++ {
 				// A[i,i] -= L[i,k]·L[i,k]ᵀ
-				h.syrkTask(Lower, NoTrans, -1, a.Tile(i, k), 1, a.Tile(i, i), prio-2)
+				syrkTask[float64](h, Lower, NoTrans, -1, a.Tile(i, k), 1, a.Tile(i, i), prio-2)
 				// A[i,j] -= L[i,k]·L[j,k]ᵀ for k < j < i
 				for j := k + 1; j < i; j++ {
-					h.gemmTask(NoTrans, Transpose, -1, a.Tile(i, k), a.Tile(j, k), 1, a.Tile(i, j), prio-2)
+					gemmTask[float64](h, NoTrans, Transpose, -1, a.Tile(i, k), a.Tile(j, k), 1, a.Tile(i, j), prio-2)
 				}
 			}
 			return
 		}
 		for j := k + 1; j < nt; j++ {
 			// U[k,j] = U[k,k]⁻ᵀ·A[k,j]
-			h.trsmTask(Left, Upper, Transpose, NonUnit, 1, a.Tile(k, k), a.Tile(k, j), prio-1)
+			trsmTask[float64](h, Left, Upper, Transpose, NonUnit, 1, a.Tile(k, k), a.Tile(k, j), prio-1)
 		}
 		for j := k + 1; j < nt; j++ {
 			// A[j,j] -= U[k,j]ᵀ·U[k,j]
-			h.syrkTask(Upper, Transpose, -1, a.Tile(k, j), 1, a.Tile(j, j), prio-2)
+			syrkTask[float64](h, Upper, Transpose, -1, a.Tile(k, j), 1, a.Tile(j, j), prio-2)
 			// A[i,j] -= U[k,i]ᵀ·U[k,j] for k < i < j
 			for i := k + 1; i < j; i++ {
-				h.gemmTask(Transpose, NoTrans, -1, a.Tile(k, i), a.Tile(k, j), 1, a.Tile(i, j), prio-2)
+				gemmTask[float64](h, Transpose, NoTrans, -1, a.Tile(k, i), a.Tile(k, j), 1, a.Tile(i, j), prio-2)
 			}
 		}
 	}
@@ -106,7 +106,7 @@ func (h *Handle) potrfPanel(uplo Uplo, a *xkrt.Matrix, k int) {
 // must guarantee numerical stability (e.g. diagonal dominance), the usual
 // contract of tiled no-pivoting LU (PLASMA pdgetrf_nopiv).
 func (h *Handle) GetrfNoPivAsync(a *xkrt.Matrix) {
-	requireSquareGrid("getrf", a)
+	requireSquareGrid[float64]("getrf", a)
 	for k := 0; k < a.Rows(); k++ {
 		h.getrfPanel(a, k)
 	}
@@ -120,16 +120,16 @@ func (h *Handle) getrfPanel(a *xkrt.Matrix, k int) {
 		h.getf2Task(a.Tile(k, k), prio)
 		for j := k + 1; j < nt; j++ {
 			// U[k,j] = L[k,k]⁻¹·A[k,j]
-			h.trsmTask(Left, Lower, NoTrans, Unit, 1, a.Tile(k, k), a.Tile(k, j), prio-1)
+			trsmTask[float64](h, Left, Lower, NoTrans, Unit, 1, a.Tile(k, k), a.Tile(k, j), prio-1)
 		}
 		for i := k + 1; i < nt; i++ {
 			// L[i,k] = A[i,k]·U[k,k]⁻¹
-			h.trsmTask(Right, Upper, NoTrans, NonUnit, 1, a.Tile(k, k), a.Tile(i, k), prio-1)
+			trsmTask[float64](h, Right, Upper, NoTrans, NonUnit, 1, a.Tile(k, k), a.Tile(i, k), prio-1)
 		}
 		for i := k + 1; i < nt; i++ {
 			for j := k + 1; j < nt; j++ {
 				// A[i,j] -= L[i,k]·U[k,j]
-				h.gemmTask(NoTrans, NoTrans, -1, a.Tile(i, k), a.Tile(k, j), 1, a.Tile(i, j), prio-2)
+				gemmTask[float64](h, NoTrans, NoTrans, -1, a.Tile(i, k), a.Tile(k, j), 1, a.Tile(i, j), prio-2)
 			}
 		}
 	}

@@ -198,12 +198,12 @@ func TestFactorizationsPipelineAcrossPanels(t *testing.T) {
 			for k := 0; k < nt; k++ {
 				h.potf2Task(Lower, A.Tile(k, k), 0)
 				for i := k + 1; i < nt; i++ {
-					h.trsmTask(Right, Lower, Transpose, NonUnit, 1, A.Tile(k, k), A.Tile(i, k), 0)
+					trsmTask[float64](h, Right, Lower, Transpose, NonUnit, 1, A.Tile(k, k), A.Tile(i, k), 0)
 				}
 				for i := k + 1; i < nt; i++ {
-					h.syrkTask(Lower, NoTrans, -1, A.Tile(i, k), 1, A.Tile(i, i), 0)
+					syrkTask[float64](h, Lower, NoTrans, -1, A.Tile(i, k), 1, A.Tile(i, i), 0)
 					for j := k + 1; j < i; j++ {
-						h.gemmTask(NoTrans, Transpose, -1, A.Tile(i, k), A.Tile(j, k), 1, A.Tile(i, j), 0)
+						gemmTask[float64](h, NoTrans, Transpose, -1, A.Tile(i, k), A.Tile(j, k), 1, A.Tile(i, j), 0)
 					}
 				}
 				h.Sync() // artificial fork-join barrier per panel

@@ -28,7 +28,12 @@ func opGrid(ta Trans, a *xkrt.Matrix) (rows, cols int) {
 // combinations are supported. The call returns immediately; dependencies,
 // transfers and device mapping are resolved by the runtime.
 func (h *Handle) GemmAsync(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
-	h.gemmLoop(ta, tb, alpha, a, b, beta, c, false)
+	gemmLoop(h, ta, tb, alpha, a, b, beta, c, false)
+}
+
+// ZgemmAsync is GemmAsync on complex matrices, op ∈ {N, T, C}.
+func (h *Handle) ZgemmAsync(ta, tb Trans, alpha complex128, a, b *xkrt.Matrix, beta complex128, c *xkrt.Matrix) {
+	gemmLoop(h, ta, tb, alpha, a, b, beta, c, false)
 }
 
 // GemmFlushAsync is GemmAsync with each C tile's host write-back scheduled
@@ -41,12 +46,12 @@ func (h *Handle) GemmAsync(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta 
 // Combined with a stream window it lets a generator pipe an arbitrarily
 // large product through fixed task and device memory.
 func (h *Handle) GemmFlushAsync(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
-	h.gemmLoop(ta, tb, alpha, a, b, beta, c, true)
+	gemmLoop(h, ta, tb, alpha, a, b, beta, c, true)
 }
 
 // gemmLoop is the shared PLASMA pdgemm loop nest; flush interleaves each C
 // tile's coherency task after its k-chain.
-func (h *Handle) gemmLoop(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix, flush bool) {
+func gemmLoop[T elem](h *Handle, ta, tb Trans, alpha T, a, b *xkrt.Matrix, beta T, c *xkrt.Matrix, flush bool) {
 	am, ak := opGrid(ta, a)
 	bk, bn := opGrid(tb, b)
 	if am != c.Rows() || bn != c.Cols() || ak != bk {
@@ -55,7 +60,7 @@ func (h *Handle) gemmLoop(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta f
 	}
 	if alpha == 0 {
 		c.EachTile(func(_, _ int, t *cache.Tile) {
-			h.scalTask(beta, t, 0)
+			scalTask(h, beta, t, 0)
 			if flush {
 				h.RT.SubmitFlush(t)
 			}
@@ -64,22 +69,19 @@ func (h *Handle) gemmLoop(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta f
 	}
 	for i := 0; i < c.Rows(); i++ {
 		for j := 0; j < c.Cols(); j++ {
-			if h.RT.Err() != nil {
-				// Failed (or cancelled) run: stop generating. With a stream
-				// window the generator is still mid-loop when the failure
-				// surfaces, and the remaining chains could be most of the DAG.
-				return
-			}
 			ct := c.Tile(i, j)
 			for k := 0; k < ak; k++ {
 				bta := beta
 				if k > 0 {
 					bta = 1
 				}
-				h.gemmTask(ta, tb, alpha, opTile(ta, a, i, k), opTile(tb, b, k, j), bta, ct, 0)
+				gemmTask(h, ta, tb, alpha, opTile(ta, a, i, k), opTile(tb, b, k, j), bta, ct, 0)
 			}
 			if flush {
 				h.RT.SubmitFlush(ct)
+			}
+			if h.stopped() {
+				return
 			}
 		}
 	}

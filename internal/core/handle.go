@@ -32,6 +32,7 @@ type (
 const (
 	NoTrans   = blasops.NoTrans
 	Transpose = blasops.Transpose
+	ConjTrans = blasops.ConjTrans
 	Left      = blasops.Left
 	Right     = blasops.Right
 	Lower     = blasops.Lower
@@ -111,6 +112,12 @@ func (h *Handle) Register(v matrix.View) *xkrt.Matrix {
 	return h.RT.Register(v, h.NB)
 }
 
+// RegisterZ tracks a complex host matrix decomposed into NB×NB complex
+// tiles ((2·NB)×NB interleaved float64 tiles).
+func (h *Handle) RegisterZ(z matrix.ZMat) *xkrt.Matrix {
+	return h.RT.RegisterRect(z.V, 2*h.NB, h.NB)
+}
+
 // MemoryCoherentAsync schedules write-back of every tile of M whose only
 // valid copy lives on a GPU. It is the explicit, lazy coherency point of
 // the XKBLAS API (xkblas_memory_coherent_async): transfers start as soon as
@@ -173,11 +180,18 @@ func (h *Handle) Sync() sim.Time { return h.RT.Barrier() }
 // Now reports the current virtual time, for interval measurements.
 func (h *Handle) Now() sim.Time { return h.Eng.Now() }
 
-// requireSquareGrid panics unless the matrix is square at the tile level
-// (the triangular-operand precondition).
-func requireSquareGrid(name string, m *xkrt.Matrix) {
-	if m.View.M != m.View.N {
-		panic(fmt.Sprintf("core: %s requires a square matrix, got %dx%d", name, m.View.M, m.View.N))
+// stopped reports whether the run failed or its engine was stopped
+// (Runtime.Cancel). Each tile loop polls it once per output tile or panel
+// and stops generating: a stopped run admits nothing, and without a stream
+// window the rest of the DAG would otherwise be built for nothing. Only
+// Cancel stops a runtime's engine, so clean runs never see it.
+func (h *Handle) stopped() bool { return h.RT.Err() != nil || h.Eng.Stopped() }
+
+// requireSquareGrid panics unless the matrix is logically square (the
+// triangular-operand precondition).
+func requireSquareGrid[T elem](name string, m *xkrt.Matrix) {
+	if r := logicalRows[T](m.View.M); r != m.View.N {
+		panic(fmt.Sprintf("core: %s requires a square matrix, got %dx%d", name, r, m.View.N))
 	}
 }
 

@@ -12,7 +12,17 @@ import (
 // tile products use the SYMM tile kernel; off-diagonal products read the
 // stored triangle directly or transposed (the PLASMA pdsymm scheme).
 func (h *Handle) SymmAsync(side Side, uplo Uplo, alpha float64, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
-	requireSquareGrid("symm", a)
+	symmLoop(h, side, uplo, alpha, a, b, beta, c)
+}
+
+// ZhemmAsync is SymmAsync with A Hermitian: the reflected triangle is read
+// conjugate-transposed.
+func (h *Handle) ZhemmAsync(side Side, uplo Uplo, alpha complex128, a, b *xkrt.Matrix, beta complex128, c *xkrt.Matrix) {
+	symmLoop(h, side, uplo, alpha, a, b, beta, c)
+}
+
+func symmLoop[T elem](h *Handle, side Side, uplo Uplo, alpha T, a, b *xkrt.Matrix, beta T, c *xkrt.Matrix) {
+	requireSquareGrid[T]("symm", a)
 	mt, nt := c.Rows(), c.Cols()
 	if b.Rows() != mt || b.Cols() != nt {
 		panic(fmt.Sprintf("core: symm B grid %dx%d vs C %dx%d", b.Rows(), b.Cols(), mt, nt))
@@ -24,9 +34,10 @@ func (h *Handle) SymmAsync(side Side, uplo Uplo, alpha float64, a, b *xkrt.Matri
 		panic("core: symm right A grid mismatch")
 	}
 	if alpha == 0 {
-		c.EachTile(func(_, _ int, t *cache.Tile) { h.scalTask(beta, t, 0) })
+		c.EachTile(func(_, _ int, t *cache.Tile) { scalTask(h, beta, t, 0) })
 		return
 	}
+	refl := reflectOp[T]()
 	for i := 0; i < mt; i++ {
 		for j := 0; j < nt; j++ {
 			ct := c.Tile(i, j)
@@ -39,29 +50,32 @@ func (h *Handle) SymmAsync(side Side, uplo Uplo, alpha float64, a, b *xkrt.Matri
 					}
 					switch {
 					case k == i:
-						h.symmTask(Left, uplo, alpha, a.Tile(i, i), b.Tile(k, j), bta, ct, 0)
+						symmTask(h, Left, uplo, alpha, a.Tile(i, i), b.Tile(k, j), bta, ct, 0)
 					case stored(uplo, i, k):
-						h.gemmTask(NoTrans, NoTrans, alpha, a.Tile(i, k), b.Tile(k, j), bta, ct, 0)
+						gemmTask(h, NoTrans, NoTrans, alpha, a.Tile(i, k), b.Tile(k, j), bta, ct, 0)
 					default:
-						h.gemmTask(Transpose, NoTrans, alpha, a.Tile(k, i), b.Tile(k, j), bta, ct, 0)
+						gemmTask(h, refl, NoTrans, alpha, a.Tile(k, i), b.Tile(k, j), bta, ct, 0)
 					}
 				}
-				continue
+			} else {
+				// Side Right: C[i,j] += Σ_k B[i,k]·sym(A)[k,j].
+				for k := 0; k < nt; k++ {
+					bta := beta
+					if k > 0 {
+						bta = 1
+					}
+					switch {
+					case k == j:
+						symmTask(h, Right, uplo, alpha, a.Tile(j, j), b.Tile(i, k), bta, ct, 0)
+					case stored(uplo, k, j):
+						gemmTask(h, NoTrans, NoTrans, alpha, b.Tile(i, k), a.Tile(k, j), bta, ct, 0)
+					default:
+						gemmTask(h, NoTrans, refl, alpha, b.Tile(i, k), a.Tile(j, k), bta, ct, 0)
+					}
+				}
 			}
-			// Side Right: C[i,j] += Σ_k B[i,k]·sym(A)[k,j].
-			for k := 0; k < nt; k++ {
-				bta := beta
-				if k > 0 {
-					bta = 1
-				}
-				switch {
-				case k == j:
-					h.symmTask(Right, uplo, alpha, a.Tile(j, j), b.Tile(i, k), bta, ct, 0)
-				case stored(uplo, k, j):
-					h.gemmTask(NoTrans, NoTrans, alpha, b.Tile(i, k), a.Tile(k, j), bta, ct, 0)
-				default:
-					h.gemmTask(NoTrans, Transpose, alpha, b.Tile(i, k), a.Tile(j, k), bta, ct, 0)
-				}
+			if h.stopped() {
+				return
 			}
 		}
 	}

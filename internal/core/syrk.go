@@ -12,16 +12,27 @@ import (
 // off-diagonal tiles of the stored triangle are plain GEMMs between
 // distinct row (or column) panels of A.
 func (h *Handle) SyrkAsync(uplo Uplo, trans Trans, alpha float64, a *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
-	requireSquareGrid("syrk", c)
+	syrkLoop(h, uplo, trans, alpha, a, beta, c)
+}
+
+// ZherkAsync submits C = alpha·op(A)·op(A)ᴴ + beta·C on the uplo triangle
+// of the Hermitian C (alpha, beta real; trans ∈ {N, C}).
+func (h *Handle) ZherkAsync(uplo Uplo, trans Trans, alpha float64, a *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
+	syrkLoop(h, uplo, trans, complex(alpha, 0), a, complex(beta, 0), c)
+}
+
+func syrkLoop[T elem](h *Handle, uplo Uplo, trans Trans, alpha T, a *xkrt.Matrix, beta T, c *xkrt.Matrix) {
+	requireSquareGrid[T]("syrk", c)
 	nt := c.Rows()
 	arows, kt := opGrid(trans, a)
 	if arows != nt {
 		panic(fmt.Sprintf("core: syrk op(A) rows %d vs C %d", arows, nt))
 	}
 	if alpha == 0 {
-		h.scaleTriangle(uplo, beta, c)
+		scaleTriangle(h, uplo, beta, c)
 		return
 	}
+	refl := reflectOp[T]()
 	for i := 0; i < nt; i++ {
 		for j := 0; j < nt; j++ {
 			if !onTriangle(uplo, i, j) {
@@ -34,15 +45,18 @@ func (h *Handle) SyrkAsync(uplo Uplo, trans Trans, alpha float64, a *xkrt.Matrix
 					bta = 1
 				}
 				if i == j {
-					h.syrkTask(uplo, trans, alpha, opTile(trans, a, i, k), bta, ct, 0)
+					syrkTask(h, uplo, trans, alpha, opTile(trans, a, i, k), bta, ct, 0)
 					continue
 				}
 				// C[i,j] += alpha·op(A)[i,k]·op(A)[j,k]ᵀ.
 				if trans == NoTrans {
-					h.gemmTask(NoTrans, Transpose, alpha, a.Tile(i, k), a.Tile(j, k), bta, ct, 0)
+					gemmTask(h, NoTrans, refl, alpha, a.Tile(i, k), a.Tile(j, k), bta, ct, 0)
 				} else {
-					h.gemmTask(Transpose, NoTrans, alpha, a.Tile(k, i), a.Tile(k, j), bta, ct, 0)
+					gemmTask(h, refl, NoTrans, alpha, a.Tile(k, i), a.Tile(k, j), bta, ct, 0)
 				}
+			}
+			if h.stopped() {
+				return
 			}
 		}
 	}
@@ -52,7 +66,18 @@ func (h *Handle) SyrkAsync(uplo Uplo, trans Trans, alpha float64, a *xkrt.Matrix
 // the uplo triangle of C (PLASMA pdsyr2k). Off-diagonal stored tiles
 // receive two GEMM updates per k step.
 func (h *Handle) Syr2kAsync(uplo Uplo, trans Trans, alpha float64, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
-	requireSquareGrid("syr2k", c)
+	syr2kLoop(h, uplo, trans, alpha, a, b, beta, c)
+}
+
+// Zher2kAsync submits C = alpha·op(A)·op(B)ᴴ + conj(alpha)·op(B)·op(A)ᴴ +
+// beta·C on the uplo triangle of the Hermitian C (beta real; trans ∈
+// {N, C}).
+func (h *Handle) Zher2kAsync(uplo Uplo, trans Trans, alpha complex128, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
+	syr2kLoop(h, uplo, trans, alpha, a, b, complex(beta, 0), c)
+}
+
+func syr2kLoop[T elem](h *Handle, uplo Uplo, trans Trans, alpha T, a, b *xkrt.Matrix, beta T, c *xkrt.Matrix) {
+	requireSquareGrid[T]("syr2k", c)
 	nt := c.Rows()
 	arows, kt := opGrid(trans, a)
 	brows, bkt := opGrid(trans, b)
@@ -60,9 +85,10 @@ func (h *Handle) Syr2kAsync(uplo Uplo, trans Trans, alpha float64, a, b *xkrt.Ma
 		panic(fmt.Sprintf("core: syr2k grids: op(A) %dx%d, op(B) %dx%d, C %d", arows, kt, brows, bkt, nt))
 	}
 	if alpha == 0 {
-		h.scaleTriangle(uplo, beta, c)
+		scaleTriangle(h, uplo, beta, c)
 		return
 	}
+	refl, alpha2 := reflectOp[T](), conj(alpha)
 	for i := 0; i < nt; i++ {
 		for j := 0; j < nt; j++ {
 			if !onTriangle(uplo, i, j) {
@@ -75,18 +101,21 @@ func (h *Handle) Syr2kAsync(uplo Uplo, trans Trans, alpha float64, a, b *xkrt.Ma
 					bta = 1
 				}
 				if i == j {
-					h.syr2kTask(uplo, trans, alpha, opTile(trans, a, i, k), opTile(trans, b, i, k), bta, ct, 0)
+					syr2kTask(h, uplo, trans, alpha, opTile(trans, a, i, k), opTile(trans, b, i, k), bta, ct, 0)
 					continue
 				}
 				// C[i,j] += alpha·op(A)[i,k]·op(B)[j,k]ᵀ
-				//         + alpha·op(B)[i,k]·op(A)[j,k]ᵀ.
+				//         + conj(alpha)·op(B)[i,k]·op(A)[j,k]ᵀ.
 				if trans == NoTrans {
-					h.gemmTask(NoTrans, Transpose, alpha, a.Tile(i, k), b.Tile(j, k), bta, ct, 0)
-					h.gemmTask(NoTrans, Transpose, alpha, b.Tile(i, k), a.Tile(j, k), 1, ct, 0)
+					gemmTask(h, NoTrans, refl, alpha, a.Tile(i, k), b.Tile(j, k), bta, ct, 0)
+					gemmTask(h, NoTrans, refl, alpha2, b.Tile(i, k), a.Tile(j, k), 1, ct, 0)
 				} else {
-					h.gemmTask(Transpose, NoTrans, alpha, a.Tile(k, i), b.Tile(k, j), bta, ct, 0)
-					h.gemmTask(Transpose, NoTrans, alpha, b.Tile(k, i), a.Tile(k, j), 1, ct, 0)
+					gemmTask(h, refl, NoTrans, alpha, a.Tile(k, i), b.Tile(k, j), bta, ct, 0)
+					gemmTask(h, refl, NoTrans, alpha2, b.Tile(k, i), a.Tile(k, j), 1, ct, 0)
 				}
+			}
+			if h.stopped() {
+				return
 			}
 		}
 	}
@@ -102,13 +131,13 @@ func onTriangle(uplo Uplo, i, j int) bool {
 
 // scaleTriangle submits beta-scaling of the stored triangle of C: whole
 // tiles off the diagonal, triangle-only on diagonal tiles.
-func (h *Handle) scaleTriangle(uplo Uplo, beta float64, c *xkrt.Matrix) {
+func scaleTriangle[T elem](h *Handle, uplo Uplo, beta T, c *xkrt.Matrix) {
 	c.EachTile(func(i, j int, t *cache.Tile) {
 		switch {
 		case i == j:
-			h.scalTriTask(uplo, beta, t, 0)
+			scalTriTask(h, uplo, beta, t, 0)
 		case onTriangle(uplo, i, j):
-			h.scalTask(beta, t, 0)
+			scalTask(h, beta, t, 0)
 		}
 	})
 }

@@ -14,7 +14,16 @@ import (
 // the traversal order guarantees those reads see original values, and the
 // runtime's sequential dependency semantics enforce it at execution time.
 func (h *Handle) TrmmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha float64, a, b *xkrt.Matrix) {
-	requireSquareGrid("trmm", a)
+	trmmLoop(h, side, uplo, ta, diag, alpha, a, b)
+}
+
+// ZtrmmAsync is TrmmAsync on complex matrices, op ∈ {N, T, C}.
+func (h *Handle) ZtrmmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha complex128, a, b *xkrt.Matrix) {
+	trmmLoop(h, side, uplo, ta, diag, alpha, a, b)
+}
+
+func trmmLoop[T elem](h *Handle, side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *xkrt.Matrix) {
+	requireSquareGrid[T]("trmm", a)
 	mt, nt := b.Rows(), b.Cols()
 	if side == Left && a.Rows() != mt {
 		panic(fmt.Sprintf("core: trmm left A grid %d vs B rows %d", a.Rows(), mt))
@@ -23,7 +32,7 @@ func (h *Handle) TrmmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha floa
 		panic(fmt.Sprintf("core: trmm right A grid %d vs B cols %d", a.Rows(), nt))
 	}
 	if alpha == 0 {
-		b.EachTile(func(_, _ int, t *cache.Tile) { h.scalTask(0, t, 0) })
+		b.EachTile(func(_, _ int, t *cache.Tile) { scalTask[T](h, 0, t, 0) })
 		return
 	}
 
@@ -60,14 +69,17 @@ func (h *Handle) TrmmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha floa
 			}
 			for j := 0; j < nt; j++ {
 				bt := b.Tile(i, j)
-				h.trmmTask(Left, uplo, ta, diag, alpha, a.Tile(i, i), bt, 0)
+				trmmTask(h, Left, uplo, ta, diag, alpha, a.Tile(i, i), bt, 0)
 				// Accumulate moving away from the diagonal: row i±1 first.
 				// The next row's diagonal TRMM only waits for this chain's
 				// read of its tile, so near-diagonal-first ordering turns
 				// the column into a pipelined wavefront instead of a full
 				// serialization (the PLASMA pdtrmm ordering).
 				for _, k := range awayFromDiag(i, mt, effLower) {
-					h.gemmTask(ta, NoTrans, alpha, opTile(ta, a, i, k), b.Tile(k, j), 1, bt, 0)
+					gemmTask(h, ta, NoTrans, alpha, opTile(ta, a, i, k), b.Tile(k, j), 1, bt, 0)
+				}
+				if h.stopped() {
+					return
 				}
 			}
 		}
@@ -84,10 +96,13 @@ func (h *Handle) TrmmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha floa
 		}
 		for i := 0; i < mt; i++ {
 			bt := b.Tile(i, j)
-			h.trmmTask(Right, uplo, ta, diag, alpha, a.Tile(j, j), bt, 0)
+			trmmTask(h, Right, uplo, ta, diag, alpha, a.Tile(j, j), bt, 0)
 			// Near-diagonal-first, as on the Left side.
 			for _, k := range awayFromDiag(j, nt, !effLower) {
-				h.gemmTask(NoTrans, ta, alpha, b.Tile(i, k), opTile(ta, a, k, j), 1, bt, 0)
+				gemmTask(h, NoTrans, ta, alpha, b.Tile(i, k), opTile(ta, a, k, j), 1, bt, 0)
+			}
+			if h.stopped() {
+				return
 			}
 		}
 	}

@@ -17,7 +17,16 @@ import (
 // Diagonal solves carry a high scheduler priority: they sit on the
 // algorithm's critical path.
 func (h *Handle) TrsmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha float64, a, b *xkrt.Matrix) {
-	requireSquareGrid("trsm", a)
+	trsmLoop(h, side, uplo, ta, diag, alpha, a, b)
+}
+
+// ZtrsmAsync is TrsmAsync on complex matrices, op ∈ {N, T, C}.
+func (h *Handle) ZtrsmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha complex128, a, b *xkrt.Matrix) {
+	trsmLoop(h, side, uplo, ta, diag, alpha, a, b)
+}
+
+func trsmLoop[T elem](h *Handle, side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *xkrt.Matrix) {
+	requireSquareGrid[T]("trsm", a)
 	mt, nt := b.Rows(), b.Cols()
 	if side == Left && a.Rows() != mt {
 		panic(fmt.Sprintf("core: trsm left A grid %d vs B rows %d", a.Rows(), mt))
@@ -26,7 +35,7 @@ func (h *Handle) TrsmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha floa
 		panic(fmt.Sprintf("core: trsm right A grid %d vs B cols %d", a.Rows(), nt))
 	}
 	if alpha == 0 {
-		b.EachTile(func(_, _ int, t *cache.Tile) { h.scalTask(0, t, 0) })
+		b.EachTile(func(_, _ int, t *cache.Tile) { scalTask[T](h, 0, t, 0) })
 		return
 	}
 	effLower := (uplo == Lower) == (ta == NoTrans)
@@ -39,13 +48,13 @@ func (h *Handle) TrsmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha floa
 			if !effLower {
 				k = mt - 1 - x
 			}
-			lalpha := 1.0
+			lalpha := T(1)
 			if x == 0 {
 				lalpha = alpha
 			}
 			prio := mt - x // diagonal first
 			for j := 0; j < nt; j++ {
-				h.trsmTask(Left, uplo, ta, diag, lalpha, a.Tile(k, k), b.Tile(k, j), prio)
+				trsmTask(h, Left, uplo, ta, diag, lalpha, a.Tile(k, k), b.Tile(k, j), prio)
 			}
 			for y := x + 1; y < mt; y++ {
 				i := y
@@ -54,13 +63,16 @@ func (h *Handle) TrsmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha floa
 				}
 				// B[i,j] -= op(A)[i,k]·X[k,j]; the first panel (x == 0)
 				// touches every remaining tile first and applies alpha.
-				bta := 1.0
+				bta := T(1)
 				if x == 0 {
 					bta = alpha
 				}
 				for j := 0; j < nt; j++ {
-					h.gemmTask(ta, NoTrans, -1, opTile(ta, a, i, k), b.Tile(k, j), bta, b.Tile(i, j), prio-1)
+					gemmTask(h, ta, NoTrans, -1, opTile(ta, a, i, k), b.Tile(k, j), bta, b.Tile(i, j), prio-1)
 				}
+			}
+			if h.stopped() {
+				return
 			}
 		}
 		return
@@ -74,27 +86,30 @@ func (h *Handle) TrsmAsync(side Side, uplo Uplo, ta Trans, diag Diag, alpha floa
 		if !effLower {
 			k = x
 		}
-		lalpha := 1.0
+		lalpha := T(1)
 		if x == 0 {
 			lalpha = alpha
 		}
 		prio := nt - x
 		for i := 0; i < mt; i++ {
-			h.trsmTask(Right, uplo, ta, diag, lalpha, a.Tile(k, k), b.Tile(i, k), prio)
+			trsmTask(h, Right, uplo, ta, diag, lalpha, a.Tile(k, k), b.Tile(i, k), prio)
 		}
 		for y := x + 1; y < nt; y++ {
 			n := nt - 1 - y
 			if !effLower {
 				n = y
 			}
-			bta := 1.0
+			bta := T(1)
 			if x == 0 {
 				bta = alpha
 			}
 			// B[i,n] -= X[i,k]·op(A)[k,n].
 			for i := 0; i < mt; i++ {
-				h.gemmTask(NoTrans, ta, -1, b.Tile(i, k), opTile(ta, a, k, n), bta, b.Tile(i, n), prio-1)
+				gemmTask(h, NoTrans, ta, -1, b.Tile(i, k), opTile(ta, a, k, n), bta, b.Tile(i, n), prio-1)
 			}
+		}
+		if h.stopped() {
+			return
 		}
 	}
 }

@@ -89,35 +89,6 @@ func (TopoRank) PickPeer(topo *topology.Platform, cands topology.DeviceSet, dst 
 	return best, true
 }
 
-// NearestFirst reads from the valid replica with the fewest charged fabric
-// hops to the destination — the routed-graph generalization of TopoRank's
-// link ranking. On the DGX-1 the two mostly agree (NVLink peers are one hop,
-// PCIe peers three); the distance metric also separates what ranks cannot:
-// on a multi-node fleet every cross-node peer shares LinkNet rank 0 with
-// nothing, but hop count still prefers a same-node PCIe replica (3 hops)
-// over a cross-node one (3 hops at lower bottleneck bandwidth — broken by
-// the bandwidth tie-break), and on DGX-A100 it sees through the uniform
-// plane. Ties break toward the higher-bandwidth route, then the lowest id.
-type NearestFirst struct{ noChain }
-
-// Name implements SourceSelector.
-func (NearestFirst) Name() string { return "nearest-first" }
-
-// PickPeer implements SourceSelector.
-func (NearestFirst) PickPeer(topo *topology.Platform, cands topology.DeviceSet, dst topology.DeviceID) (topology.DeviceID, bool) {
-	best := cands.First()
-	bestHops := topo.HopDistance(best, dst)
-	bestBW := topo.GPULink(best, dst).BandwidthGBs
-	for s := cands.Rest(); !s.Empty(); s = s.Rest() {
-		c := s.First()
-		h, bw := topo.HopDistance(c, dst), topo.GPULink(c, dst).BandwidthGBs
-		if h < bestHops || (h == bestHops && bw > bestBW) {
-			best, bestHops, bestBW = c, h, bw
-		}
-	}
-	return best, true
-}
-
 // LowestID is the topology-oblivious baseline of the Fig. 3 ablation: among
 // valid replicas, pick the lowest device id regardless of link quality.
 type LowestID struct{ noChain }

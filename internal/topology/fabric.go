@@ -516,8 +516,7 @@ func (p *Platform) Route(src, dst DeviceID) *Path {
 }
 
 // HopDistance reports the number of charged hops on the route src→dst
-// (0 for a device to itself) — the fabric distance metric NearestFirst
-// ranks candidate sources by.
+// (0 for a device to itself), the fabric distance `topo -hops` prints.
 func (p *Platform) HopDistance(src, dst DeviceID) int {
 	r := p.Route(src, dst)
 	if r == nil {

@@ -255,6 +255,30 @@ func Her2k(uplo Uplo, trans Trans, alpha complex128, a, b matrix.ZMat, beta floa
 	}
 }
 
+// Scal scales c by beta; beta = 0 stores zeros whatever c held. It is the
+// alpha = 0 path of the tiled complex routines.
+func Scal(beta complex128, c matrix.ZMat) { scale(beta, c) }
+
+// ScalTri scales the uplo triangle (with diagonal) of the square Hermitian
+// c by the real beta and zeroes the diagonal's imaginary parts, as Herk
+// and Her2k do: the alpha = 0 path of HERK and HER2K on a diagonal tile.
+// beta = 0 stores zeros whatever the triangle held.
+func ScalTri(uplo Uplo, beta float64, c matrix.ZMat) {
+	for j := 0; j < c.N; j++ {
+		lo, hi := triRange(uplo, j, c.N)
+		for i := lo; i < hi; i++ {
+			var v complex128
+			if beta != 0 {
+				v = complex(beta, 0) * c.At(i, j)
+			}
+			if i == j {
+				v = complex(real(v), 0)
+			}
+			c.Set(i, j, v)
+		}
+	}
+}
+
 func triRange(uplo Uplo, j, n int) (lo, hi int) {
 	if uplo == Lower {
 		return j, n
