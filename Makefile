@@ -17,9 +17,9 @@ test:
 # parallel sweep harness and its leaf memo, the process-wide pool of idle
 # library contexts, the engine they drive and its cross-goroutine stop
 # flag, the parallel host GEMM, the runtime under the randomized audit
-# sweep and its Cancel protocol, the metrics registry (concurrent updaters
-# racing Snapshot readers), the serving front end (prewarm is its one
-# concurrent phase) and the xkbench command's sinks.
+# sweep and its Cancel protocol, the metrics registry, the serving front
+# end (prewarm is its one concurrent phase) and the xkbench command's
+# sinks.
 race:
 	$(GO) test -race ./internal/bench/... ./internal/baseline/... ./internal/sim/... ./internal/hostblas/... ./internal/xkrt/... ./internal/metrics/... ./internal/serve/... ./cmd/xkbench/...
 
@@ -68,7 +68,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Allocation gates: a warm submit/run/retire wave allocates nothing (the
-# arena contract behind million-task runs); a whole timing-mode GEMM with
+# arena contract behind million-task runs), and neither does resetting a
+# used engine, platform and runtime; a whole timing-mode GEMM with
 # write-back, on a reset handle, stays within 0.5 objects per retired task
 # under work stealing and DMDAS (the transfer path: hop joins,
 # under-transfer records, waiters, write-backs); a library leaf on a
@@ -80,7 +81,7 @@ bench:
 # (GFlop/s too for the kernels, at functional mode's flags; ns and allocs
 # per request for a 20k-request serve replay).
 bench-alloc:
-	$(GO) test -count=1 -run 'TestSubmitSteadyStateAllocBudget|TestTileQueriesAllocFree' ./internal/xkrt/
+	$(GO) test -count=1 -run 'TestSubmitSteadyStateAllocBudget|TestTileQueriesAllocFree|TestResetAllocFree' ./internal/xkrt/
 	$(GO) test -count=1 -run 'TestTimingGemmAllocBudget' ./internal/core/
 	$(GO) test -count=1 -run 'TestRecycledLeafAllocBudget' ./internal/baseline/
 	$(GO) test -count=1 -run 'TestTransferMultiHopAllocFree|TestFairServerSteadyStateAllocFree' ./internal/sim/

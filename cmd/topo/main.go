@@ -66,7 +66,7 @@ func main() {
 				fmt.Printf("%6s", "-")
 				continue
 			}
-			fmt.Printf("%6s", p.GPULink(topology.DeviceID(i), topology.DeviceID(j)).Kind)
+			fmt.Printf("%6s", p.Link(topology.DeviceID(i), topology.DeviceID(j)).Kind)
 		}
 		fmt.Printf("   switch %d, rank-to-host %d\n", p.PCIeSwitchOf(topology.DeviceID(i)),
 			p.P2PPerformanceRank(topology.Host, topology.DeviceID(i)))

@@ -273,12 +273,20 @@ func main() {
 	exit(0)
 }
 
+// maxWholeGraphTasks bounds the whole-graph DAG one -sizes × -tiles pair
+// may ask for without -window: ceil(N/nb)³ GEMM tasks. It is 13× the
+// largest whole graph a committed experiment builds (-exp bign's 68³ =
+// 314,432 tasks).
+const maxWholeGraphTasks = 1 << 22
+
 // flagProblem validates the numeric flags before any simulation starts,
 // returning a diagnostic message (empty = valid). -window 0 means "whole
 // graph", -batch-count/-batch-n 0 mean "sweep the default grid" and
 // -timeout 0 means "no bound", so only negatives are nonsense there; a
 // parallelism or repetition count below 1 and a nonpositive -sizes/-tiles
-// entry have no meaning at all.
+// entry have no meaning at all. Without -window, a -sizes × -tiles pair
+// whose whole graph exceeds maxWholeGraphTasks is rejected: generating it
+// would outrun any deadline.
 func flagProblem(window, parallel, runs, batchCount, batchN int, sizes, tiles string, timeout time.Duration) string {
 	switch {
 	case window < 0:
@@ -294,9 +302,28 @@ func flagProblem(window, parallel, runs, batchCount, batchN int, sizes, tiles st
 	case timeout < 0:
 		return fmt.Sprintf("-timeout must be >= 0, got %v", timeout)
 	}
-	for _, f := range [...]struct{ name, spec string }{{"-sizes", sizes}, {"-tiles", tiles}} {
-		if _, err := parseInts(f.spec); err != nil {
-			return fmt.Sprintf("%s: %v", f.name, err)
+	ns, err := parseInts(sizes)
+	if err != nil {
+		return fmt.Sprintf("-sizes: %v", err)
+	}
+	nbs, err := parseInts(tiles)
+	if err != nil {
+		return fmt.Sprintf("-tiles: %v", err)
+	}
+	if window > 0 {
+		return ""
+	}
+	for _, n := range ns {
+		for _, nb := range nbs {
+			nt := n / nb
+			if n%nb != 0 {
+				nt++
+			}
+			// nt > 1<<20 is over the bound and would overflow the cube.
+			if nt > 1<<20 || nt*nt*nt > maxWholeGraphTasks {
+				return fmt.Sprintf("-sizes %d with -tiles %d asks for a whole graph of %d³ tasks, more than %d; stream it through -window",
+					n, nb, nt, maxWholeGraphTasks)
+			}
 		}
 	}
 	return ""

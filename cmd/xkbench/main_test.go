@@ -191,7 +191,9 @@ func TestBatchExperimentDeterministic(t *testing.T) {
 // -sizes/-tiles entries (and a negative -window or -timeout) used to be
 // accepted silently — a negative -timeout ran unbounded; now each produces
 // a usage diagnostic. -window 0 and -timeout 0 stay valid: they mean
-// "whole graph" and "no bound".
+// "whole graph" and "no bound". A whole graph too large to generate
+// (-sizes 4096 -tiles 3: 1366³ tasks) is rejected unless -window streams
+// it; the default flags' largest graph, 32³, is accepted.
 func TestFlagProblemRejectsBadConcurrency(t *testing.T) {
 	const sizes, tiles = "8192,16384,32768", "1024,2048,4096"
 	for _, tc := range []struct {
@@ -215,6 +217,9 @@ func TestFlagProblemRejectsBadConcurrency(t *testing.T) {
 		{0, 1, 3, 0, 0, sizes, "1024,-2048", 0, "-tiles"},
 		{0, 1, 3, 0, 0, sizes, tiles, 2 * time.Minute, ""},
 		{0, 1, 3, 0, 0, sizes, tiles, -time.Second, "-timeout"},
+		{0, 1, 3, 0, 0, "4096", "3", 0, "-window"},
+		{4096, 1, 3, 0, 0, "4096", "3", 0, ""},
+		{0, 1, 3, 0, 0, "1000000000000", "1", 0, "-window"}, // 10^36 tasks: must not overflow
 	} {
 		msg := flagProblem(tc.window, tc.parallel, tc.runs, tc.batchCount, tc.batchN, tc.sizes, tc.tiles, tc.timeout)
 		if tc.bad == "" {

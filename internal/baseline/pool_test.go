@@ -299,9 +299,9 @@ func TestIdleContextsConcurrent(t *testing.T) {
 
 // recycledLeafAllocBudget bounds the objects one recycled timing-mode leaf
 // (XKBlas GEMM, N = 4096, nb = 1024, 64 tasks) allocates: the operand
-// registration, the rebuilt metrics registry and the result, but none of
-// the engine, platform, runtime or arena records a fresh context builds.
-const recycledLeafAllocBudget = 150
+// registration and the result, but none of the engine, platform, runtime
+// or arena records a fresh context builds.
+const recycledLeafAllocBudget = 80
 
 // TestRecycledLeafAllocBudget: once a context is idle, a leaf of the same
 // shape allocates only its per-run records. holdIdle keeps the pool from

@@ -259,9 +259,6 @@ type Cache struct {
 	// policy.LRUReadOnlyFirst (XKaapi's default).
 	Evictor policy.Evictor
 
-	// Counters, when non-nil, receives the eviction decision counters.
-	Counters *policy.Counters
-
 	// Audit, when non-nil, receives every state transition for coherence
 	// verification (the `internal/check` invariant auditor). Auditing is
 	// pure observation and never perturbs timings.
@@ -270,6 +267,10 @@ type Cache struct {
 	nextMat MatrixID
 	lru     []lruList // per device
 	stats   Stats
+
+	// dirtySkips counts the dirty replicas eviction scans walked past; the
+	// clean replicas they dropped are stats.Evictions.
+	dirtySkips int64
 
 	// Arena state: every live tile is in allTiles; tileFree/repFree/infFree
 	// recycle records so steady-state registration, replica churn and
@@ -324,6 +325,7 @@ func (c *Cache) Reset() {
 	}
 	c.nextMat = 0
 	c.stats = Stats{}
+	c.dirtySkips = 0
 	c.tilesLiveMax = 0
 	c.Observer = nil
 	c.Audit = nil
@@ -370,6 +372,10 @@ func (c *Cache) TilesLiveMax() int { return c.tilesLiveMax }
 // Stats returns a copy of the traffic counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// DirtySkips reports how many dirty replicas eviction scans walked past
+// (policy.Decisions.EvictDirtySkipped).
+func (c *Cache) DirtySkips() int64 { return c.dirtySkips }
+
 // NoteHit records an input fetch satisfied by a valid local replica.
 func (c *Cache) NoteHit() { c.stats.Hits++ }
 
@@ -381,12 +387,9 @@ func (c *Cache) NoteMiss() { c.stats.Misses++ }
 func (c *Cache) NoteInflightWait() { c.stats.InflightWaits++ }
 
 // PublishMetrics stores the traffic counters into reg under the "cache."
-// prefix. Store (not Add) keeps publication idempotent, so it may run at
-// every collection point. A nil registry is a no-op.
+// prefix. Store keeps publication idempotent, so it may run at every
+// collection point.
 func (c *Cache) PublishMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
 	s := c.stats
 	reg.Counter("cache.hits").Store(s.Hits)
 	reg.Counter("cache.misses").Store(s.Misses)
@@ -630,11 +633,8 @@ func (c *Cache) evict(dev topology.DeviceID, need int64) {
 			}
 			c.dropReplica(r.tile, dev, "eviction")
 			c.stats.Evictions++
-			if c.Counters != nil {
-				c.Counters.EvictClean.Add(1)
-			}
-		} else if cand.Dirty && c.Counters != nil {
-			c.Counters.EvictDirtySkipped.Add(1)
+		} else if cand.Dirty {
+			c.dirtySkips++
 		}
 		r = next
 	}

@@ -9,15 +9,12 @@ import (
 // reg under the "res." prefix and rolls them up per traffic class under
 // "class." — the per-link-class volume table of the paper (Table 3: kernel
 // occupancy, H2D/D2H/NVLink/PCIe/QPI byte volumes). Publication uses
-// Store/Set so it is idempotent; a nil registry is a no-op.
+// Store/Set so it is idempotent.
 //
 // Units depend on the class: kernel streams serve effective flops, the
 // pinner and every link serve bytes. The per-class rollup therefore never
 // mixes classes.
 func (p *Platform) PublishMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
 	var units [numResourceClasses]float64
 	var busy [numResourceClasses]sim.Time
 	var served [numResourceClasses]int64

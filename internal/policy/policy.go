@@ -25,13 +25,13 @@ import (
 	"xkblas/internal/topology"
 )
 
-// Decisions is a point-in-time snapshot of every choice the policy layer
-// took during one runtime's lifetime (the live instruments are the
-// registry-backed Counters; Snapshot produces this value type). The
-// counters explain *why* a configuration is fast or slow: e.g. the Fig. 3
-// gap between XKBlas and its no-topo ablation shows up here as peer
-// traffic shifting from SrcNVLink2 to SrcPCIeP2P/SrcHost before it shows
-// up as lost GFlop/s.
+// Decisions counts every choice the policy layer took during one run. The
+// runtime keeps one as a plain value and increments it where each decision
+// is taken; the cache counts the two eviction outcomes, which the runtime
+// copies in when it reports. The counters explain *why* a configuration is
+// fast or slow: e.g. the Fig. 3 gap between XKBlas and its no-topo
+// ablation shows up here as peer traffic shifting from SrcNVLink2 to
+// SrcPCIeP2P/SrcHost before it shows up as lost GFlop/s.
 type Decisions struct {
 	// Transfer sources by link class of the chosen route (the ranking
 	// order of §III-B): double NVLink, single NVLink (or NVLink-to-host on
@@ -71,140 +71,52 @@ type Decisions struct {
 	DispatchHost   int64
 }
 
-// Counters is the live, registry-backed form of Decisions: one
-// metrics.Counter per decision axis, registered under the "policy." prefix
-// so the decision counts ride the same deterministic snapshot/exposition
-// path as the resource-utilization metrics. A nil *Counters (and every
-// Counters built from a nil registry) is a no-op instrument set, so
-// counting sites need no guards.
-type Counters struct {
-	SrcNVLink2 *metrics.Counter
-	SrcNVLink1 *metrics.Counter
-	SrcPCIeP2P *metrics.Counter
-	SrcNet     *metrics.Counter
-	SrcHost    *metrics.Counter
-
-	ChainsTaken  *metrics.Counter
-	ChainsMissed *metrics.Counter
-
-	EvictClean        *metrics.Counter
-	EvictDirtySkipped *metrics.Counter
-
-	OwnerHits *metrics.Counter
-	Steals    *metrics.Counter
-
-	DispatchDevice *metrics.Counter
-	DispatchHost   *metrics.Counter
-}
-
-// NewCounters registers the decision counters on reg (nil reg yields no-op
-// instruments).
-func NewCounters(reg *metrics.Registry) *Counters {
-	return &Counters{
-		SrcNVLink2:        reg.Counter("policy.src.nvlink2"),
-		SrcNVLink1:        reg.Counter("policy.src.nvlink1"),
-		SrcPCIeP2P:        reg.Counter("policy.src.pcie_p2p"),
-		SrcNet:            reg.Counter("policy.src.net"),
-		SrcHost:           reg.Counter("policy.src.host"),
-		ChainsTaken:       reg.Counter("policy.chain.taken"),
-		ChainsMissed:      reg.Counter("policy.chain.missed"),
-		EvictClean:        reg.Counter("policy.evict.clean"),
-		EvictDirtySkipped: reg.Counter("policy.evict.dirty_skipped"),
-		OwnerHits:         reg.Counter("policy.sched.owner_hits"),
-		Steals:            reg.Counter("policy.sched.steals"),
-		// The dispatch pair keeps its own prefix: it counts a request-level
-		// routing decision, not a per-tile runtime policy choice.
-		DispatchDevice: reg.Counter("dispatch.device"),
-		DispatchHost:   reg.Counter("dispatch.host"),
-	}
-}
-
-// Snapshot reads the live counters into a Decisions value (zero on nil).
-func (c *Counters) Snapshot() Decisions {
-	if c == nil {
-		return Decisions{}
-	}
-	return Decisions{
-		SrcNVLink2:        c.SrcNVLink2.Value(),
-		SrcNVLink1:        c.SrcNVLink1.Value(),
-		SrcPCIeP2P:        c.SrcPCIeP2P.Value(),
-		SrcNet:            c.SrcNet.Value(),
-		SrcHost:           c.SrcHost.Value(),
-		ChainsTaken:       c.ChainsTaken.Value(),
-		ChainsMissed:      c.ChainsMissed.Value(),
-		EvictClean:        c.EvictClean.Value(),
-		EvictDirtySkipped: c.EvictDirtySkipped.Value(),
-		OwnerHits:         c.OwnerHits.Value(),
-		Steals:            c.Steals.Value(),
-		DispatchDevice:    c.DispatchDevice.Value(),
-		DispatchHost:      c.DispatchHost.Value(),
-	}
-}
-
-// countChainTaken and countChainMissed are the nil-safe increments the
-// optimistic selector uses.
-func (c *Counters) countChainTaken() {
-	if c != nil {
-		c.ChainsTaken.Add(1)
-	}
-}
-
-func (c *Counters) countChainMissed() {
-	if c != nil {
-		c.ChainsMissed.Add(1)
-	}
-}
-
 // CountDispatch records one batch-instance dispatch decision: host = true
-// for the host BLAS path, false for the tiled device path (nil-safe).
-func (c *Counters) CountDispatch(host bool) {
-	if c == nil {
-		return
-	}
+// for the host BLAS path, false for the tiled device path.
+func (d *Decisions) CountDispatch(host bool) {
 	if host {
-		c.DispatchHost.Add(1)
+		d.DispatchHost++
 	} else {
-		c.DispatchDevice.Add(1)
+		d.DispatchDevice++
 	}
 }
 
 // CountTransfer classifies the link a transfer src→dst was chosen to cross
-// and bumps the matching source counter (nil-safe).
-func (c *Counters) CountTransfer(topo *topology.Platform, src, dst topology.DeviceID) {
-	if c == nil {
-		return
-	}
+// and bumps the matching source counter.
+func (d *Decisions) CountTransfer(topo *topology.Platform, src, dst topology.DeviceID) {
 	if src == topology.Host {
-		c.SrcHost.Add(1)
+		d.SrcHost++
 		return
 	}
-	switch topo.GPULink(src, dst).Kind {
+	switch topo.Link(src, dst).Kind {
 	case topology.LinkNVLink2:
-		c.SrcNVLink2.Add(1)
+		d.SrcNVLink2++
 	case topology.LinkNVLink1, topology.LinkNVLinkHost:
-		c.SrcNVLink1.Add(1)
+		d.SrcNVLink1++
 	case topology.LinkNet:
-		c.SrcNet.Add(1)
+		d.SrcNet++
 	default:
-		c.SrcPCIeP2P.Add(1)
+		d.SrcPCIeP2P++
 	}
 }
 
-// Add accumulates other into d (aggregation across runs or devices).
-func (d *Decisions) Add(other Decisions) {
-	d.SrcNVLink2 += other.SrcNVLink2
-	d.SrcNVLink1 += other.SrcNVLink1
-	d.SrcPCIeP2P += other.SrcPCIeP2P
-	d.SrcNet += other.SrcNet
-	d.SrcHost += other.SrcHost
-	d.ChainsTaken += other.ChainsTaken
-	d.ChainsMissed += other.ChainsMissed
-	d.EvictClean += other.EvictClean
-	d.EvictDirtySkipped += other.EvictDirtySkipped
-	d.OwnerHits += other.OwnerHits
-	d.Steals += other.Steals
-	d.DispatchDevice += other.DispatchDevice
-	d.DispatchHost += other.DispatchHost
+// Publish stores the counts into reg under the "policy." prefix. The
+// dispatch pair keeps its own prefix: it counts a request-level routing
+// decision, not a per-tile runtime policy choice.
+func (d Decisions) Publish(reg *metrics.Registry) {
+	reg.Counter("policy.src.nvlink2").Store(d.SrcNVLink2)
+	reg.Counter("policy.src.nvlink1").Store(d.SrcNVLink1)
+	reg.Counter("policy.src.pcie_p2p").Store(d.SrcPCIeP2P)
+	reg.Counter("policy.src.net").Store(d.SrcNet)
+	reg.Counter("policy.src.host").Store(d.SrcHost)
+	reg.Counter("policy.chain.taken").Store(d.ChainsTaken)
+	reg.Counter("policy.chain.missed").Store(d.ChainsMissed)
+	reg.Counter("policy.evict.clean").Store(d.EvictClean)
+	reg.Counter("policy.evict.dirty_skipped").Store(d.EvictDirtySkipped)
+	reg.Counter("policy.sched.owner_hits").Store(d.OwnerHits)
+	reg.Counter("policy.sched.steals").Store(d.Steals)
+	reg.Counter("dispatch.device").Store(d.DispatchDevice)
+	reg.Counter("dispatch.host").Store(d.DispatchHost)
 }
 
 // Transfers reports the total number of counted transfer-source decisions.

@@ -3,7 +3,6 @@ package policy
 import (
 	"testing"
 
-	"xkblas/internal/metrics"
 	"xkblas/internal/topology"
 )
 
@@ -40,7 +39,7 @@ func (t *fakeTile) HomeOwner() topology.DeviceID       { return t.owner }
 func (t *fakeTile) SetHomeOwner(dev topology.DeviceID) { t.owner = dev }
 func (t *fakeTile) Coords() (int, int)                 { return t.i, t.j }
 
-func pick(t *testing.T, sel SourceSelector, tile TileView, dst topology.DeviceID, topo *topology.Platform, c *Counters) (topology.DeviceID, bool) {
+func pick(t *testing.T, sel SourceSelector, tile TileView, dst topology.DeviceID, topo *topology.Platform, c *Decisions) (topology.DeviceID, bool) {
 	t.Helper()
 	src, chained, ok := SelectSource(sel, topo, tile, dst, c)
 	if !ok {
@@ -59,14 +58,14 @@ func TestSameSwitchOnDGX2(t *testing.T) {
 	tile := newFakeTile()
 	tile.valid = devs(1, 2, 3)
 	tile.host = true
-	if src, chained := pick(t, sel, tile, 0, topo, nil); chained || src != 1 {
+	if src, chained := pick(t, sel, tile, 0, topo, &Decisions{}); chained || src != 1 {
 		t.Fatalf("dst 0 with valid {1,2,3}: got (%d,%v), want (1,false): only GPU 1 shares switch 0", src, chained)
 	}
 
 	// No replica behind the destination's switch: fall back to the host
 	// read even though peers 2 and 3 hold valid copies.
 	tile.valid = devs(2, 3)
-	if src, chained := pick(t, sel, tile, 0, topo, nil); chained || src != topology.Host {
+	if src, chained := pick(t, sel, tile, 0, topo, &Decisions{}); chained || src != topology.Host {
 		t.Fatalf("dst 0 with valid {2,3}: got (%d,%v), want host", src, chained)
 	}
 }
@@ -83,7 +82,7 @@ func TestSameSwitchEveryPeerOneSwitch(t *testing.T) {
 	tile := newFakeTile()
 	tile.valid = devs(1)
 	tile.host = true
-	if src, chained := pick(t, sel, tile, 0, topo, nil); chained || src != 1 {
+	if src, chained := pick(t, sel, tile, 0, topo, &Decisions{}); chained || src != 1 {
 		t.Fatalf("got (%d,%v), want (1,false): the single peer shares the switch", src, chained)
 	}
 }
@@ -96,7 +95,7 @@ func TestTopoRankFlatFabricTieBreaksLowestID(t *testing.T) {
 	tile := newFakeTile()
 	tile.valid = devs(3, 5, 9)
 	tile.host = true
-	if src, chained := pick(t, TopoRank{}, tile, 0, topo, nil); chained || src != 3 {
+	if src, chained := pick(t, TopoRank{}, tile, 0, topo, &Decisions{}); chained || src != 3 {
 		t.Fatalf("flat-fabric tie: got (%d,%v), want (3,false)", src, chained)
 	}
 }
@@ -106,7 +105,7 @@ func TestHostOnlyRejectsAllPeers(t *testing.T) {
 	tile := newFakeTile()
 	tile.valid = devs(1, 3)
 	tile.host = true
-	if src, chained := pick(t, HostOnly{}, tile, 0, topo, nil); chained || src != topology.Host {
+	if src, chained := pick(t, HostOnly{}, tile, 0, topo, &Decisions{}); chained || src != topology.Host {
 		t.Fatalf("got (%d,%v), want host read", src, chained)
 	}
 }
@@ -114,7 +113,7 @@ func TestHostOnlyRejectsAllPeers(t *testing.T) {
 func TestOptimisticChainHitCountsTaken(t *testing.T) {
 	topo := topology.DGX1()
 	sel := Optimistic{Base: TopoRank{}}
-	c := NewCounters(metrics.NewRegistry())
+	c := &Decisions{}
 	tile := newFakeTile()
 	tile.host = true
 	tile.inflight = devs(1, 3) // 3 is 2xNVLink to 0
@@ -122,15 +121,15 @@ func TestOptimisticChainHitCountsTaken(t *testing.T) {
 	if !chained || src != 3 {
 		t.Fatalf("got (%d,%v), want (3,true): ranked chain onto the best in-flight peer", src, chained)
 	}
-	if d := c.Snapshot(); d.ChainsTaken != 1 || d.ChainsMissed != 0 {
-		t.Fatalf("counters = taken %d missed %d, want 1/0", d.ChainsTaken, d.ChainsMissed)
+	if c.ChainsTaken != 1 || c.ChainsMissed != 0 {
+		t.Fatalf("counters = taken %d missed %d, want 1/0", c.ChainsTaken, c.ChainsMissed)
 	}
 }
 
 func TestOptimisticChainMissCountsMissed(t *testing.T) {
 	topo := topology.DGX1()
 	sel := Optimistic{Base: TopoRank{}}
-	c := NewCounters(metrics.NewRegistry())
+	c := &Decisions{}
 
 	// No transfer in flight anywhere: the heuristic looks and misses.
 	tile := newFakeTile()
@@ -143,8 +142,8 @@ func TestOptimisticChainMissCountsMissed(t *testing.T) {
 	if src, chained := pick(t, sel, tile, 2, topo, c); chained || src != topology.Host {
 		t.Fatalf("got (%d,%v), want host fallback (cannot chain onto self)", src, chained)
 	}
-	if d := c.Snapshot(); d.ChainsTaken != 0 || d.ChainsMissed != 2 {
-		t.Fatalf("counters = taken %d missed %d, want 0/2", d.ChainsTaken, d.ChainsMissed)
+	if c.ChainsTaken != 0 || c.ChainsMissed != 2 {
+		t.Fatalf("counters = taken %d missed %d, want 0/2", c.ChainsTaken, c.ChainsMissed)
 	}
 }
 
@@ -155,41 +154,35 @@ func TestSelectSourceDirtyAndForcedChainFallbacks(t *testing.T) {
 	// for every selector, even host-only.
 	tile := newFakeTile()
 	tile.dirty = 5
-	if src, chained := pick(t, HostOnly{}, tile, 0, topo, nil); chained || src != 5 {
+	if src, chained := pick(t, HostOnly{}, tile, 0, topo, &Decisions{}); chained || src != 5 {
 		t.Fatalf("got (%d,%v), want dirty holder 5", src, chained)
 	}
 
 	// Only copy is in flight: wait on its first destination (forced chain).
 	tile = newFakeTile()
 	tile.inflight = devs(4)
-	if src, chained := pick(t, LowestID{}, tile, 0, topo, nil); !chained || src != 4 {
+	if src, chained := pick(t, LowestID{}, tile, 0, topo, &Decisions{}); !chained || src != 4 {
 		t.Fatalf("got (%d,%v), want forced chain on 4", src, chained)
 	}
 
 	// No copy anywhere is an invariant violation, reported as ok=false.
-	if _, _, ok := SelectSource(LowestID{}, topo, newFakeTile(), 0, nil); ok {
+	if _, _, ok := SelectSource(LowestID{}, topo, newFakeTile(), 0, &Decisions{}); ok {
 		t.Fatal("SelectSource invented a source for a copy-less tile")
 	}
 }
 
 func TestCountTransferClassifiesLinks(t *testing.T) {
 	topo := topology.DGX1()
-	c := NewCounters(metrics.NewRegistry())
+	c := &Decisions{}
 	c.CountTransfer(topo, topology.Host, 0)
 	c.CountTransfer(topo, 3, 0) // 2xNVLink on the hybrid cube-mesh
 	c.CountTransfer(topo, 1, 0) // 1xNVLink
 	c.CountTransfer(topo, 5, 3) // no NVLink: PCIe P2P
-	d := c.Snapshot()
-	if d.SrcHost != 1 || d.SrcNVLink2 != 1 || d.SrcNVLink1 != 1 || d.SrcPCIeP2P != 1 {
-		t.Fatalf("counters = %+v, want one of each class", d)
+	if c.SrcHost != 1 || c.SrcNVLink2 != 1 || c.SrcNVLink1 != 1 || c.SrcPCIeP2P != 1 {
+		t.Fatalf("counters = %+v, want one of each class", *c)
 	}
-	if d.Transfers() != 4 {
-		t.Fatalf("Transfers() = %d, want 4", d.Transfers())
-	}
-	// A nil counter set must be accepted everywhere and count nothing.
-	(*Counters)(nil).CountTransfer(topo, 3, 0)
-	if s := (*Counters)(nil).Snapshot(); s != (Decisions{}) {
-		t.Fatalf("nil Counters snapshot = %+v, want zero", s)
+	if c.Transfers() != 4 {
+		t.Fatalf("Transfers() = %d, want 4", c.Transfers())
 	}
 }
 

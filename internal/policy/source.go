@@ -22,8 +22,8 @@ type SourceSelector interface {
 	// PickInflight chooses an in-flight destination to chain on when the
 	// host copy is valid but no acceptable peer exists. ok=false reads
 	// from the host instead. Implementations count their chain decisions
-	// in c (nil-safe).
-	PickInflight(topo *topology.Platform, tile TileView, dst topology.DeviceID, c *Counters) (src topology.DeviceID, ok bool)
+	// in d.
+	PickInflight(topo *topology.Platform, tile TileView, dst topology.DeviceID, d *Decisions) (src topology.DeviceID, ok bool)
 }
 
 // SelectSource runs the invariant source-selection skeleton with the
@@ -39,14 +39,14 @@ type SourceSelector interface {
 // The returned chained flag means "src is an in-flight destination to wait
 // on", not a valid holder. ok=false means the tile has no copy anywhere —
 // a runtime invariant violation the caller should panic on.
-func SelectSource(sel SourceSelector, topo *topology.Platform, tile TileView, dst topology.DeviceID, c *Counters) (src topology.DeviceID, chained, ok bool) {
+func SelectSource(sel SourceSelector, topo *topology.Platform, tile TileView, dst topology.DeviceID, d *Decisions) (src topology.DeviceID, chained, ok bool) {
 	if cands := tile.ValidGPUs(); !cands.Empty() {
 		if src, ok := sel.PickPeer(topo, cands, dst); ok {
 			return src, false, true
 		}
 	}
 	if tile.HostValid() {
-		if g, ok := sel.PickInflight(topo, tile, dst, c); ok {
+		if g, ok := sel.PickInflight(topo, tile, dst, d); ok {
 			return g, true, true
 		}
 		return topology.Host, false, true
@@ -64,7 +64,7 @@ func SelectSource(sel SourceSelector, topo *topology.Platform, tile TileView, ds
 // chain, always fall back to the host read.
 type noChain struct{}
 
-func (noChain) PickInflight(*topology.Platform, TileView, topology.DeviceID, *Counters) (topology.DeviceID, bool) {
+func (noChain) PickInflight(*topology.Platform, TileView, topology.DeviceID, *Decisions) (topology.DeviceID, bool) {
 	return -1, false
 }
 
@@ -159,8 +159,8 @@ func (o Optimistic) PickPeer(topo *topology.Platform, cands topology.DeviceSet, 
 
 // PickInflight implements SourceSelector: the in-flight destination with
 // the best link rank to dst (the lowest id among equals), excluding dst
-// itself. Chain hits and misses are counted in c.
-func (o Optimistic) PickInflight(topo *topology.Platform, tile TileView, dst topology.DeviceID, c *Counters) (topology.DeviceID, bool) {
+// itself. Chain hits and misses are counted in d.
+func (o Optimistic) PickInflight(topo *topology.Platform, tile TileView, dst topology.DeviceID, d *Decisions) (topology.DeviceID, bool) {
 	var best topology.DeviceID = -1
 	bestRank := -1
 	for s := tile.InflightDsts().Without(dst); !s.Empty(); s = s.Rest() {
@@ -170,9 +170,9 @@ func (o Optimistic) PickInflight(topo *topology.Platform, tile TileView, dst top
 		}
 	}
 	if best < 0 {
-		c.countChainMissed()
+		d.ChainsMissed++
 		return -1, false
 	}
-	c.countChainTaken()
+	d.ChainsTaken++
 	return best, true
 }

@@ -203,10 +203,11 @@ func (r *Report) Snapshot() metrics.Snapshot {
 		reg.Gauge(pre + ".latency_p50").Set(ts.P50)
 		reg.Gauge(pre + ".latency_p99").Set(ts.P99)
 		reg.Gauge(pre + ".latency_p999").Set(ts.P999)
-		h := reg.Histogram(pre+".latency_seconds", LatencyBuckets)
+		h := metrics.NewHistogram(LatencyBuckets)
 		for _, v := range ts.latencies {
 			h.Observe(v)
 		}
+		reg.PutHistogram(pre+".latency_seconds", h)
 	}
 	for _, ps := range r.Platforms {
 		pre := "serve.platform." + ps.Name

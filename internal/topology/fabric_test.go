@@ -131,7 +131,7 @@ func TestDGXA100PlaneRoutes(t *testing.T) {
 			t.Errorf("route %v->%v = %v, want %v", pair[0], pair[1], got, want)
 		}
 	}
-	if l := p.GPULink(0, 7); l.Kind != LinkNVLink2 || l.BandwidthGBs != dgxa100PortGBs {
+	if l := p.Link(0, 7); l.Kind != LinkNVLink2 || l.BandwidthGBs != dgxa100PortGBs {
 		t.Errorf("peer link = %v/%g, want NV2/%g", l.Kind, l.BandwidthGBs, float64(dgxa100PortGBs))
 	}
 	if l := p.Link(Host, 2); l.Kind != LinkNVLinkHost {
@@ -166,7 +166,7 @@ func TestMultiNodeRoutes(t *testing.T) {
 		[]string{"pcie0.up", "net.0->1", "pcie4.down"}) {
 		t.Errorf("cross-node route = %v", got)
 	}
-	if l := p.GPULink(0, 9); l.Kind != LinkNet || l.BandwidthGBs != interNodeGBs {
+	if l := p.Link(0, 9); l.Kind != LinkNet || l.BandwidthGBs != interNodeGBs {
 		t.Errorf("cross-node link = %v/%g, want Net/%g", l.Kind, l.BandwidthGBs, float64(interNodeGBs))
 	}
 	// Host memory lives on node 0: node-1 GPUs stage host transfers over

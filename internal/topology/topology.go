@@ -245,17 +245,8 @@ func (p *Platform) Validate() error {
 	return nil
 }
 
-// GPULink reports the directed route between two distinct GPUs: the class
-// and bandwidth of the routed path's slowest hop.
-func (p *Platform) GPULink(src, dst DeviceID) Link {
-	if src == dst {
-		return Link{Kind: LinkNone}
-	}
-	r := p.Route(src, dst)
-	return Link{Kind: r.Kind, BandwidthGBs: r.BandwidthGBs}
-}
-
-// Link reports the route from src to dst where either may be Host.
+// Link reports the directed route from src to dst, either of which may be
+// Host: the class and bandwidth of the routed path's slowest hop.
 func (p *Platform) Link(src, dst DeviceID) Link {
 	if src == dst {
 		return Link{Kind: LinkNone}
@@ -272,7 +263,7 @@ func (p *Platform) P2PPerformanceRank(src, dst DeviceID) int {
 	if src == Host || dst == Host {
 		return 0
 	}
-	return p.GPULink(src, dst).Kind.Rank()
+	return p.Link(src, dst).Kind.Rank()
 }
 
 // PCIeSwitchOf reports the PCIe switch id of a GPU (the switch component

@@ -30,7 +30,7 @@ func TestDGX1SixNVLinkBricksPerGPU(t *testing.T) {
 			if g == h {
 				continue
 			}
-			switch p.GPULink(g, h).Kind {
+			switch p.Link(g, h).Kind {
 			case LinkNVLink2:
 				bricks += 2
 			case LinkNVLink1:
@@ -58,10 +58,10 @@ func TestDGX1MatchesPaperFig2(t *testing.T) {
 		{1, 4, LinkPCIe}, {2, 7, LinkPCIe},
 	}
 	for _, c := range cases {
-		if got := p.GPULink(c.a, c.b).Kind; got != c.kind {
+		if got := p.Link(c.a, c.b).Kind; got != c.kind {
 			t.Errorf("link %d<->%d = %v, want %v", c.a, c.b, got, c.kind)
 		}
-		if got := p.GPULink(c.b, c.a).Kind; got != c.kind {
+		if got := p.Link(c.b, c.a).Kind; got != c.kind {
 			t.Errorf("link %d<->%d reverse = %v, want %v", c.b, c.a, got, c.kind)
 		}
 	}
@@ -69,13 +69,13 @@ func TestDGX1MatchesPaperFig2(t *testing.T) {
 
 func TestDGX1BandwidthClasses(t *testing.T) {
 	p := DGX1()
-	if bw := p.GPULink(0, 3).BandwidthGBs; bw < 90 || bw > 100 {
+	if bw := p.Link(0, 3).BandwidthGBs; bw < 90 || bw > 100 {
 		t.Errorf("2xNVLink bw = %g, want ~96", bw)
 	}
-	if bw := p.GPULink(0, 1).BandwidthGBs; bw < 45 || bw > 52 {
+	if bw := p.Link(0, 1).BandwidthGBs; bw < 45 || bw > 52 {
 		t.Errorf("1xNVLink bw = %g, want ~48", bw)
 	}
-	if bw := p.GPULink(0, 5).BandwidthGBs; bw < 15 || bw > 20 {
+	if bw := p.Link(0, 5).BandwidthGBs; bw < 15 || bw > 20 {
 		t.Errorf("PCIe P2P bw = %g, want ~17", bw)
 	}
 }
@@ -148,10 +148,10 @@ func TestSummitNode(t *testing.T) {
 	if p.Link(Host, 0).BandwidthGBs < 40 {
 		t.Error("Summit host link should be fast (~47-50 GB/s)")
 	}
-	if p.GPULink(0, 1).Kind != LinkNVLink1 {
+	if p.Link(0, 1).Kind != LinkNVLink1 {
 		t.Error("intra-triplet link should be NVLink")
 	}
-	if p.GPULink(0, 3).Kind != LinkPCIe {
+	if p.Link(0, 3).Kind != LinkPCIe {
 		t.Error("cross-socket link should not be NVLink")
 	}
 }
@@ -169,7 +169,7 @@ func TestRankConsistentWithBandwidthProperty(t *testing.T) {
 			return true
 		}
 		ra, rb := p.P2PPerformanceRank(a, dst), p.P2PPerformanceRank(b, dst)
-		ba, bb := p.GPULink(a, dst).BandwidthGBs, p.GPULink(b, dst).BandwidthGBs
+		ba, bb := p.Link(a, dst).BandwidthGBs, p.Link(b, dst).BandwidthGBs
 		if ra > rb && ba < bb {
 			return false
 		}
@@ -200,13 +200,13 @@ func TestDGX2FlatFabric(t *testing.T) {
 		t.Fatalf("NumGPUs = %d", p.NumGPUs)
 	}
 	// NVSwitch: every peer pair has the same kind, bandwidth and rank.
-	ref := p.GPULink(0, 1)
+	ref := p.Link(0, 1)
 	for i := 0; i < 16; i++ {
 		for j := 0; j < 16; j++ {
 			if i == j {
 				continue
 			}
-			l := p.GPULink(DeviceID(i), DeviceID(j))
+			l := p.Link(DeviceID(i), DeviceID(j))
 			if l.Kind != ref.Kind || l.BandwidthGBs != ref.BandwidthGBs {
 				t.Fatalf("non-uniform fabric at %d->%d", i, j)
 			}

@@ -152,12 +152,8 @@ func (k OpKind) metricName() string {
 
 // PublishMetrics stores the per-GPU busy time by operation category into reg
 // as "trace.gpu<d>.<kind>.busy_seconds" gauges (the Fig. 7 breakdown on the
-// metrics surface). Set keeps publication idempotent; nil registry is a
-// no-op.
+// metrics surface). Set keeps publication idempotent.
 func (r *Recorder) PublishMetrics(reg *metrics.Registry, numGPUs int) {
-	if reg == nil {
-		return
-	}
 	per := r.PerGPUByKind(numGPUs)
 	for d, byKind := range per {
 		for _, k := range Kinds() {

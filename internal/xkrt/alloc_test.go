@@ -34,6 +34,34 @@ func TestSubmitSteadyStateAllocBudget(t *testing.T) {
 	}
 }
 
+// TestResetAllocFree: resetting a used engine, platform and runtime (the
+// chain Handle.Reset runs between recycled leaves) allocates nothing. Each
+// call resets its own rig after a GEMM wave on recycled records, so every
+// measured reset clears a used context whose free lists an earlier reset
+// sized; AllocsPerRun makes one extra, warm-up call.
+func TestResetAllocFree(t *testing.T) {
+	const runs = 10
+	rigs := make([]*benchRig, runs+1)
+	for i := range rigs {
+		r := newBenchRig()
+		r.submitWave()
+		r.rt.Barrier()
+		r.reset()
+		r.m = r.rt.Register(matrix.NewShape(benchGrid*256, benchGrid*256), 256)
+		r.submitWave()
+		r.rt.Barrier()
+		rigs[i] = r
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		rigs[next].reset()
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("resetting a used context allocates %.1f objects, want 0", allocs)
+	}
+}
+
 // TestSubAliasesArenaRecycledTiles: Matrix.Sub must share the parent's
 // cache tile records by pointer — including records the arena recycled
 // from an earlier runtime generation — because overlapping sub-matrices

@@ -82,8 +82,8 @@ func TestChainedForwardSurvivesEviction(t *testing.T) {
 	}
 	// The replanned hop fell back to the host read (GPU 0 lost its copy
 	// and no other GPU has one).
-	if got := rt.Stats().HostFallbacks; got != 1 {
-		t.Fatalf("re-selected source should be the host, HostFallbacks = %d", got)
+	if got := rt.Decisions().SrcHost; got != 1 {
+		t.Fatalf("re-selected source should be the host, SrcHost = %d", got)
 	}
 }
 

@@ -67,7 +67,7 @@ func (rt *Runtime) requestReplica(tile *cache.Tile, dev topology.DeviceID, w cac
 // policy.SelectSource). The returned chained flag means "src is an
 // in-flight destination to wait on", not a valid holder.
 func (rt *Runtime) selectSource(tile *cache.Tile, dst topology.DeviceID) (topology.DeviceID, bool) {
-	src, chained, ok := policy.SelectSource(rt.pol.Source, rt.Plat.Topo, tile, dst, rt.counters)
+	src, chained, ok := policy.SelectSource(rt.pol.Source, rt.Plat.Topo, tile, dst, &rt.dec)
 	if !ok {
 		panic(fmt.Sprintf("xkrt: tile %v has no valid copy anywhere", tile.Key))
 	}
@@ -80,12 +80,7 @@ func (rt *Runtime) selectSource(tile *cache.Tile, dst topology.DeviceID) (topolo
 // pending arrival rather than issuing their own copies.
 func (rt *Runtime) issueFetch(tile *cache.Tile, src topology.DeviceID, dst topology.DeviceID, chained bool, w cache.Waiter) {
 	if !chained {
-		if src == topology.Host {
-			rt.stats.HostFallbacks++
-		} else {
-			rt.stats.PeerSources++
-		}
-		rt.counters.CountTransfer(rt.Plat.Topo, src, dst)
+		rt.dec.CountTransfer(rt.Plat.Topo, src, dst)
 		if err := rt.Cache.StartTransfer(tile, src, dst, w); err != nil {
 			if errors.Is(err, cache.ErrDeviceOOM) {
 				rt.fail(fmt.Errorf("xkrt: fetch of %v to GPU %d: %w", tile.Key, dst, err))
@@ -153,12 +148,7 @@ func (h *chainHop) Arrived(tile *cache.Tile, _ topology.DeviceID, err error) {
 		}
 		src = nsrc
 	}
-	if src == topology.Host {
-		rt.stats.HostFallbacks++
-	} else {
-		rt.stats.PeerSources++
-	}
-	rt.counters.CountTransfer(rt.Plat.Topo, src, dst)
+	rt.dec.CountTransfer(rt.Plat.Topo, src, dst)
 	if err := rt.Cache.StartTransfer(tile, src, dst, h.next); err != nil {
 		if errors.Is(err, cache.ErrDeviceOOM) {
 			ferr := fmt.Errorf("xkrt: chained hop of %v to GPU %d: %w", tile.Key, dst, err)

@@ -56,8 +56,8 @@ func TestNewPanicsOnInvalidOptions(t *testing.T) {
 }
 
 // TestDecisionCountersEndToEnd drives the optimistic-chain counters through
-// the runtime's actual hit and miss paths and checks the transfer-class
-// counters agree with the legacy stats.
+// the runtime's actual hit and miss paths and checks every started task is
+// counted as an owner hit or a steal.
 func TestDecisionCountersEndToEnd(t *testing.T) {
 	run := func(opt Options) (RuntimeStats, policy.Decisions) {
 		rt := newRuntime(false, opt)
@@ -86,19 +86,8 @@ func TestDecisionCountersEndToEnd(t *testing.T) {
 	if d.ChainsMissed == 0 {
 		t.Fatal("first-touch fetches must count chain misses (no transfer in flight yet)")
 	}
-	// Every issued transfer is classified exactly once, so the link-class
-	// counters must partition the legacy source totals.
-	if d.SrcHost != stats.HostFallbacks {
-		t.Fatalf("SrcHost %d != HostFallbacks %d", d.SrcHost, stats.HostFallbacks)
-	}
-	if peers := d.SrcNVLink2 + d.SrcNVLink1 + d.SrcPCIeP2P; peers != stats.PeerSources {
-		t.Fatalf("peer-class sum %d != PeerSources %d", peers, stats.PeerSources)
-	}
 	if d.OwnerHits+d.Steals != stats.TasksRun {
 		t.Fatalf("OwnerHits %d + Steals %d != TasksRun %d", d.OwnerHits, d.Steals, stats.TasksRun)
-	}
-	if d.Steals != stats.Steals {
-		t.Fatalf("Steals %d != stats.Steals %d", d.Steals, stats.Steals)
 	}
 
 	_, dOff := run(Options{Window: 4, Policy: &policy.NoHeuristic})

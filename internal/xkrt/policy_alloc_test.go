@@ -71,7 +71,7 @@ func (r *policyRig) selectAll(sel policy.SourceSelector) {
 	topo := r.rt.Plat.Topo
 	for _, tl := range r.tiles {
 		for d := range r.rt.Plat.GPUs {
-			if _, _, ok := policy.SelectSource(sel, topo, tl, topology.DeviceID(d), r.rt.counters); !ok {
+			if _, _, ok := policy.SelectSource(sel, topo, tl, topology.DeviceID(d), &r.rt.dec); !ok {
 				panic("policy rig: tile has no copy")
 			}
 		}

@@ -127,14 +127,14 @@ type Runtime struct {
 
 	pol policy.Bundle
 
-	// reg is the run's private metrics registry. It always exists — the
-	// policy decision counters live on it and must count even when the
-	// caller never collects metrics (xkbench -decisions works without
-	// -metrics) — and it is single-writer: every Add happens on the engine
-	// goroutine, so counts are deterministic.
-	reg       *metrics.Registry
-	counters  *policy.Counters
+	// dec counts the run's policy decisions, each where it is taken (the
+	// cache counts the eviction outcomes), and stallHist its ready-queue
+	// stalls. reg is the run's metrics registry: Registry builds it on
+	// first use and Reset drops it, so a run that publishes no metrics
+	// builds none.
+	dec       policy.Decisions
 	stallHist *metrics.Histogram
+	reg       *metrics.Registry
 
 	readyCount int // compute tasks currently in ready queues
 
@@ -160,13 +160,12 @@ type Runtime struct {
 	stats RuntimeStats
 }
 
-// RuntimeStats counts scheduler activity.
+// RuntimeStats counts scheduler activity. Steals and StallTime are filled
+// by Stats from the decision counts and the stall histogram.
 type RuntimeStats struct {
-	TasksRun      int64
-	Steals        int64
-	ChainedHops   int64 // optimistic forwards
-	HostFallbacks int64 // transfers sourced from host
-	PeerSources   int64 // transfers sourced from a GPU replica
+	TasksRun    int64
+	Steals      int64
+	ChainedHops int64 // optimistic forwards
 
 	// ReadyQueueMax is the high-water mark of compute tasks sitting in
 	// ready queues, and StallTime the total virtual time tasks spent there
@@ -190,10 +189,7 @@ func New(eng *sim.Engine, plat *device.Platform, functional bool, opt Options) *
 		estLoad: make([]sim.Time, n),
 	}
 	rt.SetOptions(opt)
-	rt.reg = metrics.NewRegistry()
-	rt.counters = policy.NewCounters(rt.reg)
-	rt.stallHist = rt.reg.Histogram("rt.stall_seconds", StallBuckets)
-	rt.Cache.Counters = rt.counters
+	rt.stallHist = metrics.NewHistogram(StallBuckets)
 	rt.windowFull = func() bool { return rt.live >= rt.Opt.StreamWindow }
 	return rt
 }
@@ -219,9 +215,9 @@ func (rt *Runtime) SetOptions(opt Options) {
 // Reset returns the runtime (and its cache) to the freshly built state so
 // an engine/platform/runtime triple can be reused across repetitions: task
 // and tile arenas keep their capacity, every table and counter is cleared,
-// run-scoped attachments (Obs, auditor) are dropped, and the metrics
-// registry is rebuilt so a reused runtime publishes exactly what a fresh
-// one would. The caller must reset the engine and platform first
+// and run-scoped attachments (Obs, auditor, metrics registry) are dropped,
+// so a reused runtime publishes exactly what a fresh one would. The caller
+// must reset the engine and platform first
 // (Engine.Reset, then Platform.Reset); a reset triple reproduces the event
 // order — and therefore every timing, decision and metric — of a fresh
 // build bit for bit.
@@ -239,10 +235,9 @@ func (rt *Runtime) Reset() {
 	}
 	rt.pending = 0
 	rt.ownerRR = 0
-	rt.reg = metrics.NewRegistry()
-	rt.counters = policy.NewCounters(rt.reg)
-	rt.stallHist = rt.reg.Histogram("rt.stall_seconds", StallBuckets)
-	rt.Cache.Counters = rt.counters
+	rt.dec = policy.Decisions{}
+	rt.stallHist.Reset()
+	rt.reg = nil
 	rt.readyCount = 0
 	rt.audit = nil
 	rt.runErr = nil
@@ -310,38 +305,57 @@ func (rt *Runtime) fail(err error) {
 }
 
 // Stats returns a copy of the runtime counters.
-func (rt *Runtime) Stats() RuntimeStats { return rt.stats }
+func (rt *Runtime) Stats() RuntimeStats {
+	s := rt.stats
+	s.Steals = rt.dec.Steals
+	s.StallTime = sim.Time(rt.stallHist.Sum())
+	return s
+}
 
-// Decisions returns a snapshot of the policy-decision counters accumulated
-// so far (including the cache's eviction decisions).
-func (rt *Runtime) Decisions() policy.Decisions { return rt.counters.Snapshot() }
+// Decisions returns the policy-decision counts accumulated so far,
+// including the cache's eviction outcomes.
+func (rt *Runtime) Decisions() policy.Decisions {
+	d := rt.dec
+	d.EvictClean = rt.Cache.Stats().Evictions
+	d.EvictDirtySkipped = rt.Cache.DirtySkips()
+	return d
+}
 
 // CountDispatch records one batched host/device dispatch decision against
 // the run's policy counters (the "dispatch.*" metric series): host = true
 // for an instance executed by the host BLAS server, false for one sent
 // down the tiled device path.
-func (rt *Runtime) CountDispatch(host bool) { rt.counters.CountDispatch(host) }
+func (rt *Runtime) CountDispatch(host bool) { rt.dec.CountDispatch(host) }
 
-// Registry exposes the run's private metrics registry.
-func (rt *Runtime) Registry() *metrics.Registry { return rt.reg }
+// Registry returns the run's metrics registry, building it on first use.
+func (rt *Runtime) Registry() *metrics.Registry {
+	if rt.reg == nil {
+		rt.reg = metrics.NewRegistry()
+	}
+	return rt.reg
+}
 
 // CollectMetrics publishes the platform's resource utilization, the cache
-// traffic counters and the runtime's scheduler statistics into the run's
-// registry and returns a deterministic snapshot. Publication uses
-// Store/Set, so collecting twice is idempotent.
+// traffic counters, the policy decisions and the runtime's scheduler
+// statistics into the run's registry and returns a deterministic snapshot.
+// Publication uses Store/Set, so collecting twice is idempotent.
 func (rt *Runtime) CollectMetrics() metrics.Snapshot {
-	rt.Plat.PublishMetrics(rt.reg)
-	rt.Cache.PublishMetrics(rt.reg)
-	rt.reg.Counter("rt.tasks_run").Store(rt.stats.TasksRun)
-	rt.reg.Counter("rt.steals").Store(rt.stats.Steals)
-	rt.reg.Counter("rt.chained_hops").Store(rt.stats.ChainedHops)
-	rt.reg.Counter("rt.host_fallbacks").Store(rt.stats.HostFallbacks)
-	rt.reg.Counter("rt.peer_sources").Store(rt.stats.PeerSources)
-	rt.reg.Gauge("rt.ready_queue_max").Set(float64(rt.stats.ReadyQueueMax))
-	rt.reg.Gauge("rt.stall_time_seconds").Set(float64(rt.stats.StallTime))
-	rt.reg.Counter("rt.window_stalls").Store(rt.windowStalls)
-	rt.reg.Gauge("rt.tasks_live_max").Set(float64(rt.tasksLiveMax))
-	return rt.reg.Snapshot()
+	reg := rt.Registry()
+	rt.Plat.PublishMetrics(reg)
+	rt.Cache.PublishMetrics(reg)
+	d, s := rt.Decisions(), rt.Stats()
+	d.Publish(reg)
+	reg.PutHistogram("rt.stall_seconds", rt.stallHist)
+	reg.Counter("rt.tasks_run").Store(s.TasksRun)
+	reg.Counter("rt.steals").Store(s.Steals)
+	reg.Counter("rt.chained_hops").Store(s.ChainedHops)
+	reg.Counter("rt.host_fallbacks").Store(d.SrcHost)
+	reg.Counter("rt.peer_sources").Store(d.Transfers() - d.SrcHost)
+	reg.Gauge("rt.ready_queue_max").Set(float64(s.ReadyQueueMax))
+	reg.Gauge("rt.stall_time_seconds").Set(float64(s.StallTime))
+	reg.Counter("rt.window_stalls").Store(rt.windowStalls)
+	reg.Gauge("rt.tasks_live_max").Set(float64(rt.tasksLiveMax))
+	return reg.Snapshot()
 }
 
 // TasksLiveMax reports the high-water mark of live (admitted, not yet

@@ -140,7 +140,7 @@ func (rt *Runtime) popTask(dev topology.DeviceID) *Task {
 			rt.estLoad[dev] -= t.estExec
 		}
 		rt.readyCount--
-		rt.counters.OwnerHits.Add(1)
+		rt.dec.OwnerHits++
 		return t
 	}
 	victim, idx, ok := rt.pol.Scheduler.Steal(dev, schedState{rt})
@@ -149,8 +149,7 @@ func (rt *Runtime) popTask(dev topology.DeviceID) *Task {
 	}
 	t := rt.queues[victim].removeAt(idx)
 	rt.readyCount--
-	rt.stats.Steals++
-	rt.counters.Steals.Add(1)
+	rt.dec.Steals++
 	return t
 }
 
@@ -158,9 +157,7 @@ func (rt *Runtime) popTask(dev topology.DeviceID) *Task {
 func (rt *Runtime) startTask(dev topology.DeviceID, t *Task) {
 	t.dev = dev
 	t.state = stateFetching
-	stall := rt.Eng.Now() - t.readyAt
-	rt.stats.StallTime += stall
-	rt.stallHist.Observe(float64(stall))
+	rt.stallHist.Observe(float64(rt.Eng.Now() - t.readyAt))
 	rt.window[dev]++
 	t.pendingFetch = 1 // guard against synchronous completion
 	for i := range t.acc {

@@ -160,7 +160,7 @@ func TestOptimisticHeuristicChainsTransfers(t *testing.T) {
 	// With many consumers of the same host tile across GPUs, the
 	// optimistic heuristic must produce chained device-to-device hops and
 	// strictly fewer host reads than the disabled configuration.
-	build := func(opt Options) RuntimeStats {
+	build := func(opt Options) (RuntimeStats, policy.Decisions) {
 		rt := newRuntime(false, opt)
 		n, nb := 128, 16 // 8x8 tiles, shape-only
 		av := matrix.NewShape(n, n)
@@ -178,19 +178,19 @@ func TestOptimisticHeuristicChainsTransfers(t *testing.T) {
 			}
 		}
 		rt.Barrier()
-		return rt.Stats()
+		return rt.Stats(), rt.Decisions()
 	}
-	on := build(Options{Window: 4, Policy: &policy.XKBlas})
-	off := build(Options{Window: 4, Policy: &policy.NoHeuristic})
+	on, onDec := build(Options{Window: 4, Policy: &policy.XKBlas})
+	off, offDec := build(Options{Window: 4, Policy: &policy.NoHeuristic})
 	if on.ChainedHops == 0 {
 		t.Fatal("optimistic heuristic never chained a transfer")
 	}
 	if off.ChainedHops != 0 {
 		t.Fatal("disabled heuristic still chained")
 	}
-	if on.HostFallbacks >= off.HostFallbacks {
+	if onDec.SrcHost >= offDec.SrcHost {
 		t.Fatalf("optimistic should reduce host reads: on=%d off=%d",
-			on.HostFallbacks, off.HostFallbacks)
+			onDec.SrcHost, offDec.SrcHost)
 	}
 }
 
@@ -210,7 +210,7 @@ func TestTopoAwarePicksBestLink(t *testing.T) {
 		t.Fatalf("selectSource = (%d, %v), want (3, false): 2xNVLink beats 1xNVLink", src, chained)
 	}
 	// Without topology awareness the pick is arbitrary (lowest id).
-	src2, _, ok := policy.SelectSource(policy.LowestID{}, rt.Plat.Topo, tile, 0, nil)
+	src2, _, ok := policy.SelectSource(policy.LowestID{}, rt.Plat.Topo, tile, 0, &policy.Decisions{})
 	if !ok || src2 != 1 {
 		t.Fatalf("no-topo pick = %d, want 1 (lowest id)", src2)
 	}

@@ -167,7 +167,7 @@ func Hemm(side Side, uplo Uplo, alpha complex128, a, b matrix.ZMat, beta complex
 // Herk computes C = alpha·op(A)·op(A)ᴴ + beta·C on the uplo triangle of
 // the n×n Hermitian C. alpha and beta are real (BLAS contract); op is N
 // (A n×k) or ConjTrans (A k×n). The imaginary parts of the diagonal are
-// set to zero.
+// set to zero. At beta = 0, C is not read.
 func Herk(uplo Uplo, trans Trans, alpha float64, a matrix.ZMat, beta float64, c matrix.ZMat) {
 	if trans == Transpose {
 		panic("zblas: herk trans must be N or C")
@@ -201,7 +201,10 @@ func Herk(uplo Uplo, trans Trans, alpha float64, a matrix.ZMat, beta float64, c 
 			for l := 0; l < k; l++ {
 				s += at(i, l) * conj(at(j, l))
 			}
-			v := complex(alpha, 0)*s + complex(beta, 0)*c.At(i, j)
+			v := complex(alpha, 0) * s
+			if beta != 0 {
+				v += complex(beta, 0) * c.At(i, j)
+			}
 			if i == j {
 				v = complex(real(v), 0)
 			}
@@ -211,7 +214,8 @@ func Herk(uplo Uplo, trans Trans, alpha float64, a matrix.ZMat, beta float64, c 
 }
 
 // Her2k computes C = alpha·op(A)·op(B)ᴴ + conj(alpha)·op(B)·op(A)ᴴ +
-// beta·C on the uplo triangle of the Hermitian C; beta is real.
+// beta·C on the uplo triangle of the Hermitian C; beta is real. At
+// beta = 0, C is not read.
 func Her2k(uplo Uplo, trans Trans, alpha complex128, a, b matrix.ZMat, beta float64, c matrix.ZMat) {
 	if trans == Transpose {
 		panic("zblas: her2k trans must be N or C")
@@ -246,7 +250,10 @@ func Her2k(uplo Uplo, trans Trans, alpha complex128, a, b matrix.ZMat, beta floa
 				s += alpha*at(a, i, l)*conj(at(b, j, l)) +
 					conj(alpha)*at(b, i, l)*conj(at(a, j, l))
 			}
-			v := s + complex(beta, 0)*c.At(i, j)
+			v := s
+			if beta != 0 {
+				v += complex(beta, 0) * c.At(i, j)
+			}
 			if i == j {
 				v = complex(real(v), 0)
 			}
