@@ -73,7 +73,7 @@ func main() {
 	decisions := flag.Bool("decisions", false,
 		"print the policy-decision counters (transfer sources by link class, optimistic chains, evictions, steals) of each sweep point")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
-		"worker goroutines for independent simulated runs (1 = sequential; results are bit-identical at any level)")
+		"workers for independent simulated runs, the calling goroutine included (1 = every run on the calling goroutine, in plan order; results are bit-identical at any level)")
 	checkFlag := flag.Bool("check", false,
 		"run every simulation under the coherence-invariant auditor (internal/check); violations surface as per-point errors and a non-zero exit")
 	timeout := flag.Duration("timeout", 0,
@@ -81,7 +81,7 @@ func main() {
 	metricsFlag := flag.Bool("metrics", false,
 		"collect per-run utilization metrics (resource occupancy, link-class traffic, cache and scheduler counters); prints a per-point rollup table and, with -csv out.csv, writes the full snapshots to out.metrics.json")
 	window := flag.Int("window", 0,
-		"stream every run's task DAG through a bounded admission window of this many live tasks instead of materializing it whole (0 = whole graph); results are bit-identical at any window mode, only peak memory changes")
+		"stream every run's task DAG through a bounded admission window of this many live tasks instead of materializing it whole (0 = whole graph); numerical results never change, but a window small enough to bind delays admission and changes the timings")
 	batchCount := flag.Int("batch-count", 0,
 		"batch experiment: pin the batch size (instances per request) instead of sweeping the default grid (0 = sweep)")
 	batchN := flag.Int("batch-n", 0,

@@ -65,30 +65,15 @@ func BatchSweep(w io.Writer, cfg Config, quick bool, forceCount, forceN int) {
 		// One leg per (count, size, mode): every leg is a single
 		// deterministic simulated run, so the grid can fan out across
 		// workers and still print bit-identical tables at any -parallel.
-		runLeg := func(ci, li int) {
-			cl := &cells[ci]
+		forEach(cfg.Parallel, len(cells)*len(modes), func(i int) {
+			cl, li := &cells[i/len(modes)], i%len(modes)
 			req := baseline.Request{
 				Routine: blasops.Gemm, N: cl.n, NB: 512, Platform: plat,
 				Scenario: baseline.DataOnHost, Check: cfg.Check, Ctx: cfg.Ctx,
 			}
 			cl.legs[li] = lib.RunBatched(req,
 				blasops.UniformBatch(blasops.Gemm, cl.count, cl.n, cl.n, cl.n), modes[li])
-		}
-		if cfg.Parallel > 1 {
-			wp := newWorkerPool(cfg.Parallel)
-			for ci := range cells {
-				for li := range modes {
-					wp.Submit(func() { runLeg(ci, li) })
-				}
-			}
-			wp.Wait()
-		} else {
-			for ci := range cells {
-				for li := range modes {
-					runLeg(ci, li)
-				}
-			}
-		}
+		})
 		fmt.Fprintf(w, "  %-7s %-7s %13s %13s %15s %13s\n",
 			"count", "n", "device GF/s", "host GF/s", "crossover GF/s", "routed d/h")
 		for i := range cells {

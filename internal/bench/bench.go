@@ -26,7 +26,6 @@ import (
 	"xkblas/internal/blasops"
 	"xkblas/internal/metrics"
 	"xkblas/internal/policy"
-	"xkblas/internal/sim"
 	"xkblas/internal/topology"
 	"xkblas/internal/xkrt"
 )
@@ -46,7 +45,7 @@ type Point struct {
 	Decisions policy.Decisions
 	// Metrics is the utilization snapshot of the same repetition (nil
 	// unless Config.Metrics was set). Like Decisions it comes from the best
-	// tile's first measured rep, so sequential and parallel sweeps agree
+	// tile's first measured rep, so every parallelism level agrees
 	// byte-for-byte.
 	Metrics metrics.Snapshot
 	Err     error
@@ -81,11 +80,11 @@ type Config struct {
 	MaxTilesPerDim int
 	// Progress, when non-nil, receives one line per completed point.
 	Progress io.Writer
-	// Parallel is the number of worker goroutines executing independent
-	// simulated runs. Values ≤ 1 run sequentially. Every simulation owns a
-	// private sim.Engine, and results are reassembled in the sequential
-	// order, so any parallelism level returns bit-identical points (see
-	// DESIGN.md §6).
+	// Parallel is the number of workers executing independent simulated
+	// runs, the calling goroutine being the first; values ≤ 1 run every
+	// leaf on the caller, in plan order. Every simulation owns a private
+	// sim.Engine, and points are reduced and reported in plan order, so any
+	// parallelism level returns bit-identical points (see DESIGN.md §6).
 	Parallel int
 	// Check attaches the strict coherence-invariant auditor to every
 	// simulated run (xkbench -check). Auditing is pure observation: a clean
@@ -214,7 +213,7 @@ func tileCandidates(cfg Config, lib baseline.Library) []int {
 
 // feasibleTiles filters candidates against the problem size and the
 // per-dimension tile cap. The result is fully determined by the config, so
-// the parallel harness can enumerate every simulated run up front.
+// the executor can enumerate every simulated run up front.
 func feasibleTiles(cfg Config, lib baseline.Library, n int) []int {
 	var out []int
 	for _, nb := range tileCandidates(cfg, lib) {
@@ -262,41 +261,18 @@ func runRep(cfg Config, lib baseline.Library, r blasops.Routine, n, nb, rep int)
 	return cfg.Memo.leaf(lib.Name(), req, func() baseline.Result { return lib.Run(req) })
 }
 
-// tileRuns holds the measured repetitions of one candidate tile size.
-// upTo is the number of populated entries: the sequential path stops filling
-// at the first error, the parallel path always fills all of them; reduction
-// only reads entries up to the first error, so both populations reduce to
-// the same Point.
+// tileRuns holds the measured repetitions of one candidate tile size. Every
+// repetition runs, even after an earlier one failed; reduction reads each
+// tile only up to its first error.
 type tileRuns struct {
-	nb   int
-	res  []baseline.Result // entry i holds repetition i+1
-	upTo int
+	nb  int
+	res []baseline.Result // entry i holds repetition i+1
 }
 
-// measureTilesSequential reproduces the sequential per-tile inner loop:
-// repetitions 1..Runs, stopping a tile at its first error.
-func measureTilesSequential(cfg Config, lib baseline.Library, r blasops.Routine, n int, tiles []int) []tileRuns {
-	runs := effectiveRuns(cfg)
-	out := make([]tileRuns, len(tiles))
-	for ti, nb := range tiles {
-		tr := tileRuns{nb: nb, res: make([]baseline.Result, runs)}
-		for i := range tr.res {
-			tr.res[i] = runRep(cfg, lib, r, n, nb, i+1)
-			tr.upTo = i + 1
-			if tr.res[i].Err != nil {
-				break
-			}
-		}
-		out[ti] = tr
-	}
-	return out
-}
-
-// reducePoint folds per-tile results into the best-tile Point. It is the
-// single reduction used by the sequential and parallel paths, which is what
-// makes their outputs bit-identical: tiles are considered in candidate
-// order and samples in repetition order, exactly as the sequential loop
-// measured them. When every tile fails, the returned point carries the last
+// reducePoint folds per-tile results into the best-tile Point. Tiles are
+// considered in candidate order and samples in repetition order whatever
+// order the leaves ran in, which is what makes every parallelism level
+// bit-identical. When every tile fails, the returned point carries the last
 // error tagged with its tile size.
 func reducePoint(lib baseline.Library, r blasops.Routine, n int, tiles []tileRuns) Point {
 	best := Point{Lib: lib.Name(), Routine: r, N: n, Err: fmt.Errorf("no feasible tile size")}
@@ -305,7 +281,7 @@ func reducePoint(lib baseline.Library, r blasops.Routine, n int, tiles []tileRun
 	for _, tr := range tiles {
 		var samples []float64
 		var failed error
-		for _, res := range tr.res[:tr.upTo] {
+		for _, res := range tr.res {
 			if res.Err != nil {
 				failed = res.Err
 				break
@@ -322,7 +298,7 @@ func reducePoint(lib baseline.Library, r blasops.Routine, n int, tiles []tileRun
 			best = Point{Lib: lib.Name(), Routine: r, N: n, NB: tr.nb,
 				GFlops: mean, CI95: ci, Runs: len(samples),
 				// First measured repetition: deterministic for a given
-				// config, so sequential and parallel sweeps agree.
+				// config, so every parallelism level agrees.
 				Decisions: tr.res[0].Decisions,
 				Metrics:   tr.res[0].Metrics}
 		}
@@ -342,12 +318,12 @@ func leafCanceled(err error) bool {
 		errors.Is(err, xkrt.ErrCanceled))
 }
 
-// pointCanceled reports whether any populated leaf of a point was cut
-// short by cancellation. Such a point must not be reduced: its samples are
-// an arbitrary subset of the configured repetitions.
+// pointCanceled reports whether any leaf of a point was cut short by
+// cancellation. Such a point must not be reduced: its samples are an
+// arbitrary subset of the configured repetitions.
 func pointCanceled(trs []tileRuns) bool {
 	for _, tr := range trs {
-		for _, res := range tr.res[:tr.upTo] {
+		for _, res := range tr.res {
 			if leafCanceled(res.Err) {
 				return true
 			}
@@ -374,34 +350,25 @@ func canceledPoint(cfg Config, lib baseline.Library, r blasops.Routine, n int) P
 	return Point{Lib: lib.Name(), Routine: r, N: n, Err: sweepErr(cfg)}
 }
 
-// MeasurePoint measures one (lib, routine, N) with best-tile selection.
-// With cfg.Parallel > 1 the per-tile/per-repetition simulations run on a
-// bounded worker pool; the result is bit-identical to the sequential path.
-// If cfg.Ctx is cancelled mid-measurement the point comes back with the
-// context's error instead of a partial reduction.
+// MeasurePoint measures one (lib, routine, N) with best-tile selection: a
+// sweep of one point that writes no Progress line. Its per-tile and
+// per-repetition simulations run on cfg.Parallel workers, bit-identically
+// at any level. If cfg.Ctx is cancelled mid-measurement the point comes
+// back with the context's error instead of a partial reduction.
 func MeasurePoint(cfg Config, lib baseline.Library, r blasops.Routine, n int) Point {
-	tiles := feasibleTiles(cfg, lib, n)
-	var trs []tileRuns
-	if cfg.Parallel > 1 {
-		trs = measureTilesParallel(cfg, lib, r, n, tiles)
-	} else {
-		trs = measureTilesSequential(cfg, lib, r, n, tiles)
-	}
-	if pointCanceled(trs) {
-		return canceledPoint(cfg, lib, r, n)
-	}
-	return reducePoint(lib, r, n, trs)
+	cfg.Progress = nil
+	return runPlans(cfg, []sweepPlan{{lib: lib, r: r, n: n}})[0]
 }
 
-// sweepPlan is one (routine, library, size) work unit of a sweep, in the
-// deterministic order of the sequential loop.
+// sweepPlan is one (routine, library, size) point of a sweep.
 type sweepPlan struct {
 	lib baseline.Library
 	r   blasops.Routine
 	n   int
 }
 
-// sweepPlans enumerates the sweep's points in sequential order.
+// sweepPlans enumerates the sweep's points in plan order: routine, then
+// library, then size.
 func sweepPlans(cfg Config) []sweepPlan {
 	var plans []sweepPlan
 	for _, r := range cfg.Routines {
@@ -430,10 +397,9 @@ func progressLine(w io.Writer, p Point) {
 	}
 }
 
-// RunSweep measures every combination in the config. With cfg.Parallel > 1
-// the independent simulations fan out across a bounded worker pool; points
-// and Progress lines are assembled in the same deterministic order as the
-// sequential loop and are bit-identical to it.
+// RunSweep measures every combination in the config. The independent
+// simulations run on cfg.Parallel workers; points and Progress lines come
+// out in plan order and are bit-identical at any parallelism level.
 //
 // When cfg.Ctx is cancelled mid-sweep the returned slice still has one
 // entry per planned point, in the same deterministic order: a completed
@@ -441,27 +407,7 @@ func progressLine(w io.Writer, p Point) {
 // followed by points whose Err is the context's error. The cut is
 // monotonic — once one point is cancelled, every later point is too.
 func RunSweep(cfg Config) []Point {
-	if cfg.Parallel > 1 {
-		return runSweepParallel(cfg)
-	}
-	plans := sweepPlans(cfg)
-	out := make([]Point, 0, len(plans))
-	cut := false
-	for _, pl := range plans {
-		var p Point
-		if cut {
-			p = canceledPoint(cfg, pl.lib, pl.r, pl.n)
-		} else {
-			p = MeasurePoint(cfg, pl.lib, pl.r, pl.n)
-			if leafCanceled(p.Err) {
-				cut = true
-				p = canceledPoint(cfg, pl.lib, pl.r, pl.n)
-			}
-		}
-		out = append(out, p)
-		progressLine(cfg.Progress, p)
-	}
-	return out
+	return runPlans(cfg, sweepPlans(cfg))
 }
 
 // WriteCSV emits points as CSV with a header, in a stable order.
@@ -530,6 +476,3 @@ func Series(points []Point, lib string, r blasops.Routine) (ns []int, gf []float
 
 // TFlops formats GFlop/s as the paper's TFlop/s axis value.
 func TFlops(gf float64) float64 { return gf / 1000 }
-
-// ElapsedString renders a virtual duration for reports.
-func ElapsedString(t sim.Time) string { return fmt.Sprintf("%.3fs", float64(t)) }

@@ -119,8 +119,8 @@ func TestRunSweepCancelPartialPrefixParallel(t *testing.T) {
 	cfg.Parallel = 4
 	pts := RunSweep(cfg)
 
-	// In the parallel harness the exact cut depends on which leaves were
-	// in flight when the context fired, but the contract is the same:
+	// With several workers the exact cut depends on which leaves were in
+	// flight when the context fired, but the contract is the same:
 	// a bit-identical completed prefix, then only cancelled points. The
 	// blocking points can never complete, so the cut is at most 2.
 	cut := assertCanceledTail(t, "parallel", ref, pts)
@@ -183,7 +183,7 @@ func TestRunSweepCancelRealLibraries(t *testing.T) {
 
 // cancelAfterLines is a Progress sink that fires a context cancellation
 // after its n-th line — a deterministic mid-sweep cancellation trigger for
-// the sequential path.
+// a one-worker sweep.
 type cancelAfterLines struct {
 	n      int
 	lines  int
@@ -199,7 +199,7 @@ func (w *cancelAfterLines) Write(p []byte) (int, error) {
 }
 
 // TestCancelledSweepLeaksNoGoroutines runs a cancelled parallel sweep of
-// real libraries — worker pool, per-run cancellation hooks and all — and
+// real libraries — worker goroutines, per-run cancellation hooks and all — and
 // verifies every goroutine winds down afterwards.
 func TestCancelledSweepLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()

@@ -160,6 +160,37 @@ func TestHandleDriversCancelled(t *testing.T) {
 	}
 }
 
+// TestFig4CancelledReportsDoDRows: Fig. 4 relabels each data-on-device
+// point "XKBlas DoD" and prints it again; on a cancelled context each of
+// those rows must still be printed, as a bare ERROR row with the cause.
+func TestFig4CancelledReportsDoDRows(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var buf bytes.Buffer
+	dod := 0
+	for _, p := range Fig4(&buf, Config{Ctx: ctx}, true) {
+		if p.Lib == "XKBlas DoD" {
+			dod++
+		}
+	}
+	row := regexp.MustCompile(`XKBlas DoD +N=`)
+	measured := regexp.MustCompile(`\d\.\d|GF/s|nb=`)
+	var rows int
+	for _, l := range strings.Split(buf.String(), "\n") {
+		if !row.MatchString(l) {
+			continue
+		}
+		rows++
+		i := strings.Index(l, "ERROR: ")
+		if i < 0 || measured.MatchString(l[:i]) || !strings.HasSuffix(l, "context canceled") {
+			t.Errorf("row %q is not a bare ERROR row", l)
+		}
+	}
+	if dod == 0 || rows != dod {
+		t.Fatalf("%d XKBlas DoD rows for %d data-on-device points:\n%s", rows, dod, buf.String())
+	}
+}
+
 // TestPerGPUFiguresFollowPlatform locks Fig. 7 and Fig. 9 to the run's
 // GPU count: on the 6-GPU Summit node each library gets exactly six
 // per-GPU rows and six Gantt lanes.

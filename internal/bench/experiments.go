@@ -212,10 +212,7 @@ func Fig4(w io.Writer, run Config, quick bool) []Point {
 	dod := RunSweep(dodCfg)
 	for i := range dod {
 		dod[i].Lib = "XKBlas DoD"
-		if dod[i].Err == nil {
-			fmt.Fprintf(w, "%-8s %-28s N=%-6d %9.1f ±%6.1f GF/s (nb=%d)\n",
-				dod[i].Routine, dod[i].Lib, dod[i].N, dod[i].GFlops, dod[i].CI95, dod[i].NB)
-		}
+		progressLine(w, dod[i])
 	}
 	return append(host, dod...)
 }

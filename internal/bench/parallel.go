@@ -5,139 +5,107 @@ import (
 	"sync/atomic"
 
 	"xkblas/internal/baseline"
-	"xkblas/internal/blasops"
 )
 
-// Parallel sweep execution.
+// Sweep execution.
 //
 // Every simulated repetition owns a private sim.Engine and platform, so the
-// runs of a sweep are embarrassingly parallel. The harness flattens a sweep
-// into its leaf work units — one (point, tile, repetition) simulation each —
-// and executes them on a bounded pool of worker goroutines. Determinism is
-// preserved at the join: results are written into pre-indexed slots and
-// reduced by the same code, in the same order, as the sequential loop, so
-// the returned []Point (and the Progress stream) is bit-identical at every
-// parallelism level. See DESIGN.md §6.
+// leaves of a sweep — one (point, tile, repetition) simulation each — are
+// embarrassingly parallel. One executor, runPlans, runs them at every
+// parallelism level; with one worker it is the sequential loop itself. See
+// DESIGN.md §6.
 
-// workerCount clamps a configured parallelism to at least one worker.
-func workerCount(parallel int) int {
-	if parallel < 1 {
-		return 1
-	}
-	return parallel
-}
-
-// workerPool executes submitted closures on at most `workers` goroutines.
-// Submit never blocks the caller beyond goroutine spawn; the semaphore
-// bounds concurrent execution, not submission.
-type workerPool struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-}
-
-func newWorkerPool(workers int) *workerPool {
-	return &workerPool{sem: make(chan struct{}, workerCount(workers))}
-}
-
-// Submit schedules fn for execution on the pool.
-func (p *workerPool) Submit(fn func()) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		fn()
-	}()
-}
-
-// Wait blocks until every submitted closure has finished.
-func (p *workerPool) Wait() { p.wg.Wait() }
-
-// measureTilesParallel fills the same per-tile repetition grid as
-// measureTilesSequential, running every (tile, repetition) leaf
-// concurrently. Unlike the sequential path it does not stop a tile at its
-// first failing repetition — later slots are filled too — but reducePoint
-// reads repetitions in order and stops at the first error, so the reduced
-// Point is identical.
-func measureTilesParallel(cfg Config, lib baseline.Library, r blasops.Routine, n int, tiles []int) []tileRuns {
-	runs := effectiveRuns(cfg)
-	out := make([]tileRuns, len(tiles))
-	pool := newWorkerPool(cfg.Parallel)
-	for ti, nb := range tiles {
-		out[ti] = tileRuns{nb: nb, res: make([]baseline.Result, runs), upTo: runs}
-		for i := range runs {
-			pool.Submit(func() {
-				out[ti].res[i] = runRep(cfg, lib, r, n, nb, i+1)
-			})
+// forEach calls fn(i) for every i in [0, n), handing out indices in
+// ascending order to at most workers goroutines. The caller is the first
+// worker, so with workers ≤ 1 every call runs on the caller, in order, and
+// no goroutine starts. It returns once every call has.
+func forEach(workers, n int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
 		}
 	}
-	pool.Wait()
-	return out
+	var wg sync.WaitGroup
+	for range min(workers, n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
-// runSweepParallel executes a whole sweep on the worker pool. The sweep is
-// flattened into leaf simulations up front (tile candidates depend only on
-// the config, never on results), every leaf writes into its pre-assigned
-// slot, and a single committer reduces and reports points in sequential
-// order — a point's Progress line is emitted as soon as it and every
-// earlier point have finished, preserving both streaming and ordering.
-func runSweepParallel(cfg Config) []Point {
-	plans := sweepPlans(cfg)
-	nPoints := len(plans)
-	grids := make([][]tileRuns, nPoints)
-	remaining := make([]atomic.Int64, nPoints)
-	done := make(chan int, nPoints)
+// runPlans measures every plan and returns one point per plan, in plan
+// order. It lists the leaves in plan order and runs them on cfg.Parallel
+// workers through forEach. The worker that finishes a point's last leaf
+// commits every point whose own leaves and predecessors are all done: it
+// applies the cancellation cut, reduces the point and writes its Progress
+// line. Reduction and reporting thus follow plan order whoever ran the
+// leaves, so the points and the Progress stream are bit-identical at every
+// parallelism level; with one worker each point is committed before the
+// next leaf starts.
+//
+// On cancellation the cut is monotonic: once one point has a cancelled
+// leaf, every later point is reported as cancelled too, even if its leaves
+// happened to finish out of order, so the partial prefix is the same at
+// every parallelism level.
+func runPlans(cfg Config, plans []sweepPlan) []Point {
+	type leaf struct{ point, tile, rep int }
 	runs := effectiveRuns(cfg)
-
-	pool := newWorkerPool(cfg.Parallel)
+	grids := make([][]tileRuns, len(plans))
+	left := make([]int, len(plans))
+	var leaves []leaf
 	for pi, pl := range plans {
 		tiles := feasibleTiles(cfg, pl.lib, pl.n)
 		grids[pi] = make([]tileRuns, len(tiles))
-		leaves := int64(len(tiles)) * int64(runs)
-		if leaves == 0 {
-			// No feasible tile: the point is already complete.
-			done <- pi
-			continue
-		}
-		remaining[pi].Store(leaves)
 		for ti, nb := range tiles {
-			grids[pi][ti] = tileRuns{nb: nb, res: make([]baseline.Result, runs), upTo: runs}
-			for i := range runs {
-				pool.Submit(func() {
-					grids[pi][ti].res[i] = runRep(cfg, pl.lib, pl.r, pl.n, nb, i+1)
-					if remaining[pi].Add(-1) == 0 {
-						done <- pi
-					}
-				})
+			grids[pi][ti] = tileRuns{nb: nb, res: make([]baseline.Result, runs)}
+			for rep := range runs {
+				leaves = append(leaves, leaf{pi, ti, rep})
 			}
 		}
+		left[pi] = len(tiles) * runs
 	}
 
-	// Ordered commit: reduce and report each point once it and all its
-	// predecessors are complete. On cancellation the cut is monotonic: once
-	// one point has a cancelled leaf, every later point is reported as
-	// cancelled too, even if its leaves happened to finish out of order —
-	// that keeps the parallel partial prefix identical to the sequential
-	// one.
-	out := make([]Point, 0, nPoints)
-	ready := make([]bool, nPoints)
+	out := make([]Point, 0, len(plans))
 	cut := false
-	for emitted := 0; emitted < nPoints; {
-		ready[<-done] = true
-		for emitted < nPoints && ready[emitted] {
-			pl := plans[emitted]
+	var mu sync.Mutex
+	// commit reports the complete prefix of plans not yet committed.
+	// Workers call it under mu, which also keeps their Progress lines in
+	// plan order.
+	commit := func() {
+		for len(out) < len(plans) && left[len(out)] == 0 {
+			pl, trs := plans[len(out)], grids[len(out)]
 			var p Point
-			if cut || pointCanceled(grids[emitted]) {
+			if cut || pointCanceled(trs) {
 				cut = true
 				p = canceledPoint(cfg, pl.lib, pl.r, pl.n)
 			} else {
-				p = reducePoint(pl.lib, pl.r, pl.n, grids[emitted])
+				p = reducePoint(pl.lib, pl.r, pl.n, trs)
 			}
 			out = append(out, p)
 			progressLine(cfg.Progress, p)
-			emitted++
 		}
 	}
-	pool.Wait()
+	// Leading points with no feasible tile have no leaf to complete them.
+	commit()
+	forEach(cfg.Parallel, len(leaves), func(i int) {
+		lf := leaves[i]
+		pl := plans[lf.point]
+		tr := &grids[lf.point][lf.tile]
+		res := runRep(cfg, pl.lib, pl.r, pl.n, tr.nb, lf.rep+1)
+		mu.Lock()
+		defer mu.Unlock()
+		tr.res[lf.rep] = res
+		left[lf.point]--
+		commit()
+	})
 	return out
 }

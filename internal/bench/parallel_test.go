@@ -68,7 +68,7 @@ func pointsIdentical(t *testing.T, label string, a, b []Point) {
 }
 
 // TestRunSweepParallelParity proves the determinism guarantee of the
-// parallel harness: parallelism 1, 4 and NumCPU return bit-identical
+// executor: parallelism 1, 4 and NumCPU return bit-identical
 // points and identical Progress streams.
 func TestRunSweepParallelParity(t *testing.T) {
 	if testing.Short() {
@@ -177,26 +177,136 @@ func TestMeasurePointErrorRetainsTile(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolStress hammers the pool with many tiny tasks at high
-// concurrency; run with -race to verify the harness is race-clean.
-func TestWorkerPoolStress(t *testing.T) {
-	const tasks = 2000
-	pool := newWorkerPool(32)
+// TestForEachStress hammers the executor's worker loop with many tiny
+// calls at high concurrency; run with -race to verify it is race-clean.
+func TestForEachStress(t *testing.T) {
+	const calls = 2000
 	var counter atomic.Int64
-	slots := make([]int64, tasks)
-	for i := 0; i < tasks; i++ {
-		pool.Submit(func() {
-			slots[i] = counter.Add(1)
-			runtime.Gosched()
-		})
-	}
-	pool.Wait()
-	if got := counter.Load(); got != tasks {
-		t.Fatalf("ran %d tasks, want %d", got, tasks)
+	slots := make([]int64, calls)
+	forEach(32, calls, func(i int) {
+		slots[i] = counter.Add(1)
+		runtime.Gosched()
+	})
+	if got := counter.Load(); got != calls {
+		t.Fatalf("made %d calls, want %d", got, calls)
 	}
 	for i, v := range slots {
 		if v == 0 {
-			t.Fatalf("task %d never ran", i)
+			t.Fatalf("index %d never ran", i)
+		}
+	}
+}
+
+// callLog records, without synchronisation, every Library.Run call and
+// every Progress line of a sweep in the order they happen, and flags a
+// call that overlaps another or runs off the goroutine that started the
+// sweep. Concurrent use would also be a data race, which -race reports.
+type callLog struct {
+	events   []string
+	caller   string // goroutine id of the sweep's caller
+	inFlight int
+	overlap  bool
+	foreign  bool
+}
+
+func (lg *callLog) Write(p []byte) (int, error) {
+	f := strings.Fields(string(p))
+	lg.events = append(lg.events, "progress "+strings.Join(f[:3], " "))
+	return len(p), nil
+}
+
+// goroutineID parses the running goroutine's id from its stack header,
+// "goroutine 17 [running]:".
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// loggedLib is a stub library that appends each call's routine, N, NB and
+// noise seed to a shared callLog.
+type loggedLib struct {
+	name string
+	skip blasops.Routine // the one routine it does not support
+	log  *callLog
+}
+
+func (l loggedLib) Name() string                    { return l.name }
+func (l loggedLib) Supports(r blasops.Routine) bool { return r != l.skip }
+func (l loggedLib) Run(req baseline.Request) baseline.Result {
+	lg := l.log
+	lg.inFlight++
+	lg.overlap = lg.overlap || lg.inFlight > 1
+	lg.foreign = lg.foreign || goroutineID() != lg.caller
+	lg.events = append(lg.events, fmt.Sprintf("run %s %v N=%d NB=%d seed=%d",
+		l.name, req.Routine, req.N, req.NB, req.NoiseSeed))
+	runtime.Gosched()
+	lg.inFlight--
+	return baseline.Result{Elapsed: 1, GFlops: float64(req.N) + float64(req.NB)/1e4}
+}
+
+// TestOneWorkerIsTheSequentialLoop locks the single-worker contract that
+// callers keeping unsynchronised state in a Library rely on: at Parallel
+// ≤ 1 every Run call happens on the caller's goroutine, one at a time, in
+// plan order (routine, library, size, tile, repetition), and each point's
+// Progress line is written before the next point's first call. Points with
+// no feasible tile (N=16) are reported in their place too. MeasurePoint
+// follows the same order and writes no Progress line.
+func TestOneWorkerIsTheSequentialLoop(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		lg := &callLog{caller: goroutineID()}
+		libA := loggedLib{name: "LibA", skip: blasops.Symm, log: lg}
+		libB := loggedLib{name: "LibB", skip: blasops.Trsm, log: lg}
+		cfg := Config{
+			Libs:     []baseline.Library{libA, libB},
+			Routines: []blasops.Routine{blasops.Gemm, blasops.Trsm},
+			Sizes:    []int{16, 100, 48},
+			Tiles:    []int{32, 64},
+			Runs:     2,
+			Parallel: workers,
+			Progress: lg,
+		}
+		var want []string
+		leaves := func(lib string, r blasops.Routine, n int) {
+			for _, nb := range cfg.Tiles {
+				if nb > n {
+					continue
+				}
+				for rep := 1; rep <= cfg.Runs; rep++ {
+					want = append(want, fmt.Sprintf("run %s %v N=%d NB=%d seed=%d",
+						lib, r, n, nb, rep*7919+n+nb))
+				}
+			}
+		}
+		for _, r := range cfg.Routines {
+			for _, lib := range []loggedLib{libA, libB} {
+				if !lib.Supports(r) {
+					continue
+				}
+				for _, n := range cfg.Sizes {
+					leaves(lib.name, r, n)
+					want = append(want, fmt.Sprintf("progress %v %s N=%d", r, lib.name, n))
+				}
+			}
+		}
+		pts := RunSweep(cfg)
+		if len(pts) != 9 {
+			t.Fatalf("parallel=%d: %d points, want 9", workers, len(pts))
+		}
+		if lg.overlap || lg.foreign {
+			t.Fatalf("parallel=%d: calls overlapped (%v) or ran off the caller's goroutine (%v)",
+				workers, lg.overlap, lg.foreign)
+		}
+		if got := strings.Join(lg.events, "\n"); got != strings.Join(want, "\n") {
+			t.Fatalf("parallel=%d: call order differs from the sequential loop:\n--- got ---\n%s\n--- want ---\n%s",
+				workers, got, strings.Join(want, "\n"))
+		}
+
+		lg.events, want = nil, nil
+		MeasurePoint(cfg, libB, blasops.Gemm, 100)
+		leaves("LibB", blasops.Gemm, 100)
+		if got := strings.Join(lg.events, "\n"); got != strings.Join(want, "\n") || lg.overlap || lg.foreign {
+			t.Fatalf("parallel=%d: MeasurePoint calls:\n%s\nwant, on the caller, without a Progress line:\n%s",
+				workers, got, strings.Join(want, "\n"))
 		}
 	}
 }

@@ -850,22 +850,6 @@ func (c *Cache) AllocRaw(t *Tile, dev topology.DeviceID) error {
 	return nil
 }
 
-// AllocForWrite prepares a writable replica on dev without any data
-// movement (write-only access): the buffer is allocated and immediately
-// marked valid+dirty, invalidating every other copy.
-func (c *Cache) AllocForWrite(t *Tile, dev topology.DeviceID) error {
-	r, err := c.ensureReplica(t, dev)
-	if err != nil {
-		return err
-	}
-	t.setValid(dev, r)
-	if c.Audit != nil {
-		c.Audit.OnReplicaValid(t.CheckID(), dev, "alloc-write")
-	}
-	c.MarkDirty(t, dev)
-	return nil
-}
-
 // MarkDirty records that dev has modified its replica: every other replica
 // and the host copy become invalid (single-writer MOSI transition).
 func (c *Cache) MarkDirty(t *Tile, dev topology.DeviceID) {

@@ -314,17 +314,6 @@ func TestDoubleTransferToSameDevicePanics(t *testing.T) {
 	_ = c.StartTransfer(tl, topology.Host, 0, nil)
 }
 
-func TestWriteOnlyAllocation(t *testing.T) {
-	_, c := newTestCache(true)
-	tl := hostTile(c, 8, 8)
-	if err := c.AllocForWrite(tl, 4); err != nil {
-		t.Fatal(err)
-	}
-	if !tl.ValidOn(4) || tl.DirtyOn() != 4 || tl.HostValid() {
-		t.Fatal("write-only allocation state wrong")
-	}
-}
-
 func TestDropCleanRespectsState(t *testing.T) {
 	eng, c := newTestCache(false)
 	tl := hostTile(c, 8, 8)

@@ -340,15 +340,3 @@ func (p *Platform) TransferEstimate(src, dst topology.DeviceID, bytes int64) sim
 	}
 	return worst + TransferOverhead
 }
-
-// LinkBusyUntil reports the earliest time the bottleneck hop of the route
-// src→dst could start a new job — a congestion signal for schedulers.
-func (p *Platform) LinkBusyUntil(src, dst topology.DeviceID) sim.Time {
-	var worst sim.Time
-	for _, hop := range p.Route(src, dst) {
-		if t := hop.AvailableAt(); t > worst {
-			worst = t
-		}
-	}
-	return worst
-}

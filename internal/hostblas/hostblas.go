@@ -717,23 +717,6 @@ func ScalTri(uplo Uplo, beta float64, v matrix.View) {
 	}
 }
 
-// LacpyTri copies the uplo triangle (with diagonal) of src into dst,
-// zero-filling the opposite triangle of dst. It is used by tests to compare
-// triangle-updating routines.
-func LacpyTri(uplo Uplo, src, dst matrix.View) {
-	n := src.N
-	for j := 0; j < n; j++ {
-		for i := 0; i < src.M; i++ {
-			in := (uplo == Lower && i >= j) || (uplo == Upper && i <= j)
-			if in {
-				dst.Set(i, j, src.At(i, j))
-			} else {
-				dst.Set(i, j, 0)
-			}
-		}
-	}
-}
-
 // SymmetrizeFrom builds the full symmetric matrix implied by the uplo
 // triangle of src into dst.
 func SymmetrizeFrom(uplo Uplo, src, dst matrix.View) {

@@ -414,21 +414,3 @@ func TestTrsmTrmmInverseProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestLacpyTri(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	src := randView(rng, 4, 4)
-	dst := matrix.New(4, 4)
-	LacpyTri(Lower, src, dst)
-	for j := 0; j < 4; j++ {
-		for i := 0; i < 4; i++ {
-			if i >= j {
-				if dst.At(i, j) != src.At(i, j) {
-					t.Fatal("triangle not copied")
-				}
-			} else if dst.At(i, j) != 0 {
-				t.Fatal("strict upper not zeroed")
-			}
-		}
-	}
-}
