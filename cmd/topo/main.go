@@ -1,12 +1,15 @@
 // Command topo prints a simulated platform's fabric graph: the link map of
 // Fig. 1 (route classes between every GPU pair), per-pair hop counts, and
 // the routed bandwidth matrix. -platform selects any registered platform
-// (the DGX-1 by default; -platform summit describes the Summit-like node).
+// (the DGX-1 by default; -platform summit describes the Summit-like node),
+// and -bandwidth measures its Fig. 2 bandwidth matrix.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -14,67 +17,79 @@ import (
 	"xkblas/internal/topology"
 )
 
-func main() {
-	bandwidth := flag.Bool("bandwidth", false, "measure and print the Fig. 2 bandwidth matrix")
-	platform := flag.String("platform", "",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run prints the selected platform's fabric graph and returns the exit
+// status: 0 on success, 1 when the platform fails validation, 2 on bad
+// flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bandwidth := fs.Bool("bandwidth", false, "measure and print the Fig. 2 bandwidth matrix")
+	platform := fs.String("platform", "",
 		"render a registered platform's fabric graph (see -platform list; default the DGX-1)")
-	hops := flag.Bool("hops", false, "also print the per-pair routed hop counts")
-	routes := flag.Bool("routes", false, "also print every route's hop-by-hop edge names")
-	flag.Parse()
+	hops := fs.Bool("hops", false, "also print the per-pair routed hop counts")
+	routes := fs.Bool("routes", false, "also print every route's hop-by-hop edge names")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	p := topology.DGX1()
 	if *platform != "" {
 		if *platform == "list" {
-			fmt.Println(strings.Join(topology.Names(), "\n"))
-			return
+			fmt.Fprintln(stdout, strings.Join(topology.Names(), "\n"))
+			return 0
 		}
 		reg, ok := topology.Lookup(*platform)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "topo: unknown platform %q; registered platforms: %s\n",
+			fmt.Fprintf(stderr, "topo: unknown platform %q; registered platforms: %s\n",
 				*platform, strings.Join(topology.Names(), ", "))
-			os.Exit(2)
+			return 2
 		}
 		p = reg
 	}
 	if err := p.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "topo: %s fails validation: %v\n", p.Name, err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "topo: %s fails validation: %v\n", p.Name, err)
+		return 1
 	}
 
-	fmt.Printf("%s — %d GPUs (%s, %.1f TFlop/s FP64, %d GB each)\n",
+	fmt.Fprintf(stdout, "%s — %d GPUs (%s, %.1f TFlop/s FP64, %d GB each)\n",
 		p.Name, p.NumGPUs, p.GPU.Name, p.GPU.PeakFP64/1e12, p.GPU.MemoryBytes>>30)
-	fmt.Printf("PCIe switches: %d (%.1f GB/s each, per direction); sockets: %d (inter-socket %.1f GB/s)\n",
+	fmt.Fprintf(stdout, "PCIe switches: %d (%.1f GB/s each, per direction); sockets: %d (inter-socket %.1f GB/s)\n",
 		p.NumPCIeSwitches(), p.SwitchGBs, p.NumSockets(), p.InterSocketGBs)
 	if n := p.NumNodes(); n > 1 {
-		fmt.Printf("Machine nodes: %d (host memory on node 0; cross-node routes traverse the contended network links)\n", n)
+		fmt.Fprintf(stdout, "Machine nodes: %d (host memory on node 0; cross-node routes traverse the contended network links)\n", n)
 	}
 	if hetero := heteroSpecs(p); hetero != "" {
-		fmt.Printf("GPU specs: %s\n", hetero)
+		fmt.Fprintf(stdout, "GPU specs: %s\n", hetero)
 	}
-	fmt.Printf("Fabric: %d components, %d edges\n\n", len(p.Components()), len(p.Edges()))
+	fmt.Fprintf(stdout, "Fabric: %d components, %d edges\n\n", len(p.Components()), len(p.Edges()))
 
-	fmt.Println("Link map (NV2 = 2xNVLink, NV1 = 1xNVLink, NVH = NVLink-host, PCIe, Net = inter-node):")
-	fmt.Print("     ")
+	fmt.Fprintln(stdout, "Link map (NV2 = 2xNVLink, NV1 = 1xNVLink, NVH = NVLink-host, PCIe, Net = inter-node):")
+	fmt.Fprint(stdout, "     ")
 	for j := 0; j < p.NumGPUs; j++ {
-		fmt.Printf("%6d", j)
+		fmt.Fprintf(stdout, "%6d", j)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for i := 0; i < p.NumGPUs; i++ {
-		fmt.Printf("GPU%d ", i)
+		fmt.Fprintf(stdout, "GPU%d ", i)
 		for j := 0; j < p.NumGPUs; j++ {
 			if i == j {
-				fmt.Printf("%6s", "-")
+				fmt.Fprintf(stdout, "%6s", "-")
 				continue
 			}
-			fmt.Printf("%6s", p.Link(topology.DeviceID(i), topology.DeviceID(j)).Kind)
+			fmt.Fprintf(stdout, "%6s", p.Link(topology.DeviceID(i), topology.DeviceID(j)).Kind)
 		}
-		fmt.Printf("   switch %d, rank-to-host %d\n", p.PCIeSwitchOf(topology.DeviceID(i)),
+		fmt.Fprintf(stdout, "   switch %d, rank-to-host %d\n", p.PCIeSwitchOf(topology.DeviceID(i)),
 			p.P2PPerformanceRank(topology.Host, topology.DeviceID(i)))
 	}
 
 	if *hops {
-		fmt.Println("\nRouted hop counts (charged hops per transfer; host row/column included):")
-		printDeviceMatrix(p, func(src, dst topology.DeviceID) string {
+		fmt.Fprintln(stdout, "\nRouted hop counts (charged hops per transfer; host row/column included):")
+		printDeviceMatrix(stdout, p, func(src, dst topology.DeviceID) string {
 			if src == dst {
 				return "-"
 			}
@@ -83,7 +98,7 @@ func main() {
 	}
 
 	if *routes {
-		fmt.Println("\nRoutes (slowest charged hop defines the class):")
+		fmt.Fprintln(stdout, "\nRoutes (slowest charged hop defines the class):")
 		each := func(src, dst topology.DeviceID) {
 			if src == dst {
 				return
@@ -93,7 +108,7 @@ func main() {
 			for i, e := range r.Hops {
 				names[i] = e.Name
 			}
-			fmt.Printf("  %s -> %s: [%s] (%s, %.1f GB/s)\n",
+			fmt.Fprintf(stdout, "  %s -> %s: [%s] (%s, %.1f GB/s)\n",
 				devName(src), devName(dst), strings.Join(names, ", "), r.Kind, r.BandwidthGBs)
 		}
 		for i := -1; i < p.NumGPUs; i++ {
@@ -106,20 +121,17 @@ func main() {
 		}
 	}
 
-	fmt.Println("\nRouted bandwidth matrix (GB/s; slowest-hop bandwidth, diagonal = local copy):")
+	fmt.Fprintln(stdout, "\nRouted bandwidth matrix (GB/s; slowest-hop bandwidth, diagonal = local copy):")
 	m := p.BandwidthMatrix()
-	printDeviceMatrix(p, func(src, dst topology.DeviceID) string {
+	printDeviceMatrix(stdout, p, func(src, dst topology.DeviceID) string {
 		return fmt.Sprintf("%.1f", m[matIdx(p, src)][matIdx(p, dst)])
 	})
 
 	if *bandwidth {
-		if p.Name != topology.DGX1().Name {
-			fmt.Fprintln(os.Stderr, "-bandwidth matrix is generated for the DGX-1 only")
-			os.Exit(2)
-		}
-		fmt.Println()
-		bench.Fig2BandwidthMatrix(os.Stdout, bench.Config{})
+		fmt.Fprintln(stdout)
+		bench.Fig2BandwidthMatrix(stdout, bench.Config{Platform: p})
 	}
+	return 0
 }
 
 // heteroSpecs summarizes per-GPU specs when the fleet mixes models.
@@ -160,36 +172,36 @@ func devName(d topology.DeviceID) string {
 
 // printDeviceMatrix renders an (N+1)x(N+1) device matrix (host last) with
 // the given cell function.
-func printDeviceMatrix(p *topology.Platform, cell func(src, dst topology.DeviceID) string) {
+func printDeviceMatrix(w io.Writer, p *topology.Platform, cell func(src, dst topology.DeviceID) string) {
 	devOf := func(i int) topology.DeviceID {
 		if i == p.NumGPUs {
 			return topology.Host
 		}
 		return topology.DeviceID(i)
 	}
-	fmt.Print("     ")
+	fmt.Fprint(w, "     ")
 	for j := 0; j <= p.NumGPUs; j++ {
 		if j == p.NumGPUs {
-			fmt.Printf("%8s", "host")
+			fmt.Fprintf(w, "%8s", "host")
 		} else {
-			fmt.Printf("%8d", j)
+			fmt.Fprintf(w, "%8d", j)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for i := 0; i <= p.NumGPUs; i++ {
 		if i == p.NumGPUs {
-			fmt.Printf("%-5s", "host")
+			fmt.Fprintf(w, "%-5s", "host")
 		} else {
-			fmt.Printf("GPU%-2d", i)
+			fmt.Fprintf(w, "GPU%-2d", i)
 		}
 		for j := 0; j <= p.NumGPUs; j++ {
 			src, dst := devOf(i), devOf(j)
 			if src == topology.Host && dst == topology.Host {
-				fmt.Printf("%8s", "-")
+				fmt.Fprintf(w, "%8s", "-")
 				continue
 			}
-			fmt.Printf("%8s", cell(src, dst))
+			fmt.Fprintf(w, "%8s", cell(src, dst))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

@@ -147,6 +147,12 @@ func main() {
 	w := os.Stdout
 	var points []bench.Point
 	exitErr := false
+	// The experiments that report rows, each printed as it is produced.
+	rowExps := map[string]func(io.Writer, bench.Config, bool) []bench.Row{
+		"table2": bench.TableII, "fig6": bench.Fig6, "fig7": bench.Fig7, "fig8": bench.Fig8, "fig9": bench.Fig9,
+		"scale": bench.Scalability, "summit": bench.SummitPrediction, "hermitian": bench.Hermitian,
+		"pinning": bench.PinningCost, "factor": bench.Factorizations,
+	}
 	runExp := func(name string) {
 		switch name {
 		case "table1":
@@ -155,30 +161,10 @@ func main() {
 			bench.Fig2BandwidthMatrix(w, run)
 		case "fig3":
 			points = append(points, bench.Fig3(w, run, *quick)...)
-		case "table2":
-			bench.TableII(w, run, *quick)
 		case "fig4":
 			points = append(points, bench.Fig4(w, run, *quick)...)
 		case "fig5":
 			points = append(points, bench.Fig5(w, run, *quick)...)
-		case "fig6":
-			bench.Fig6(w, run, *quick)
-		case "fig7":
-			bench.Fig7(w, run, *quick)
-		case "fig8":
-			bench.Fig8(w, run, *quick)
-		case "fig9":
-			bench.Fig9(w, run, *quick)
-		case "scale":
-			bench.Scalability(w, run, *quick)
-		case "summit":
-			bench.SummitPrediction(w, run, *quick)
-		case "hermitian":
-			bench.Hermitian(w, run, *quick)
-		case "pinning":
-			bench.PinningCost(w, run, *quick)
-		case "factor":
-			bench.Factorizations(w, run, *quick)
 		case "bign":
 			for _, r := range bench.BigN(w, run, *quick) {
 				if r.Err != nil {
@@ -195,9 +181,13 @@ func main() {
 		case "batch":
 			bench.BatchSweep(w, run, *quick, *batchCount, *batchN)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			flag.Usage()
-			exit(2)
+			fn, ok := rowExps[name]
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
+				flag.Usage()
+				exit(2)
+			}
+			fn(w, run, *quick)
 		}
 		fmt.Fprintln(w)
 	}
@@ -393,16 +383,9 @@ func customSweep(w *os.File, run bench.Config, libsSpec, routinesSpec, sizesSpec
 	if libsSpec == "" {
 		cfg.Libs = bench.Roster()
 	} else {
-		byName := make(map[string]baseline.Library)
-		for _, l := range bench.Roster() {
-			byName[l.Name()] = l
-		}
-		for _, l := range []baseline.Library{baseline.XKBlasNoHeuristic(), baseline.XKBlasNoHeuristicNoTopo()} {
-			byName[l.Name()] = l
-		}
 		for _, name := range strings.Split(libsSpec, ",") {
-			lib, ok := byName[strings.TrimSpace(name)]
-			if !ok {
+			lib := bench.LibraryByName(strings.TrimSpace(name))
+			if lib == nil {
 				return nil, fmt.Errorf("unknown library %q", name)
 			}
 			cfg.Libs = append(cfg.Libs, lib)

@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,39 +32,54 @@ import (
 	"xkblas/internal/serve"
 )
 
-func main() {
-	fleetFlag := flag.String("fleet", "dgx1,dgx2", "comma-separated platforms from the topology registry")
-	tenants := flag.Int("tenants", 120, "simulated tenant count")
-	requests := flag.Int("requests", 1200, "request count to replay")
-	arrivalFlag := flag.String("arrival", "bursty", "arrival process: poisson or bursty (two-state MMPP)")
-	rate := flag.Float64("rate", 300, "mean aggregate arrival rate, requests per virtual second")
-	seed := flag.Int64("seed", 1, "load-generator seed; one seed replays one trace bit for bit")
-	qdepth := flag.Int("qdepth", 8, "bounded admission-queue depth per platform")
-	inflight := flag.Int("inflight", 4, "jobs time-sharing one platform at once")
-	backpressureFlag := flag.String("backpressure", "reject",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run replays the workload and returns the exit status: 0 on success, 1
+// when the replay, an output or the audit fails, 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("xkserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fleetFlag := fs.String("fleet", "dgx1,dgx2", "comma-separated platforms from the topology registry")
+	tenants := fs.Int("tenants", 120, "simulated tenant count")
+	requests := fs.Int("requests", 1200, "request count to replay")
+	arrivalFlag := fs.String("arrival", "bursty", "arrival process: poisson or bursty (two-state MMPP)")
+	rate := fs.Float64("rate", 300, "mean aggregate arrival rate, requests per virtual second")
+	seed := fs.Int64("seed", 1, "load-generator seed; one seed replays one trace bit for bit")
+	qdepth := fs.Int("qdepth", 8, "bounded admission-queue depth per platform")
+	inflight := fs.Int("inflight", 4, "jobs time-sharing one platform at once")
+	backpressureFlag := fs.String("backpressure", "reject",
 		"policy when the admission queue is full: reject (typed error) or block (unbounded spill)")
-	batchMax := flag.Int("batch-max", 8, "max requests fused into one batched DAG (<=1 disables batching)")
-	parallel := flag.Int("parallel", runtime.NumCPU(),
+	batchMax := fs.Int("batch-max", 8, "max requests fused into one batched DAG (<=1 disables batching)")
+	parallel := fs.Int("parallel", runtime.NumCPU(),
 		"worker goroutines prewarming the demand table (results are bit-identical at any level)")
-	checkFlag := flag.Bool("check", false,
+	checkFlag := fs.Bool("check", false,
 		"run every inner simulation under the coherence-invariant auditor; prints the audit summary on stderr and exits nonzero on any violation")
-	timeout := flag.Duration("timeout", 0, "wall-clock bound for the run (0 = none); Ctrl-C always aborts")
-	jsonPath := flag.String("json", "", "write the report's metrics snapshot as JSON to this path (- for stdout)")
-	quiet := flag.Bool("quiet", false, "suppress the human-readable report")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this process to this path")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of this process to this path at exit")
-	flag.Parse()
+	timeout := fs.Duration("timeout", 0, "wall-clock bound for the run (0 = none); Ctrl-C always aborts")
+	jsonPath := fs.String("json", "", "write the report's metrics snapshot as JSON to this path (- for stdout)")
+	quiet := fs.Bool("quiet", false, "suppress the human-readable report")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of this process to this path")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of this process to this path at exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, err)
+		return code
+	}
 
 	cfg := serve.Defaults()
 	var err error
 	if cfg.Fleet, err = serve.ParseFleet(*fleetFlag); err != nil {
-		fail(2, err)
+		return fail(2, err)
 	}
 	if cfg.Arrival, err = serve.ParseArrival(*arrivalFlag); err != nil {
-		fail(2, err)
+		return fail(2, err)
 	}
 	if cfg.Backpressure, err = serve.ParseBackpressure(*backpressureFlag); err != nil {
-		fail(2, err)
+		return fail(2, err)
 	}
 	cfg.Tenants = *tenants
 	cfg.Requests = *requests
@@ -76,7 +92,7 @@ func main() {
 	cfg.Check = *checkFlag
 
 	if *timeout < 0 {
-		fail(2, fmt.Errorf("xkserve: -timeout must be >= 0, got %v", *timeout))
+		return fail(2, fmt.Errorf("xkserve: -timeout must be >= 0, got %v", *timeout))
 	}
 	ctx := context.Background()
 	cancel := context.CancelFunc(func() {})
@@ -90,61 +106,53 @@ func main() {
 
 	stopProfiles, err := metrics.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		fail(2, fmt.Errorf("xkserve: %w", err))
+		return fail(2, fmt.Errorf("xkserve: %w", err))
 	}
-	// exit ends the process through the profile writers: os.Exit skips
-	// deferred calls, so every exit from here on goes through it.
-	exit := func(code int, err error) {
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintf(os.Stderr, "xkserve: %v\n", perr)
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(stderr, "xkserve: %v\n", err)
 			if code == 0 {
 				code = 1
 			}
 		}
-		if err != nil {
-			fail(code, err)
-		}
-		os.Exit(code)
-	}
+	}()
 
 	rep, err := serve.Run(cfg)
 	if err != nil {
-		exit(1, fmt.Errorf("xkserve: %w", err))
+		return fail(1, fmt.Errorf("xkserve: %w", err))
 	}
 	if !*quiet {
-		rep.WriteText(os.Stdout)
+		rep.WriteText(stdout)
 	}
 	if *jsonPath != "" {
-		var w io.WriteCloser = os.Stdout
-		if *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				exit(1, err)
-			}
-			w = f
-		}
-		werr := rep.WriteJSON(w)
-		if *jsonPath != "-" {
-			if cerr := w.Close(); werr == nil {
-				werr = cerr
-			}
-		}
-		if werr != nil {
-			exit(1, werr)
+		if err := writeJSON(rep, *jsonPath, stdout); err != nil {
+			return fail(1, err)
 		}
 	}
 	if *checkFlag {
 		// On stderr, so a checked report diffs clean against an unchecked one.
 		drains, violations := check.Stats()
-		fmt.Fprintf(os.Stderr, "coherence audit: %d clean drains, %d violations\n", drains, violations)
+		fmt.Fprintf(stderr, "coherence audit: %d clean drains, %d violations\n", drains, violations)
 		if violations > 0 {
-			exit(1, nil)
+			return 1
 		}
 	}
-	exit(0, nil)
+	return 0
 }
 
-func fail(code int, err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(code)
+// writeJSON writes the report's metrics snapshot to path, or to stdout
+// when path is "-", reporting a failed write or close.
+func writeJSON(rep *serve.Report, path string, stdout io.Writer) error {
+	if path == "-" {
+		return rep.WriteJSON(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := rep.WriteJSON(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }

@@ -21,22 +21,6 @@ import (
 	"xkblas/internal/trace"
 )
 
-func libByName(name string) baseline.Library {
-	for _, l := range bench.Roster() {
-		if l.Name() == name {
-			return l
-		}
-	}
-	for _, l := range []baseline.Library{
-		baseline.XKBlasNoHeuristic(), baseline.XKBlasNoHeuristicNoTopo(),
-	} {
-		if l.Name() == name {
-			return l
-		}
-	}
-	return nil
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run traces one routine and returns the exit status: 0 on success, 1 when
@@ -70,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	lib := libByName(*libName)
+	lib := bench.LibraryByName(*libName)
 	if lib == nil {
 		fmt.Fprintf(stderr, "unknown library %q\n", *libName)
 		return 2

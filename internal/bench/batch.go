@@ -19,8 +19,9 @@ import (
 // against the better forced leg at every point. forceCount/forceN (from
 // -batch-count/-batch-n) pin the sweep to a single batch count or instance
 // size; 0 keeps the default grid. Not part of -exp all: output would shift
-// the golden quick-sweep transcript.
-func BatchSweep(w io.Writer, cfg Config, quick bool, forceCount, forceN int) {
+// the golden quick-sweep transcript. A cell row's values are the three
+// legs' GF/s, then the crossover leg's device and host dispatch counts.
+func BatchSweep(w io.Writer, cfg Config, quick bool, forceCount, forceN int) []Row {
 	counts := []int{8, 32, 128}
 	sizes := []int{32, 64, 128, 256, 512, 1024}
 	if quick {
@@ -39,7 +40,8 @@ func BatchSweep(w io.Writer, cfg Config, quick bool, forceCount, forceN int) {
 		// section, like the summit experiment does.
 		plats = append(plats, cfg.Platform)
 	}
-	fmt.Fprintln(w, "Extension — batched small-GEMM host/device dispatch (data-on-host, makespan GF/s)")
+	rp := report{w: w}
+	rp.line("Extension — batched small-GEMM host/device dispatch (data-on-host, makespan GF/s)")
 
 	type cell struct {
 		count, n int
@@ -50,11 +52,12 @@ func BatchSweep(w io.Writer, cfg Config, quick bool, forceCount, forceN int) {
 	for _, plat := range plats {
 		dm := baseline.NewDispatchModel(plat)
 		dm.NB = 512 // the sweep's tile size, so printed thresholds match the runs
-		fmt.Fprintf(w, "\n%s — %d lanes, aggregate H2D %.1f GB/s, D2H %.1f GB/s\n",
-			plat.Name, dm.GPULanes, dm.AggUpGBs, dm.AggDownGBs)
+		rp.line("")
+		rp.line(fmt.Sprintf("%s — %d lanes, aggregate H2D %.1f GB/s, D2H %.1f GB/s",
+			plat.Name, dm.GPULanes, dm.AggUpGBs, dm.AggDownGBs))
 		for _, c := range counts {
-			fmt.Fprintf(w, "  model crossover (GEMM, count %d): n >= %d runs on the device\n",
-				c, dm.CrossoverN(blasops.Gemm, c))
+			rp.line(fmt.Sprintf("  model crossover (GEMM, count %d): n >= %d runs on the device",
+				c, dm.CrossoverN(blasops.Gemm, c)))
 		}
 		cells := make([]cell, 0, len(counts)*len(sizes))
 		for _, c := range counts {
@@ -74,18 +77,16 @@ func BatchSweep(w io.Writer, cfg Config, quick bool, forceCount, forceN int) {
 			cl.legs[li] = lib.RunBatched(req,
 				blasops.UniformBatch(blasops.Gemm, cl.count, cl.n, cl.n, cl.n), modes[li])
 		})
-		fmt.Fprintf(w, "  %-7s %-7s %13s %13s %15s %13s\n",
-			"count", "n", "device GF/s", "host GF/s", "crossover GF/s", "routed d/h")
+		rp.line(fmt.Sprintf("  %-7s %-7s %13s %13s %15s %13s",
+			"count", "n", "device GF/s", "host GF/s", "crossover GF/s", "routed d/h"))
 		for i := range cells {
 			cl := &cells[i]
-			if err := firstErr(cl.legs[0].Err, cl.legs[1].Err, cl.legs[2].Err); err != nil {
-				fmt.Fprintf(w, "  %-7d %-7d ERROR: %v\n", cl.count, cl.n, err)
-				continue
-			}
 			d := cl.legs[2].Decisions
-			fmt.Fprintf(w, "  %-7d %-7d %13.1f %13.1f %15.1f %8d/%d\n",
-				cl.count, cl.n, cl.legs[0].GFlops, cl.legs[1].GFlops, cl.legs[2].GFlops,
-				d.DispatchDevice, d.DispatchHost)
+			rp.add(Row{Label: fmt.Sprintf("  %-7d %-7d", cl.count, cl.n), Format: " %13.1f %13.1f %15.1f %8.0f/%.0f",
+				Values: []float64{cl.legs[0].GFlops, cl.legs[1].GFlops, cl.legs[2].GFlops,
+					float64(d.DispatchDevice), float64(d.DispatchHost)},
+				Err: firstErr(cl.legs[0].Err, cl.legs[1].Err, cl.legs[2].Err)})
 		}
 	}
+	return rp.rows
 }

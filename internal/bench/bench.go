@@ -384,17 +384,20 @@ func sweepPlans(cfg Config) []sweepPlan {
 	return plans
 }
 
-// progressLine emits the one-line report of a completed point.
+// pointRow is the report row of a sweep point: GF/s, the CI half-width and
+// the best tile size.
+func pointRow(p Point) Row {
+	return Row{Label: fmt.Sprintf("%-8s %-28s N=%-6d", p.Routine, p.Lib, p.N),
+		Format: " %9.1f ±%6.1f GF/s (nb=%.0f)", Values: []float64{p.GFlops, p.CI95, float64(p.NB)}, Err: p.Err}
+}
+
+// progressLine prints the report row of a completed point; a nil w costs
+// nothing.
 func progressLine(w io.Writer, p Point) {
 	if w == nil {
 		return
 	}
-	if p.Err != nil {
-		fmt.Fprintf(w, "%-8s %-28s N=%-6d ERROR: %v\n", p.Routine, p.Lib, p.N, p.Err)
-	} else {
-		fmt.Fprintf(w, "%-8s %-28s N=%-6d %9.1f ±%6.1f GF/s (nb=%d)\n",
-			p.Routine, p.Lib, p.N, p.GFlops, p.CI95, p.NB)
-	}
+	fmt.Fprintln(w, pointRow(p))
 }
 
 // RunSweep measures every combination in the config. The independent

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -109,26 +109,12 @@ func TestSeriesExtraction(t *testing.T) {
 }
 
 func TestFig2MatrixShape(t *testing.T) {
-	var buf bytes.Buffer
-	Fig2BandwidthMatrix(&buf, Config{})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 11 { // title + header + 8 GPUs + host
-		t.Fatalf("matrix lines = %d, want 11", len(lines))
+	rows := Fig2BandwidthMatrix(io.Discard, Config{})
+	if len(rows) != 11 { // title + header + 8 GPUs + host
+		t.Fatalf("matrix rows = %d, want 11", len(rows))
 	}
 	// Spot-check a 2xNVLink entry: row 0, col 3 ≈ 96 GB/s.
-	fields := strings.Fields(lines[2])
-	if len(fields) < 10 {
-		t.Fatalf("row 0 fields: %v", fields)
+	if v := rows[2].Values; len(v) != 9 || math.Abs(v[3]-96.4) > 3 {
+		t.Fatalf("row 0 = %v, want 9 values with link 0->3 ≈96 GB/s (Fig. 2)", v)
 	}
-	var v96 float64
-	if _, err := sscan(fields[4], &v96); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v96-96.4) > 3 {
-		t.Fatalf("link 0->3 = %g GB/s, want ≈96 (Fig. 2)", v96)
-	}
-}
-
-func sscan(s string, v *float64) (int, error) {
-	return fmt.Sscan(s, v)
 }

@@ -118,25 +118,16 @@ func RunBigNGemm(cfg BigNConfig) (res BigNResult) {
 	}
 	el := end - t0
 	res.Elapsed = el
-	res.GFlops = bigNGflops(blasops.Gemm, n, el)
+	res.GFlops = blasops.GFlops(blasops.FlopsSquare(blasops.Gemm, n), float64(el))
 	return res
 }
 
-// bigNGflops converts a virtual duration into GFlop/s (square problem).
-func bigNGflops(r blasops.Routine, n int, d sim.Time) float64 {
-	return blasops.GFlops(blasops.FlopsSquare(r, n), float64(d))
-}
-
-// bigNLine renders one run for the report.
-func bigNLine(w io.Writer, label string, r BigNResult) {
-	if r.Err != nil {
-		fmt.Fprintf(w, "%-28s N=%-7d nb=%-5d window=%-6d ERROR: %v\n",
-			label, r.N, r.NB, r.Window, r.Err)
-		return
-	}
-	fmt.Fprintf(w, "%-28s N=%-7d nb=%-5d window=%-6d %8.1f GF/s  tasks=%d live_max=%d tiles_max=%d stalls=%d\n",
-		label, r.N, r.NB, r.Window, r.GFlops,
-		r.Tasks, r.TasksLiveMax, r.TilesLiveMax, r.WindowStalls)
+// bigNRow is the report row of one run.
+func bigNRow(label string, r BigNResult) Row {
+	return Row{Label: fmt.Sprintf("%-28s N=%-7d nb=%-5d window=%-6d", label, r.N, r.NB, r.Window),
+		Format: " %8.1f GF/s  tasks=%.0f live_max=%.0f tiles_max=%.0f stalls=%.0f",
+		Values: []float64{r.GFlops, float64(r.Tasks), float64(r.TasksLiveMax), float64(r.TilesLiveMax), float64(r.WindowStalls)},
+		Err:    r.Err}
 }
 
 // BigN runs the beyond-paper-scale GEMM demonstration (xkbench -exp bign):
@@ -150,45 +141,55 @@ func bigNLine(w io.Writer, label string, r BigNResult) {
 // configuration starts, and each one left prints its ERROR line. The
 // closing live-task comparison prints only when both of its runs succeeded.
 func BigN(w io.Writer, run Config, quick bool) []BigNResult {
+	out, _ := bigN(w, run, quick)
+	return out
+}
+
+// bigN is BigN that also returns the report rows it printed.
+func bigN(w io.Writer, run Config, quick bool) ([]BigNResult, []Row) {
 	const nb = 2048
 	const window = 4096
-	fmt.Fprintf(w, "Beyond-paper GEMM scale (timing mode, DGX-1)\n\n")
+	rp := report{w: w}
+	rp.line("Beyond-paper GEMM scale (timing mode, DGX-1)")
+	rp.line("")
 	var out []BigNResult
 	if quick {
 		r := RunBigNGemm(BigNConfig{N: 57344, NB: nb, Check: run.Check, Ctx: run.Ctx})
-		bigNLine(w, "whole graph", r)
+		rp.add(bigNRow("whole graph", r))
 		out = append(out, r)
 		r = RunBigNGemm(BigNConfig{N: 57344, NB: nb, Window: 1024, Check: run.Check, Ctx: run.Ctx})
-		bigNLine(w, "streamed, interleaved flush", r)
+		rp.add(bigNRow("streamed, interleaved flush", r))
 		out = append(out, r)
 		if firstErr(out[0].Err, out[1].Err) == nil {
-			fmt.Fprintf(w, "\npeak live tasks: %d whole-graph vs %d streamed (bound: window = %d)\n",
-				out[0].TasksLiveMax, out[1].TasksLiveMax, 1024)
+			rp.line("")
+			rp.line(fmt.Sprintf("peak live tasks: %d whole-graph vs %d streamed (bound: window = %d)",
+				out[0].TasksLiveMax, out[1].TasksLiveMax, 1024))
 		}
-		return out
+		return out, rp.rows
 	}
 	// Whole-graph reference at the largest size below the device-memory
 	// wall: completes, but holds every task of the DAG live at once.
 	r := RunBigNGemm(BigNConfig{N: 139264, NB: nb, Check: run.Check, Ctx: run.Ctx})
-	bigNLine(w, "whole graph", r)
+	rp.add(bigNRow("whole graph", r))
 	out = append(out, r)
 	// Streamed with end-of-call coherency at full scale: the flush pass
 	// trails the generator, dirty C outgrows the pools, device OOM. The
 	// error is the expected outcome and is reported, not fatal.
 	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window, FlushEnd: true, Check: run.Check, Ctx: run.Ctx})
-	bigNLine(w, "streamed, flush at end", r)
+	rp.add(bigNRow("streamed, flush at end", r))
 	if r.Err != nil && !errors.Is(r.Err, xkrt.ErrCanceled) {
-		fmt.Fprintf(w, "%-28s expected: end-of-call coherency cannot bound the dirty footprint at this scale\n", "")
+		rp.line(fmt.Sprintf("%-28s expected: end-of-call coherency cannot bound the dirty footprint at this scale", ""))
 	}
 	// The streaming builder: 1.40M tasks through a fixed window with the
 	// dirty footprint bounded by interleaved write-back.
 	r = RunBigNGemm(BigNConfig{N: 229376, NB: nb, Window: window, Check: run.Check, Ctx: run.Ctx})
-	bigNLine(w, "streamed, interleaved flush", r)
+	rp.add(bigNRow("streamed, interleaved flush", r))
 	out = append(out, r)
 	if firstErr(out[0].Err, r.Err) == nil {
 		nt := (229376 + nb - 1) / nb
-		fmt.Fprintf(w, "\nstreamed run: %d chains, %d compute tasks; peak live tasks %d (bound: window = %d) vs %d whole-graph at N=%d\n",
-			nt*nt, nt*nt*nt, r.TasksLiveMax, window, out[0].TasksLiveMax, out[0].N)
+		rp.line("")
+		rp.line(fmt.Sprintf("streamed run: %d chains, %d compute tasks; peak live tasks %d (bound: window = %d) vs %d whole-graph at N=%d",
+			nt*nt, nt*nt*nt, r.TasksLiveMax, window, out[0].TasksLiveMax, out[0].N))
 	}
-	return out
+	return out, rp.rows
 }

@@ -9,8 +9,8 @@ import (
 	"go/token"
 	"io"
 	"path/filepath"
-	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -73,16 +73,15 @@ func TestCheckAuditsHandleDrivers(t *testing.T) {
 	run := Config{Check: true}
 	for _, tc := range []struct {
 		name string
-		fn   func(io.Writer, Config, bool)
+		fn   func(Config) []error
 	}{
-		{"hermitian", Hermitian},
-		{"pinning", PinningCost},
-		{"factor", Factorizations},
-		{"bign", func(w io.Writer, cfg Config, quick bool) { BigN(w, cfg, quick) }},
+		{"hermitian", rowErrs(Hermitian)},
+		{"pinning", rowErrs(PinningCost)},
+		{"factor", rowErrs(Factorizations)},
+		{"bign", rowErrs(bigNRows)},
 	} {
 		drains, violations := check.Stats()
-		var buf bytes.Buffer
-		tc.fn(&buf, run, true)
+		errs := tc.fn(run)
 		d, v := check.Stats()
 		if d <= drains {
 			t.Errorf("%s: no audited drain under Check (%d before, %d after)", tc.name, drains, d)
@@ -90,104 +89,97 @@ func TestCheckAuditsHandleDrivers(t *testing.T) {
 		if v != violations {
 			t.Errorf("%s: %d coherence violations", tc.name, v-violations)
 		}
-		if strings.Contains(buf.String(), "ERROR") {
-			t.Errorf("%s reported errors:\n%s", tc.name, buf.String())
+		if err := errors.Join(errs...); err != nil {
+			t.Errorf("%s reported errors: %v", tc.name, err)
 		}
+	}
+}
+
+// rowErrs runs a row driver at quick scale and returns the error of each
+// of its measurement rows.
+func rowErrs(fn func(io.Writer, Config, bool) []Row) func(Config) []error {
+	return func(cfg Config) []error {
+		var errs []error
+		for _, r := range measured(fn(io.Discard, cfg, true)) {
+			errs = append(errs, r.Err)
+		}
+		return errs
 	}
 }
 
 // TestHandleDriversCancelled: once the run's context is done, the
-// text-writing experiments start no simulation — no audited drain appears
-// under Check — and every data row prints ERROR with the cause: no
-// measured value, and no gain, ratio or summary line derived from one.
-// Every big-N configuration reports the cancellation on its own row.
+// experiments start no simulation — no audited drain appears under Check —
+// and every measurement row reports the cancellation instead of a value:
+// no measured value, and no gain, ratio or summary derived from one. Each
+// driver prints exactly the rows it returns, and apart from its
+// measurement rows only its titles, headings and reference notes. Every
+// big-N configuration, at quick and at full scale, reports the
+// cancellation in its own row.
 func TestHandleDriversCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	run := Config{Check: true, Ctx: ctx}
-	measured := regexp.MustCompile(`\d\.\d|%|NaN|Inf`)
-	bign := func(quick bool) func(io.Writer, Config, bool) {
-		return func(w io.Writer, cfg Config, _ bool) {
-			for _, r := range BigN(w, cfg, quick) {
-				if !errors.Is(r.Err, context.Canceled) || !errors.Is(r.Err, xkrt.ErrCanceled) {
-					t.Errorf("bign: N=%d error %v, want a cancellation", r.N, r.Err)
-				}
-			}
-		}
-	}
-	for _, tc := range []struct {
-		name            string
-		fn              func(io.Writer, Config, bool)
-		header, trailer int // non-empty lines around the data rows
-		rows            int
-	}{
-		{"table2", TableII, 2, 1, 3},
-		{"scale", Scalability, 2, 0, 8},
-		{"summit", SummitPrediction, 2, 0, 4},
-		{"hermitian", Hermitian, 1, 0, 8},
-		{"pinning", PinningCost, 2, 0, 2},
-		{"factor", Factorizations, 2, 0, 4},
-		{"bign quick", bign(true), 1, 0, 2},
-		{"bign full", bign(false), 1, 0, 3},
-	} {
+	bigNFull := rowDriver{"bign full", func(w io.Writer, cfg Config, _ bool) []Row { return bigNRows(w, cfg, false) }, 3, 1}
+	for _, d := range append(slices.Clone(rowDrivers), bigNFull) {
 		drains, _ := check.Stats()
 		var buf bytes.Buffer
 		start := time.Now()
-		tc.fn(&buf, run, true)
+		rows := d.fn(&buf, run, true)
 		if el := time.Since(start); el > 2*time.Second {
-			t.Errorf("%s: took %v on a cancelled context", tc.name, el)
+			t.Errorf("%s: took %v on a cancelled context", d.name, el)
 		}
-		if d, _ := check.Stats(); d != drains {
-			t.Errorf("%s: %d simulations drained on a cancelled context", tc.name, d-drains)
+		if got, _ := check.Stats(); got != drains {
+			t.Errorf("%s: %d simulations drained on a cancelled context", d.name, got-drains)
 		}
-		var lines []string
-		for _, l := range strings.Split(buf.String(), "\n") {
-			if strings.TrimSpace(l) != "" {
-				lines = append(lines, l)
+		if buf.String() != dump(rows) {
+			t.Errorf("%s printed\n%s\nbut returned the rows\n%s", d.name, buf.String(), dump(rows))
+		}
+		m := measured(rows)
+		notes := 0
+		for _, r := range rows {
+			if r.Format == "" && strings.TrimSpace(r.Label) != "" {
+				notes++
 			}
 		}
-		if len(lines) != tc.header+tc.rows+tc.trailer {
-			t.Errorf("%s: %d lines, want %d header, %d rows and %d trailer:\n%s",
-				tc.name, len(lines), tc.header, tc.rows, tc.trailer, buf.String())
-			continue
+		if len(m) != d.rows || notes != d.notes {
+			t.Errorf("%s: %d measurement rows and %d notes, want %d and %d:\n%s",
+				d.name, len(m), notes, d.rows, d.notes, dump(rows))
 		}
-		for _, l := range lines[tc.header : tc.header+tc.rows] {
-			i := strings.Index(l, "ERROR: ")
-			if i < 0 || measured.MatchString(l[:i]) || !strings.HasSuffix(l, "context canceled") {
-				t.Errorf("%s: row %q is not a bare ERROR row", tc.name, l)
+		bign := strings.HasPrefix(d.name, "bign")
+		for _, r := range m {
+			if !errors.Is(r.Err, context.Canceled) || bign && !errors.Is(r.Err, xkrt.ErrCanceled) || r.Values != nil {
+				t.Errorf("%s: cancelled row %q carries values %v or error %v, want the cancellation alone",
+					d.name, r, r.Values, r.Err)
 			}
 		}
 	}
 }
 
-// TestFig4CancelledReportsDoDRows: Fig. 4 relabels each data-on-device
-// point "XKBlas DoD" and prints it again; on a cancelled context each of
-// those rows must still be printed, as a bare ERROR row with the cause.
+// TestFig4CancelledReportsDoDRows: on a cancelled context Fig. 4 prints
+// the row of every point it returns exactly once — each data-on-device
+// point relabelled "XKBlas DoD", none of them a second time under its
+// sweep's own "XKBlas" label — and each of those rows reports the
+// cancellation.
 func TestFig4CancelledReportsDoDRows(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
+	pts := Fig4(&buf, Config{Ctx: ctx}, true)
 	dod := 0
-	for _, p := range Fig4(&buf, Config{Ctx: ctx}, true) {
+	for _, p := range pts {
+		row := pointRow(p)
 		if p.Lib == "XKBlas DoD" {
 			dod++
+			if !errors.Is(row.Err, context.Canceled) {
+				t.Errorf("row %q does not report the cancellation", row)
+			}
+		}
+		if got := strings.Count(buf.String(), row.String()+"\n"); got != 1 {
+			t.Errorf("row %q printed %d times, want once", row, got)
 		}
 	}
-	row := regexp.MustCompile(`XKBlas DoD +N=`)
-	measured := regexp.MustCompile(`\d\.\d|GF/s|nb=`)
-	var rows int
-	for _, l := range strings.Split(buf.String(), "\n") {
-		if !row.MatchString(l) {
-			continue
-		}
-		rows++
-		i := strings.Index(l, "ERROR: ")
-		if i < 0 || measured.MatchString(l[:i]) || !strings.HasSuffix(l, "context canceled") {
-			t.Errorf("row %q is not a bare ERROR row", l)
-		}
-	}
-	if dod == 0 || rows != dod {
-		t.Fatalf("%d XKBlas DoD rows for %d data-on-device points:\n%s", rows, dod, buf.String())
+	if dod == 0 {
+		t.Fatalf("no XKBlas DoD point among %d", len(pts))
 	}
 }
 
@@ -198,20 +190,9 @@ func TestPerGPUFiguresFollowPlatform(t *testing.T) {
 	run := parallelRun()
 	run.Platform = topology.SummitNode()
 
-	var fig7 bytes.Buffer
-	Fig7(&fig7, run, true)
-	rows := map[string]int{}
-	lib := ""
-	for _, line := range strings.Split(fig7.String(), "\n") {
-		switch {
-		case strings.HasPrefix(line, "-- "):
-			lib = line
-		case lib != "" && line != "" && line[0] >= '1' && line[0] <= '9':
-			rows[lib]++
-		}
-	}
+	rows := perGPURows(t, Fig7(io.Discard, run, true))
 	if len(rows) != 3 {
-		t.Fatalf("fig7: want 3 library sections with GPU rows, got %v:\n%s", rows, fig7.String())
+		t.Fatalf("fig7: want 3 library sections with GPU rows, got %v", rows)
 	}
 	for lib, n := range rows {
 		if n != 6 {
@@ -219,14 +200,12 @@ func TestPerGPUFiguresFollowPlatform(t *testing.T) {
 		}
 	}
 
-	var fig9 bytes.Buffer
-	Fig9(&fig9, run, true)
-	out := fig9.String()
-	if got := strings.Count(out, "\nGPU"); got != 2*6 {
-		t.Errorf("fig9: %d Gantt lanes over 2 libraries, want 12:\n%s", got, out)
+	fig9 := Fig9(io.Discard, run, true)
+	if got := len(rowsWithPrefix(fig9, "GPU")); got != 2*6 {
+		t.Errorf("fig9: %d Gantt lanes over 2 libraries, want 12:\n%s", got, dump(fig9))
 	}
-	if strings.Contains(out, "GPU6 ") || strings.Contains(out, "GPU7 ") {
-		t.Errorf("fig9 draws lanes past the platform's GPUs:\n%s", out)
+	if len(rowsWithPrefix(fig9, "GPU6 "))+len(rowsWithPrefix(fig9, "GPU7 ")) != 0 {
+		t.Errorf("fig9 draws lanes past the platform's GPUs:\n%s", dump(fig9))
 	}
 }
 
@@ -253,24 +232,16 @@ func TestTableIGenericPlatform(t *testing.T) {
 func TestSummitPredictionPlatformRow(t *testing.T) {
 	run := parallelRun()
 	run.Platform = topology.DGX2WithGPUs(4)
-	var buf bytes.Buffer
-	SummitPrediction(&buf, run, true)
-	out := buf.String()
+	all := SummitPrediction(io.Discard, run, true)
 	name := run.Platform.Name
-	var rows []string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, name) {
-			rows = append(rows, line)
-		}
-	}
+	rows := rowsWithPrefix(all, name)
 	if len(rows) != 2 {
-		t.Fatalf("want the %q table row and split line, got %q:\n%s", name, rows, out)
+		t.Fatalf("want the %q table row and split row, got:\n%s", name, dump(all))
 	}
-	if !strings.HasPrefix(rows[1], name+" optimistic-only contribution:") {
-		t.Fatalf("split line not labelled with the run's platform: %q", rows[1])
+	if rows[1].Label != name+" optimistic-only contribution:" {
+		t.Fatalf("split row not labelled with the run's platform: %q", rows[1])
 	}
-	var on, off, gain float64
-	if _, err := fscan(strings.TrimPrefix(rows[0], name), &on, &off, &gain); err != nil || on <= 0 || off <= 0 {
-		t.Fatalf("platform row has no measurements (%v): %q", err, rows[0])
+	if r := rows[0]; r.Err != nil || len(r.Values) != 3 || r.Values[0] <= 0 || r.Values[1] <= 0 {
+		t.Fatalf("platform row has no measurements: %q", r)
 	}
 }

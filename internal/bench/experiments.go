@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"xkblas/internal/baseline"
 	"xkblas/internal/blasops"
@@ -31,6 +32,17 @@ func Roster() []baseline.Library {
 		baseline.Slate(),
 		baseline.XKBlas(),
 	}
+}
+
+// LibraryByName returns the library of the Fig. 5 roster or of the two
+// Fig. 3 ablations that has the given name, or nil when none has it.
+func LibraryByName(name string) baseline.Library {
+	for _, l := range append(Roster(), baseline.XKBlasNoHeuristic(), baseline.XKBlasNoHeuristicNoTopo()) {
+		if l.Name() == name {
+			return l
+		}
+	}
+	return nil
 }
 
 // sweepDefaults fills common knobs over the run-wide part of run:
@@ -76,21 +88,18 @@ func TableI(w io.Writer, cfg Config) {
 // Fig2BandwidthMatrix measures the pairwise transfer bandwidth between all
 // devices with 256 MiB payloads on an otherwise idle platform and prints
 // the matrix of Fig. 2 (GB/s; diagonal = on-device copy; last row/column =
-// host).
-func Fig2BandwidthMatrix(w io.Writer, cfg Config) {
+// host). A device row's values are its GB/s to each device, host last.
+func Fig2BandwidthMatrix(w io.Writer, cfg Config) []Row {
 	const payload = 256 << 20
 	topo := cfg.platform()
 	n := topo.NumGPUs
-	fmt.Fprintln(w, "Fig. 2 — measured bandwidth (GB/s) between devices (256 MiB payloads)")
-	fmt.Fprintf(w, "D\\D ")
-	for j := 0; j <= n; j++ {
-		if j == n {
-			fmt.Fprintf(w, "%8s", "host")
-		} else {
-			fmt.Fprintf(w, "%8d", j)
-		}
+	rp := report{w: w}
+	rp.line("Fig. 2 — measured bandwidth (GB/s) between devices (256 MiB payloads)")
+	head := "D\\D "
+	for j := 0; j < n; j++ {
+		head += fmt.Sprintf("%8d", j)
 	}
-	fmt.Fprintln(w)
+	rp.line(head + fmt.Sprintf("%8s", "host"))
 	devOf := func(i int) topology.DeviceID {
 		if i == n {
 			return topology.Host
@@ -98,15 +107,14 @@ func Fig2BandwidthMatrix(w io.Writer, cfg Config) {
 		return topology.DeviceID(i)
 	}
 	for i := 0; i <= n; i++ {
+		row := Row{Label: fmt.Sprintf("%-4d", i)}
 		if i == n {
-			fmt.Fprintf(w, "host")
-		} else {
-			fmt.Fprintf(w, "%-4d", i)
+			row.Label = "host"
 		}
 		for j := 0; j <= n; j++ {
 			src, dst := devOf(i), devOf(j)
 			if src == topology.Host && dst == topology.Host {
-				fmt.Fprintf(w, "%8s", "-")
+				row.Format += fmt.Sprintf("%8s", "-")
 				continue
 			}
 			eng := sim.NewEngine()
@@ -114,10 +122,12 @@ func Fig2BandwidthMatrix(w io.Writer, cfg Config) {
 			var dur sim.Time
 			plat.Transfer(src, dst, payload, sim.JobFunc(func(st, en sim.Time) { dur = en - st }))
 			eng.Run()
-			fmt.Fprintf(w, "%8.2f", float64(payload)/float64(dur)/1e9)
+			row.Format += "%8.2f"
+			row.Values = append(row.Values, float64(payload)/float64(dur)/1e9)
 		}
-		fmt.Fprintln(w)
+		rp.add(row)
 	}
+	return rp.rows
 }
 
 // Fig3 reproduces the heuristics ablation: GEMM, SYR2K and TRSM with the
@@ -138,11 +148,12 @@ func Fig3(w io.Writer, run Config, quick bool) []Point {
 
 // TableII reports the maximum loss/gain of each XKBlas variant versus the
 // full library for N ≥ 16384, plus the data-on-device gain.
-func TableII(w io.Writer, run Config, quick bool) {
+func TableII(w io.Writer, run Config, quick bool) []Row {
 	cfg := sweepDefaults(run, quick)
 	routines := []blasops.Routine{blasops.Gemm, blasops.Syr2k, blasops.Trsm}
-	fmt.Fprintln(w, "Table II — max loss/gain vs baseline XKBlas, N ≥ 16384")
-	fmt.Fprintf(w, "%-8s %16s %14s %22s\n", "Kernel", "data-on-device", "no heuristic", "no heuristic, no topo")
+	rp := report{w: w}
+	rp.line("Table II — max loss/gain vs baseline XKBlas, N ≥ 16384")
+	rp.line(fmt.Sprintf("%-8s %16s %14s %22s", "Kernel", "data-on-device", "no heuristic", "no heuristic, no topo"))
 	base := baseline.XKBlas()
 	noH := baseline.XKBlasNoHeuristic()
 	noHT := baseline.XKBlasNoHeuristicNoTopo()
@@ -184,16 +195,13 @@ func TableII(w io.Writer, run Config, quick bool) {
 		if err == nil && !measured {
 			err = fmt.Errorf("no point at N ≥ 16384")
 		}
-		if err != nil {
-			// A row with a failed measurement reports it instead of an
-			// extreme over the points that did complete.
-			fmt.Fprintf(w, "D%-7s ERROR: %v\n", r, err)
-			continue
-		}
-		fmt.Fprintf(w, "D%-7s %+15.1f%% %+13.1f%% %+21.1f%%\n",
-			r, 100*dodMax, 100*noHMin, 100*noHTMin)
+		// A row with a failed measurement reports it instead of an extreme
+		// over the points that did complete.
+		rp.add(Row{Label: fmt.Sprintf("D%-7s", r), Format: " %+15.1f%% %+13.1f%% %+21.1f%%",
+			Values: []float64{100 * dodMax, 100 * noHMin, 100 * noHTMin}, Err: err})
 	}
-	fmt.Fprintln(w, "(paper: DGEMM +111.7/-43.5/-43; DSYR2K +71.1/-19.4/-53.5; DTRSM +52.6/-29.6/-29.3)")
+	rp.line("(paper: DGEMM +111.7/-43.5/-43; DSYR2K +71.1/-19.4/-53.5; DTRSM +52.6/-29.6/-29.3)")
+	return rp.rows
 }
 
 // Fig4 compares data-on-device against data-on-host for GEMM, SYR2K and
@@ -208,6 +216,9 @@ func Fig4(w io.Writer, run Config, quick bool) []Point {
 	dodCfg := cfg
 	dodCfg.Scenario = baseline.DataOnDevice
 	dodCfg.Libs = []baseline.Library{baseline.XKBlas()}
+	// The sweep's own progress lines would name the points XKBlas; each is
+	// printed once, relabelled, below.
+	dodCfg.Progress = nil
 	fmt.Fprintln(w, "-- XKBlas DoD --")
 	dod := RunSweep(dodCfg)
 	for i := range dod {
@@ -242,120 +253,130 @@ func fig6Libs() []baseline.Library {
 
 // Fig6 reproduces the GEMM execution-trace breakdown at N = 32768:
 // cumulative seconds per operation kind and the normalized occupancy ratio.
-func Fig6(w io.Writer, cfg Config, quick bool) {
+// A library row's values are its cumulative seconds, then its normalized
+// shares, in trace.Kinds order.
+func Fig6(w io.Writer, cfg Config, quick bool) []Row {
 	n := 32768
 	if quick {
 		n = 16384
 	}
-	fmt.Fprintf(w, "Fig. 6 — GEMM FP64 trace breakdown at N=%d (cumulative GPU seconds | normalized %%)\n", n)
-	fmt.Fprintf(w, "%-16s", "library")
+	rp := report{w: w}
+	rp.line(fmt.Sprintf("Fig. 6 — GEMM FP64 trace breakdown at N=%d (cumulative GPU seconds | normalized %%)", n))
+	head, cumFormat, normFormat := fmt.Sprintf("%-16s", "library"), "", "  |"
 	for _, k := range trace.Kinds() {
-		fmt.Fprintf(w, " %12s", k)
+		head += fmt.Sprintf(" %12s", k)
+		cumFormat += " %11.2fs"
+		normFormat += " " + k.String() + " %4.1f%%"
 	}
-	fmt.Fprintln(w, "  | normalized ratios")
+	rp.line(head + "  | normalized ratios")
 	for _, lib := range fig6Libs() {
 		res := lib.Run(baseline.Request{Routine: blasops.Gemm, N: n, NB: 4096, Platform: cfg.Platform, Trace: true, Check: cfg.Check, Ctx: cfg.Ctx})
-		if res.Err != nil {
-			fmt.Fprintf(w, "%-16s ERROR: %v\n", lib.Name(), res.Err)
-			continue
+		row := Row{Label: fmt.Sprintf("%-16s", lib.Name()), Format: cumFormat + normFormat, Err: res.Err}
+		if res.Err == nil {
+			cum, norm := res.Rec.CumulativeByKind(), res.Rec.NormalizedByKind()
+			for _, k := range trace.Kinds() {
+				row.Values = append(row.Values, float64(cum[k]))
+			}
+			for _, k := range trace.Kinds() {
+				row.Values = append(row.Values, norm[k])
+			}
 		}
-		cum := res.Rec.CumulativeByKind()
-		norm := res.Rec.NormalizedByKind()
-		fmt.Fprintf(w, "%-16s", lib.Name())
-		for _, k := range trace.Kinds() {
-			fmt.Fprintf(w, " %11.2fs", float64(cum[k]))
-		}
-		fmt.Fprint(w, "  |")
-		for _, k := range trace.Kinds() {
-			fmt.Fprintf(w, " %s %4.1f%%", k, norm[k])
-		}
-		fmt.Fprintln(w)
+		rp.add(row)
 	}
-	fmt.Fprintln(w, "(paper: XKBlas ≈25.4% of GPU time in transfers, Chameleon Tile ≈41.2%, cuBLAS-XT transfer-dominated)")
+	rp.line("(paper: XKBlas ≈25.4% of GPU time in transfers, Chameleon Tile ≈41.2%, cuBLAS-XT transfer-dominated)")
+	return rp.rows
 }
 
 // Fig7 reproduces the per-GPU SYR2K trace at N = 49152 for Chameleon Tile,
-// cuBLAS-XT and XKBlas, one row per GPU of the run's platform.
-func Fig7(w io.Writer, cfg Config, quick bool) {
+// cuBLAS-XT and XKBlas, one row per GPU of the run's platform: each
+// library's section row carries its GF/s, and each GPU row its seconds per
+// operation kind, in trace.Kinds order.
+func Fig7(w io.Writer, cfg Config, quick bool) []Row {
 	n := 49152
 	if quick {
 		n = 16384
 	}
-	fmt.Fprintf(w, "Fig. 7 — SYR2K FP64 per-GPU trace at N=%d (seconds per operation kind)\n", n)
+	rp := report{w: w}
+	rp.line(fmt.Sprintf("Fig. 7 — SYR2K FP64 per-GPU trace at N=%d (seconds per operation kind)", n))
 	gpus := cfg.platform().NumGPUs
+	head, format := fmt.Sprintf("%-5s", "GPU"), ""
+	for _, k := range trace.Kinds() {
+		head += fmt.Sprintf(" %12s", k)
+		format += " %11.2fs"
+	}
 	libs := []baseline.Library{baseline.ChameleonTile(), baseline.CuBLASXT(), baseline.XKBlas()}
 	for _, lib := range libs {
 		res := lib.Run(baseline.Request{Routine: blasops.Syr2k, N: n, NB: 2048, Platform: cfg.Platform, Trace: true, Check: cfg.Check, Ctx: cfg.Ctx})
+		rp.add(Row{Label: "-- " + lib.Name(), Format: " (%.1f GF/s) --", Values: []float64{res.GFlops}, Err: res.Err})
 		if res.Err != nil {
-			fmt.Fprintf(w, "%s: ERROR %v\n", lib.Name(), res.Err)
 			continue
 		}
-		fmt.Fprintf(w, "-- %s (%.1f GF/s) --\n", lib.Name(), res.GFlops)
 		per := res.Rec.PerGPUByKind(gpus)
-		fmt.Fprintf(w, "%-5s", "GPU")
-		for _, k := range trace.Kinds() {
-			fmt.Fprintf(w, " %12s", k)
-		}
-		fmt.Fprintln(w)
+		rp.line(head)
 		for g := 0; g < gpus; g++ {
-			fmt.Fprintf(w, "%-5d", g+1)
+			var secs []float64
 			for _, k := range trace.Kinds() {
-				fmt.Fprintf(w, " %11.2fs", float64(per[g][k]))
+				secs = append(secs, float64(per[g][k]))
 			}
-			fmt.Fprintln(w)
+			rp.add(Row{Label: fmt.Sprintf("%-5d", g+1), Format: format, Values: secs})
 		}
 	}
+	return rp.rows
 }
 
 // Fig8 reproduces the TRSM+GEMM composition sweep for Chameleon Tile and
-// XKBlas.
-func Fig8(w io.Writer, cfg Config, quick bool) {
+// XKBlas; each row's value is TFlop/s.
+func Fig8(w io.Writer, cfg Config, quick bool) []Row {
 	sizes := []int{8192, 16384, 24576, 32768, 40960, 49152, 57344}
 	if quick {
 		sizes = []int{8192, 16384, 32768}
 	}
-	fmt.Fprintln(w, "Fig. 8 — composition TRSM+GEMM FP64, block size 2048, 8 GPUs (TFlop/s)")
+	rp := report{w: w}
+	rp.line("Fig. 8 — composition TRSM+GEMM FP64, block size 2048, 8 GPUs (TFlop/s)")
 	libs := []baseline.Library{baseline.ChameleonTile(), baseline.XKBlas()}
 	for _, lib := range libs {
 		comp := lib.(baseline.Composer)
 		for _, n := range sizes {
 			res := comp.RunComposition(baseline.Request{Routine: blasops.Gemm, N: n, NB: 2048, Platform: cfg.Platform, Check: cfg.Check, Ctx: cfg.Ctx})
-			if res.Err != nil {
-				fmt.Fprintf(w, "%-16s N=%-6d ERROR: %v\n", lib.Name(), n, res.Err)
-				continue
-			}
-			fmt.Fprintf(w, "%-16s N=%-6d %8.2f TFlop/s\n", lib.Name(), n, TFlops(res.GFlops))
+			rp.add(Row{Label: fmt.Sprintf("%-16s N=%-6d", lib.Name(), n), Format: " %8.2f TFlop/s",
+				Values: []float64{TFlops(res.GFlops)}, Err: res.Err})
 		}
 	}
-	fmt.Fprintln(w, "(paper: XKBlas 56.6 TFlop/s ≈ its GEMM peak; Chameleon 36.6 TFlop/s, below its 51.3 GEMM peak)")
+	rp.line("(paper: XKBlas 56.6 TFlop/s ≈ its GEMM peak; Chameleon 36.6 TFlop/s, below its 51.3 GEMM peak)")
+	return rp.rows
 }
 
 // Fig9 renders the composition Gantt charts at N = 32768 showing
 // Chameleon's inter-call synchronization gaps against XKBlas' seamless
-// composition, one kernel lane per GPU of the run's platform.
-func Fig9(w io.Writer, cfg Config, quick bool) {
+// composition, one kernel lane per GPU of the run's platform. Each
+// library's section row carries its TFlop/s and its last row the mean
+// kernel-lane idle ratio, in percent.
+func Fig9(w io.Writer, cfg Config, quick bool) []Row {
 	n := 32768
 	if quick {
 		n = 16384
 	}
-	fmt.Fprintf(w, "Fig. 9 — TRSM+GEMM composition Gantt at N=%d, block 2048\n", n)
+	rp := report{w: w}
+	rp.line(fmt.Sprintf("Fig. 9 — TRSM+GEMM composition Gantt at N=%d, block 2048", n))
 	gpus := cfg.platform().NumGPUs
 	libs := []baseline.Library{baseline.ChameleonTile(), baseline.XKBlas()}
 	for _, lib := range libs {
 		res := lib.(baseline.Composer).RunComposition(baseline.Request{
 			Routine: blasops.Gemm, N: n, NB: 2048, Platform: cfg.Platform, Trace: true, Check: cfg.Check, Ctx: cfg.Ctx})
+		rp.add(Row{Label: "-- " + lib.Name(), Format: " (%.2f TFlop/s) --", Values: []float64{TFlops(res.GFlops)}, Err: res.Err})
 		if res.Err != nil {
-			fmt.Fprintf(w, "%s: ERROR %v\n", lib.Name(), res.Err)
 			continue
 		}
-		fmt.Fprintf(w, "-- %s (%.2f TFlop/s) --\n", lib.Name(), TFlops(res.GFlops))
-		if err := res.Rec.Gantt(w, gpus, 100); err != nil {
-			fmt.Fprintf(w, "gantt: %v\n", err)
+		var chart strings.Builder
+		res.Rec.Gantt(&chart, gpus, 100) // a Builder never fails a write
+		for _, l := range strings.Split(strings.TrimSuffix(chart.String(), "\n"), "\n") {
+			rp.line(l)
 		}
 		var mean float64
 		for _, x := range res.Rec.IdleRatio(gpus) {
 			mean += x / float64(gpus)
 		}
-		fmt.Fprintf(w, "mean kernel-lane idle ratio: %.1f%%\n", 100*mean)
+		rp.add(Row{Label: "mean kernel-lane idle ratio:", Format: " %.1f%%", Values: []float64{100 * mean}})
 	}
+	return rp.rows
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"xkblas/internal/trace"
 )
 
-// Smoke tests for the figure generators: each must produce well-formed,
-// non-error output at quick scale. (Fig3/Fig5 sweeps are exercised in full
-// through cmd/xkbench; here the cheaper generators run directly.)
+// Checks of the figure generators at quick scale, on the rows of
+// quickRows. (Fig3/Fig5 sweeps are exercised in full through cmd/xkbench;
+// here the cheaper generators run directly.)
 
 func TestTableIMentionsPlatform(t *testing.T) {
 	var buf bytes.Buffer
@@ -21,83 +23,76 @@ func TestTableIMentionsPlatform(t *testing.T) {
 	}
 }
 
+// kindIndex is the position of kind k in trace.Kinds, the column order of
+// the per-kind rows.
+func kindIndex(k trace.OpKind) int {
+	for i, kk := range trace.Kinds() {
+		if kk == k {
+			return i
+		}
+	}
+	panic("unknown kind")
+}
+
 func TestFig6QuickBreakdown(t *testing.T) {
-	var buf bytes.Buffer
-	Fig6(&buf, parallelRun(), true)
-	out := buf.String()
-	if strings.Contains(out, "ERROR") {
-		t.Fatalf("fig6 errors:\n%s", out)
-	}
-	for _, lib := range []string{"XKBlas", "Chameleon Tile", "cuBLAS-XT", "BLASX", "cuBLAS-MG", "DPLASMA"} {
-		if !strings.Contains(out, lib) {
-			t.Errorf("fig6 missing %s", lib)
-		}
-	}
+	rows := measured(quickRows()["fig6"])
+	libs := map[string]bool{}
 	// XKBlas must show the largest kernel share of the roster (the paper's
-	// core trace claim).
+	// core trace claim). A row holds the cumulative seconds, then the
+	// normalized shares.
 	best, bestLib := -1.0, ""
-	for _, line := range strings.Split(out, "\n") {
-		idx := strings.Index(line, "GPU Kernel")
-		if idx < 0 || !strings.Contains(line, "|") {
-			continue
+	kernel := len(trace.Kinds()) + kindIndex(trace.OpKernel)
+	for _, r := range rows {
+		if r.Err != nil {
+			t.Fatalf("fig6 errors:\n%s", dump(rows))
 		}
-		rest := line[idx+len("GPU Kernel"):]
-		var share float64
-		if _, err := fscan(rest, &share); err != nil {
-			continue
-		}
-		name := strings.TrimSpace(line[:16])
-		if share > best {
+		name := strings.TrimSpace(r.Label)
+		libs[name] = true
+		if share := r.Values[kernel]; share > best {
 			best, bestLib = share, name
 		}
 	}
+	for _, lib := range []string{"XKBlas", "Chameleon Tile", "cuBLAS-XT", "BLASX", "cuBLAS-MG", "DPLASMA"} {
+		if !libs[lib] {
+			t.Errorf("fig6 missing %s", lib)
+		}
+	}
 	if bestLib != "XKBlas" {
-		t.Errorf("largest kernel share belongs to %q (%.1f%%), want XKBlas\n%s", bestLib, best, out)
+		t.Errorf("largest kernel share belongs to %q (%.1f%%), want XKBlas\n%s", bestLib, best, dump(rows))
 	}
 }
 
 func TestFig8QuickOrdering(t *testing.T) {
-	var buf bytes.Buffer
-	Fig8(&buf, parallelRun(), true)
-	out := buf.String()
-	if strings.Contains(out, "ERROR") {
-		t.Fatalf("fig8 errors:\n%s", out)
-	}
+	rows := quickRows()["fig8"]
 	// At the largest quick size, XKBlas must beat Chameleon.
 	var xk, ch float64
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "N=32768") {
-			var v float64
-			if _, err := fscan(strings.Split(line, "N=32768")[1], &v); err == nil {
-				if strings.HasPrefix(line, "XKBlas") {
-					xk = v
-				} else if strings.HasPrefix(line, "Chameleon") {
-					ch = v
-				}
-			}
+	for _, r := range measured(rows) {
+		if r.Err != nil {
+			t.Fatalf("fig8 errors:\n%s", dump(rows))
+		}
+		if !strings.HasSuffix(r.Label, "N=32768 ") {
+			continue
+		}
+		if strings.HasPrefix(r.Label, "XKBlas") {
+			xk = r.Values[0]
+		} else if strings.HasPrefix(r.Label, "Chameleon") {
+			ch = r.Values[0]
 		}
 	}
 	if xk <= ch || xk == 0 {
-		t.Fatalf("composition ordering wrong: XKBlas %.2f vs Chameleon %.2f\n%s", xk, ch, out)
+		t.Fatalf("composition ordering wrong: XKBlas %.2f vs Chameleon %.2f\n%s", xk, ch, dump(rows))
 	}
 }
 
 func TestFig9QuickGantt(t *testing.T) {
-	var buf bytes.Buffer
-	Fig9(&buf, parallelRun(), true)
-	out := buf.String()
-	if !strings.Contains(out, "GPU7") || !strings.Contains(out, "idle ratio") {
-		t.Fatalf("fig9 malformed:\n%s", out)
+	rows := quickRows()["fig9"]
+	if len(rowsWithPrefix(rows, "GPU7 ")) != 2 {
+		t.Fatalf("fig9 draws no GPU7 lane per library:\n%s", dump(rows))
 	}
 	// Chameleon's idle ratio must exceed XKBlas' (the sync gaps).
 	var ratios []float64
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "mean kernel-lane idle ratio") {
-			var v float64
-			if _, err := fscan(line, &v); err == nil {
-				ratios = append(ratios, v)
-			}
-		}
+	for _, r := range rowsWithPrefix(rows, "mean kernel-lane idle ratio") {
+		ratios = append(ratios, r.Values[0])
 	}
 	if len(ratios) != 2 {
 		t.Fatalf("want 2 idle ratios, got %v", ratios)
@@ -107,14 +102,37 @@ func TestFig9QuickGantt(t *testing.T) {
 	}
 }
 
-func TestFig7QuickPerGPU(t *testing.T) {
-	var buf bytes.Buffer
-	Fig7(&buf, parallelRun(), true)
-	out := buf.String()
-	if strings.Contains(out, "ERROR") {
-		t.Fatalf("fig7 errors:\n%s", out)
+// perGPURows counts, for each "-- <lib>" section of Fig. 7's rows, the
+// measurement rows that follow it: one per GPU.
+func perGPURows(t *testing.T, rows []Row) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	lib := ""
+	for _, r := range measured(rows) {
+		if r.Err != nil {
+			t.Fatalf("fig7 errors:\n%s", dump(rows))
+		}
+		if strings.HasPrefix(r.Label, "-- ") {
+			lib = r.Label
+			out[lib] = 0
+			continue
+		}
+		if len(r.Values) != len(trace.Kinds()) {
+			t.Fatalf("fig7 GPU row %q has %d values, want one per kind", r, len(r.Values))
+		}
+		out[lib]++
 	}
-	if strings.Count(out, "-- ") != 3 {
-		t.Fatalf("want 3 library sections:\n%s", out)
+	return out
+}
+
+func TestFig7QuickPerGPU(t *testing.T) {
+	rows := perGPURows(t, quickRows()["fig7"])
+	if len(rows) != 3 {
+		t.Fatalf("want 3 library sections, got %v", rows)
+	}
+	for lib, n := range rows {
+		if n != 8 {
+			t.Errorf("fig7 %s: %d GPU rows, want 8", lib, n)
+		}
 	}
 }

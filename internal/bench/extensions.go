@@ -21,30 +21,25 @@ import (
 
 // Scalability sweeps DGEMM over 1..8 GPUs for XKBlas and cuBLAS-XT,
 // data-on-host.
-func Scalability(w io.Writer, run Config, quick bool) {
+func Scalability(w io.Writer, run Config, quick bool) []Row {
 	n := 32768
 	runs := 8
 	if quick {
 		n = 16384
 		runs = 3
 	}
-	fmt.Fprintf(w, "Extension — DGEMM strong scaling over GPU count (N=%d, data-on-host)\n", n)
-	fmt.Fprintf(w, "%-6s %14s %14s %10s\n", "GPUs", "XKBlas GF/s", "cuBLAS-XT GF/s", "speedup")
+	rp := report{w: w}
+	rp.line(fmt.Sprintf("Extension — DGEMM strong scaling over GPU count (N=%d, data-on-host)", n))
+	rp.line(fmt.Sprintf("%-6s %14s %14s %10s", "GPUs", "XKBlas GF/s", "cuBLAS-XT GF/s", "speedup"))
 	for g := 1; g <= 8; g++ {
 		cfg := extensionConfig(run, []int{2048, 4096}, runs)
 		cfg.Platform = topology.DGX1WithGPUs(g)
 		xk := MeasurePoint(cfg, baseline.XKBlas(), blasops.Gemm, n)
 		xt := MeasurePoint(cfg, baseline.CuBLASXT(), blasops.Gemm, n)
-		if err := firstErr(xk.Err, xt.Err); err != nil {
-			fmt.Fprintf(w, "%-6d ERROR: %v\n", g, err)
-			continue
-		}
-		ratio := 0.0
-		if xt.GFlops > 0 {
-			ratio = xk.GFlops / xt.GFlops
-		}
-		fmt.Fprintf(w, "%-6d %14.1f %14.1f %9.2fx\n", g, xk.GFlops, xt.GFlops, ratio)
+		rp.add(Row{Label: fmt.Sprintf("%-6d", g), Format: " %14.1f %14.1f %9.2fx",
+			Values: []float64{xk.GFlops, xt.GFlops, ratio(xk.GFlops, xt.GFlops)}, Err: firstErr(xk.Err, xt.Err)})
 	}
+	return rp.rows
 }
 
 // extensionConfig is the best-tile measurement of the scalability and
@@ -66,29 +61,28 @@ func extensionConfig(run Config, tiles []int, runs int) Config {
 // forwarding still pays off there because host links remain PCIe. Only the
 // hybrid cube-mesh DGX-1 exercises both heuristics — which is why the
 // paper evaluates there.
-func SummitPrediction(w io.Writer, run Config, quick bool) {
+func SummitPrediction(w io.Writer, run Config, quick bool) []Row {
 	n := 24576
 	runs := 8
 	if quick {
 		n = 16384
 		runs = 3
 	}
-	fmt.Fprintf(w, "Extension — heuristic gains by platform (DGEMM N=%d, vs no-heuristic-no-topo)\n", n)
-	fmt.Fprintf(w, "%-34s %12s %12s %12s\n", "platform", "full GF/s", "ablated GF/s", "total gain")
-	rows := []struct {
+	rp := report{w: w}
+	rp.line(fmt.Sprintf("Extension — heuristic gains by platform (DGEMM N=%d, vs no-heuristic-no-topo)", n))
+	rp.line(fmt.Sprintf("%-34s %12s %12s %12s", "platform", "full GF/s", "ablated GF/s", "total gain"))
+	type platRow struct {
 		name string
 		plat *topology.Platform
-	}{
+	}
+	rows := []platRow{
 		{"DGX-1 (cube-mesh, PCIe host)", topology.DGX1()},
 		{"DGX-2 (NVSwitch, PCIe host)", topology.DGX2WithGPUs(8)},
 		{"Summit node (NVLink host)", topology.SummitNode()},
 	}
 	if run.Platform != nil {
 		// An explicit platform joins the comparison as a fourth row.
-		rows = append(rows, struct {
-			name string
-			plat *topology.Platform
-		}{run.Platform.Name, run.Platform})
+		rows = append(rows, platRow{run.Platform.Name, run.Platform})
 	}
 	measure := func(lib baseline.Library, plat *topology.Platform) Point {
 		cfg := extensionConfig(run, []int{2048}, runs)
@@ -98,15 +92,8 @@ func SummitPrediction(w io.Writer, run Config, quick bool) {
 	for _, pc := range rows {
 		on := measure(baseline.XKBlas(), pc.plat)
 		off := measure(baseline.XKBlasNoHeuristicNoTopo(), pc.plat)
-		if err := firstErr(on.Err, off.Err); err != nil {
-			fmt.Fprintf(w, "%-34s ERROR: %v\n", pc.name, err)
-			continue
-		}
-		gain := 0.0
-		if off.GFlops > 0 {
-			gain = 100 * (on.GFlops/off.GFlops - 1)
-		}
-		fmt.Fprintf(w, "%-34s %12.1f %12.1f %+11.1f%%\n", pc.name, on.GFlops, off.GFlops, gain)
+		rp.add(Row{Label: fmt.Sprintf("%-34s", pc.name), Format: " %12.1f %12.1f %+11.1f%%",
+			Values: []float64{on.GFlops, off.GFlops, gain(on.GFlops, off.GFlops)}, Err: firstErr(on.Err, off.Err)})
 	}
 	// Per-heuristic split on the run's platform (the Fig. 3 decomposition
 	// at one size; DGX-1 unless the run names another).
@@ -117,32 +104,29 @@ func SummitPrediction(w io.Writer, run Config, quick bool) {
 	}
 	onD := measure(baseline.XKBlas(), split)
 	noH := measure(baseline.XKBlasNoHeuristic(), split)
-	if err := firstErr(onD.Err, noH.Err); err != nil {
-		fmt.Fprintf(w, "%s optimistic-only contribution: ERROR: %v\n", label, err)
-		return
-	}
-	fmt.Fprintf(w, "%s optimistic-only contribution: %+5.1f%%\n", label, 100*(onD.GFlops/noH.GFlops-1))
+	rp.add(Row{Label: label + " optimistic-only contribution:", Format: " %+5.1f%%",
+		Values: []float64{gain(onD.GFlops, noH.GFlops)}, Err: firstErr(onD.Err, noH.Err)})
+	return rp.rows
 }
 
 // Hermitian measures the complex routines (ZGEMM, HEMM, HERK, HER2K) on
 // the full XKBlas stack — the remaining three of the paper's "9 standard
 // BLAS subroutines" plus their GEMM building block.
-func Hermitian(w io.Writer, cfg Config, quick bool) {
+func Hermitian(w io.Writer, cfg Config, quick bool) []Row {
 	sizes := []int{4096, 8192, 16384, 24576}
 	if quick {
 		sizes = []int{4096, 8192}
 	}
-	fmt.Fprintln(w, "Extension — complex/Hermitian routines, XKBlas, data-on-host (GFlop/s, complex flops)")
+	rp := report{w: w}
+	rp.line("Extension — complex/Hermitian routines, XKBlas, data-on-host (GFlop/s, complex flops)")
 	for _, r := range blasops.Hermitian() {
 		for _, n := range sizes {
 			res := measureHermitian(cfg, r, n, 1024)
-			if res.Err != nil {
-				fmt.Fprintf(w, "%-6s N=%-6d ERROR: %v\n", r, n, res.Err)
-				continue
-			}
-			fmt.Fprintf(w, "%-6s N=%-6d %10.1f GF/s\n", r, n, res.GFlops)
+			rp.add(Row{Label: fmt.Sprintf("%-6s N=%-6d", r, n), Format: " %10.1f GF/s",
+				Values: []float64{res.GFlops}, Err: res.Err})
 		}
 	}
+	return rp.rows
 }
 
 // Factorizations measures the one-sided factorizations built on the BLAS-3
@@ -150,28 +134,24 @@ func Hermitian(w io.Writer, cfg Config, quick bool) {
 // paper's conclusion — and quantifies the composition benefit: the fully
 // asynchronous pipeline versus a fork-join execution with a barrier after
 // every panel.
-func Factorizations(w io.Writer, cfg Config, quick bool) {
+func Factorizations(w io.Writer, cfg Config, quick bool) []Row {
 	sizes := []int{8192, 16384, 32768}
 	if quick {
 		sizes = sizes[:2]
 	}
-	fmt.Fprintln(w, "Extension — tiled factorizations on XKBlas (data-on-host, nb=1024)")
-	fmt.Fprintf(w, "%-8s %-8s %14s %16s %10s\n", "routine", "N", "async TF/s", "fork-join TF/s", "benefit")
+	rp := report{w: w}
+	rp.line("Extension — tiled factorizations on XKBlas (data-on-host, nb=1024)")
+	rp.line(fmt.Sprintf("%-8s %-8s %14s %16s %10s", "routine", "N", "async TF/s", "fork-join TF/s", "benefit"))
 	for _, r := range []blasops.Routine{blasops.Potrf, blasops.Getrf} {
 		for _, n := range sizes {
 			async := measureFactor(cfg, r, n, 1024, false)
 			fj := measureFactor(cfg, r, n, 1024, true)
-			if err := firstErr(async.Err, fj.Err); err != nil {
-				fmt.Fprintf(w, "%-8s %-8d ERROR: %v\n", r, n, err)
-				continue
-			}
-			ben := 0.0
-			if fj.GFlops > 0 {
-				ben = 100 * (async.GFlops/fj.GFlops - 1)
-			}
-			fmt.Fprintf(w, "%-8s %-8d %14.2f %16.2f %+9.1f%%\n", r, n, async.GFlops/1000, fj.GFlops/1000, ben)
+			rp.add(Row{Label: fmt.Sprintf("%-8s %-8d", r, n), Format: " %14.2f %16.2f %+9.1f%%",
+				Values: []float64{async.GFlops / 1000, fj.GFlops / 1000, gain(async.GFlops, fj.GFlops)},
+				Err:    firstErr(async.Err, fj.Err)})
 		}
 	}
+	return rp.rows
 }
 
 // measureFactor runs one factorization in timing mode; panelSync inserts a
@@ -202,26 +182,22 @@ func measureFactor(cfg Config, r blasops.Routine, n, nb int, panelSync bool) bas
 // registers (page-locks) operand memory before the timed section; charging
 // that cost inside the measurement degrades small-problem throughput
 // substantially.
-func PinningCost(w io.Writer, cfg Config, quick bool) {
+func PinningCost(w io.Writer, cfg Config, quick bool) []Row {
 	sizes := []int{8192, 16384, 32768}
 	if quick {
 		sizes = sizes[:2]
 	}
-	fmt.Fprintln(w, "Extension — DGEMM with and without page-locking inside the timed section (§IV-A)")
-	fmt.Fprintf(w, "%-8s %16s %18s %10s\n", "N", "pinned a priori", "pinning measured", "penalty")
+	rp := report{w: w}
+	rp.line("Extension — DGEMM with and without page-locking inside the timed section (§IV-A)")
+	rp.line(fmt.Sprintf("%-8s %16s %18s %10s", "N", "pinned a priori", "pinning measured", "penalty"))
 	for _, n := range sizes {
 		without := measureGemmPinning(cfg, n, 2048, false)
 		with := measureGemmPinning(cfg, n, 2048, true)
-		if err := firstErr(without.Err, with.Err); err != nil {
-			fmt.Fprintf(w, "%-8d ERROR: %v\n", n, err)
-			continue
-		}
-		pen := 0.0
-		if with.GFlops > 0 {
-			pen = 100 * (without.GFlops/with.GFlops - 1)
-		}
-		fmt.Fprintf(w, "%-8d %13.1f GF %15.1f GF %9.1f%%\n", n, without.GFlops, with.GFlops, pen)
+		rp.add(Row{Label: fmt.Sprintf("%-8d", n), Format: " %13.1f GF %15.1f GF %9.1f%%",
+			Values: []float64{without.GFlops, with.GFlops, gain(without.GFlops, with.GFlops)},
+			Err:    firstErr(without.Err, with.Err)})
 	}
+	return rp.rows
 }
 
 func measureGemmPinning(cfg Config, n, nb int, chargePin bool) baseline.Result {
@@ -278,15 +254,4 @@ func measureHermitian(cfg Config, r blasops.Routine, n, nb int) baseline.Result 
 func callXKBlas(cfg Config, nb int, body baseline.Body) baseline.Result {
 	req := baseline.Request{NB: nb, Platform: cfg.Platform, Check: cfg.Check, Ctx: cfg.Ctx}
 	return baseline.XKBlas().(*baseline.StdLib).Call(req, body)
-}
-
-// firstErr returns the first non-nil error: the cause a row reports when
-// one of its measurements failed.
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

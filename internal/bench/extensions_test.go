@@ -1,60 +1,47 @@
 package bench
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"strings"
 	"testing"
 
 	"xkblas/internal/blasops"
 )
 
 func TestExtensionExperimentsRun(t *testing.T) {
-	// Each extension must complete and produce non-empty output at quick
-	// scale; they are part of the cmd/xkbench surface.
-	cases := map[string]func(io.Writer, Config, bool){
-		"scale":    Scalability,
-		"summit":   SummitPrediction,
-		"pinning":  PinningCost,
-		"hermitan": Hermitian,
-		"factor":   Factorizations,
-	}
-	for name, fn := range cases {
-		var buf bytes.Buffer
-		fn(&buf, parallelRun(), true)
-		if buf.Len() == 0 {
-			t.Errorf("%s produced no output", name)
+	// Each extension must complete and measure every row at quick scale;
+	// they are part of the cmd/xkbench surface.
+	for _, name := range []string{"scale", "summit", "pinning", "hermitian", "factor"} {
+		rows := quickRows()[name]
+		if len(measured(rows)) == 0 {
+			t.Errorf("%s measured nothing", name)
 		}
-		if strings.Contains(buf.String(), "ERROR") {
-			t.Errorf("%s reported errors:\n%s", name, buf.String())
+		for _, r := range rows {
+			if r.Err != nil {
+				t.Errorf("%s reported errors:\n%s", name, dump(rows))
+				break
+			}
 		}
 	}
 }
 
-func TestSummitPredictionHolds(t *testing.T) {
-	var buf bytes.Buffer
-	SummitPrediction(&buf, parallelRun(), true)
-	out := buf.String()
-	// Parse the gain column and assert the DGX-1 gain dominates Summit's
-	// (§III-C): the table rows are "platform  full  ablated  gain%".
-	var dgx, summit float64
-	for _, line := range strings.Split(out, "\n") {
-		var on, off, gain float64
-		if strings.HasPrefix(line, "DGX-1 (") {
-			if _, err := fmtSscanfGain(line, &on, &off, &gain); err == nil {
-				dgx = gain
-			}
-		}
-		if strings.HasPrefix(line, "Summit") {
-			if _, err := fmtSscanfGain(line, &on, &off, &gain); err == nil {
-				summit = gain
-			}
-		}
+// platformGain is the total-gain column of the summit table row whose
+// platform label starts with prefix.
+func platformGain(t *testing.T, rows []Row, prefix string) float64 {
+	t.Helper()
+	m := rowsWithPrefix(measured(rows), prefix)
+	if len(m) != 1 || m[0].Err != nil || len(m[0].Values) != 3 {
+		t.Fatalf("no measured %q row:\n%s", prefix, dump(rows))
 	}
+	return m[0].Values[2]
+}
+
+func TestSummitPredictionHolds(t *testing.T) {
+	rows := quickRows()["summit"]
+	// The DGX-1 gain must dominate Summit's (§III-C).
+	dgx := platformGain(t, rows, "DGX-1 (")
+	summit := platformGain(t, rows, "Summit")
 	if dgx <= summit {
 		t.Fatalf("§III-C prediction violated: DGX-1 gain %.1f%% <= Summit gain %.1f%%\n%s",
-			dgx, summit, out)
+			dgx, summit, dump(rows))
 	}
 	if dgx < 5 {
 		t.Fatalf("optimistic heuristic gain on DGX-1 suspiciously small: %.1f%%", dgx)
@@ -62,51 +49,6 @@ func TestSummitPredictionHolds(t *testing.T) {
 	if summit > dgx/2 {
 		t.Fatalf("Summit gain should be much smaller than DGX-1 gain: %.1f vs %.1f", summit, dgx)
 	}
-}
-
-// fmtSscanfGain extracts the "full ablated gain%" numeric columns from a
-// platform row, skipping digits embedded in the platform name.
-func fmtSscanfGain(line string, on, off, gain *float64) (int, error) {
-	idx := strings.Index(line, ")")
-	if idx < 0 {
-		return 0, io.EOF
-	}
-	return sscanThree(line[idx+1:], on, off, gain)
-}
-
-func sscanThree(s string, on, off, gain *float64) (int, error) {
-	var a, b, c float64
-	n, err := fscan(s, &a, &b, &c)
-	if err != nil {
-		return n, err
-	}
-	*on, *off, *gain = a, b, c
-	return n, nil
-}
-
-func fscan(s string, out ...*float64) (int, error) {
-	fields := strings.FieldsFunc(s, func(r rune) bool {
-		return !(r == '.' || r == '-' || r == '+' || (r >= '0' && r <= '9'))
-	})
-	n := 0
-	for _, f := range fields {
-		if n >= len(out) {
-			break
-		}
-		var v float64
-		if _, err := sscanFloat(f, &v); err == nil {
-			*out[n] = v
-			n++
-		}
-	}
-	if n < len(out) {
-		return n, io.ErrUnexpectedEOF
-	}
-	return n, nil
-}
-
-func sscanFloat(s string, v *float64) (int, error) {
-	return fmt.Sscan(s, v)
 }
 
 func TestPinningPenaltySubstantial(t *testing.T) {

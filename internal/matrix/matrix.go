@@ -152,54 +152,6 @@ func MaxAbsDiff(a, b View) float64 {
 	return d
 }
 
-// Tiling describes the decomposition of an M×N matrix into NB×NB tiles
-// (edge tiles may be smaller).
-type Tiling struct {
-	M, N, NB int
-}
-
-// NewTiling validates and builds a tiling.
-func NewTiling(m, n, nb int) Tiling {
-	if nb <= 0 {
-		panic(fmt.Sprintf("matrix: tile size %d", nb))
-	}
-	return Tiling{M: m, N: n, NB: nb}
-}
-
-// Rows reports the number of tile rows ⌈M/NB⌉.
-func (t Tiling) Rows() int { return ceilDiv(t.M, t.NB) }
-
-// Cols reports the number of tile columns ⌈N/NB⌉.
-func (t Tiling) Cols() int { return ceilDiv(t.N, t.NB) }
-
-// TileDims reports the dimensions of tile (i,j).
-func (t Tiling) TileDims(i, j int) (m, n int) {
-	if i < 0 || j < 0 || i >= t.Rows() || j >= t.Cols() {
-		panic(fmt.Sprintf("matrix: tile (%d,%d) out of %dx%d grid", i, j, t.Rows(), t.Cols()))
-	}
-	m = t.NB
-	if r := t.M - i*t.NB; r < m {
-		m = r
-	}
-	n = t.NB
-	if c := t.N - j*t.NB; c < n {
-		n = c
-	}
-	return m, n
-}
-
-// TileView returns the sub-view of v corresponding to tile (i,j).
-func (t Tiling) TileView(v View, i, j int) View {
-	m, n := t.TileDims(i, j)
-	return v.Sub(i*t.NB, j*t.NB, m, n)
-}
-
-// TileBytes reports the compacted byte size of tile (i,j).
-func (t Tiling) TileBytes(i, j int) int64 {
-	m, n := t.TileDims(i, j)
-	return int64(m) * int64(n) * WordSize
-}
-
 // Dist2D is a ScaLAPACK-style 2D block-cyclic distribution of a tile grid
 // over a P×Q grid of devices, the layout of §IV-C. Block sizes (MB,NB) are
 // in tiles: (1,1) maps adjacent tiles to different devices, as in the paper.
@@ -229,10 +181,3 @@ func (d Dist2D) OwnerOf(i, j int) int {
 func (d Dist2D) Devices() int { return d.P * d.Q }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

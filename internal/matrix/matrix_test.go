@@ -88,64 +88,6 @@ func TestShapeOnlyViews(t *testing.T) {
 	}
 }
 
-func TestTilingGrid(t *testing.T) {
-	tl := NewTiling(10, 7, 4)
-	if tl.Rows() != 3 || tl.Cols() != 2 {
-		t.Fatalf("grid = %dx%d, want 3x2", tl.Rows(), tl.Cols())
-	}
-	m, n := tl.TileDims(2, 1)
-	if m != 2 || n != 3 {
-		t.Fatalf("edge tile = %dx%d, want 2x3", m, n)
-	}
-	if tl.TileBytes(2, 1) != 2*3*8 {
-		t.Fatalf("tile bytes = %d", tl.TileBytes(2, 1))
-	}
-}
-
-func TestTileViewPlacement(t *testing.T) {
-	v := New(10, 10)
-	tl := NewTiling(10, 10, 4)
-	tv := tl.TileView(v, 1, 2)
-	tv.Set(0, 0, 5)
-	if v.At(4, 8) != 5 {
-		t.Fatal("tile view offset wrong")
-	}
-	if tv.M != 4 || tv.N != 2 {
-		t.Fatalf("tile (1,2) dims = %dx%d, want 4x2", tv.M, tv.N)
-	}
-}
-
-// Property: tiles cover the matrix exactly once.
-func TestTilingPartitionProperty(t *testing.T) {
-	f := func(mRaw, nRaw, nbRaw uint8) bool {
-		m, n, nb := int(mRaw%50)+1, int(nRaw%50)+1, int(nbRaw%16)+1
-		tl := NewTiling(m, n, nb)
-		covered := make([]int, m*n)
-		for i := 0; i < tl.Rows(); i++ {
-			for j := 0; j < tl.Cols(); j++ {
-				tm, tn := tl.TileDims(i, j)
-				if tm <= 0 || tn <= 0 || tm > nb || tn > nb {
-					return false
-				}
-				for jj := 0; jj < tn; jj++ {
-					for ii := 0; ii < tm; ii++ {
-						covered[(j*nb+jj)*m+i*nb+ii]++
-					}
-				}
-			}
-		}
-		for _, c := range covered {
-			if c != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDist2DPaperLayout(t *testing.T) {
 	// The paper's DoD experiments use a (4,2) grid with (1,1) blocks:
 	// adjacent tiles land on different GPUs.

@@ -103,12 +103,13 @@ func (r *Recorder) CumulativeByKind() map[OpKind]sim.Time {
 }
 
 // NormalizedByKind reports each category's share of the total recorded busy
-// time, in percent — the right panel of Fig. 6.
+// time, in percent — the right panel of Fig. 6. The total is summed in
+// Kinds order, so repeated calls agree to the last bit.
 func (r *Recorder) NormalizedByKind() map[OpKind]float64 {
 	cum := r.CumulativeByKind()
 	var total sim.Time
-	for _, v := range cum {
-		total += v
+	for _, k := range Kinds() {
+		total += cum[k]
 	}
 	out := make(map[OpKind]float64, len(cum))
 	if total == 0 {

@@ -51,6 +51,25 @@ func TestCumulativeAndNormalized(t *testing.T) {
 	}
 }
 
+// TestNormalizedByKindDeterministic: the shares divide by one total, summed
+// in a fixed kind order, so repeated calls agree to the last bit even where
+// the order of a float sum shows (0.1, 0.7, 0.2 and 0.3 sum to 1.3 or to
+// 1.2999999999999998 depending on where the sum starts).
+func TestNormalizedByKindDeterministic(t *testing.T) {
+	r := NewRecorder()
+	for i, d := range []sim.Time{0.1, 0.7, 0.2, 0.3} {
+		r.Events = append(r.Events, Event{Kind: Kinds()[i], End: d})
+	}
+	want := r.NormalizedByKind()
+	for range 200 {
+		for k, v := range r.NormalizedByKind() {
+			if v != want[k] {
+				t.Fatalf("%v share %v, first call %v", k, v, want[k])
+			}
+		}
+	}
+}
+
 func TestSpanAndTimeline(t *testing.T) {
 	r := sampleRecorder()
 	s, e := r.Span()

@@ -25,7 +25,6 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero-window", Options{}, "Window"},
 		{"negative-window", Options{Window: -2}, "Window"},
-		{"negative-grid", Options{Window: 4, GridP: -1, Policy: &policy.XKBlas}, "grid"},
 		{"no-policy", Options{Window: 4}, "Policy"},
 		{"incomplete-bundle", Options{Window: 4, Policy: &policy.Bundle{Source: policy.TopoRank{}}}, "Scheduler"},
 	}

@@ -24,9 +24,6 @@ type Options struct {
 	// communication and computation by running each operation type on its
 	// own stream (§II-B).
 	Window int
-	// GridP×GridQ is the owner-computes mapping grid; 0 derives it from
-	// the GPU count (8→4×2, matching the paper's DoD grid).
-	GridP, GridQ int
 	// StreamWindow, when positive, bounds the number of live tasks
 	// (admitted into the runtime but not yet completed): a submission past
 	// the bound waits, in submission order, until older tasks retire. A
@@ -47,9 +44,6 @@ type Options struct {
 func (o Options) Validate() error {
 	if o.Window < 1 {
 		return fmt.Errorf("xkrt: Options.Window must be >= 1, got %d", o.Window)
-	}
-	if o.GridP < 0 || o.GridQ < 0 {
-		return fmt.Errorf("xkrt: negative owner grid %dx%d", o.GridP, o.GridQ)
 	}
 	if o.StreamWindow < 0 {
 		return fmt.Errorf("xkrt: negative Options.StreamWindow %d", o.StreamWindow)
@@ -125,6 +119,10 @@ type Runtime struct {
 	pending int // submitted but not completed tasks
 	ownerRR int // round-robin fallback for unowned written tiles
 
+	// gridP×gridQ is the owner-computes mapping grid, derived from the GPU
+	// count (8→4×2, matching the paper's DoD grid).
+	gridP, gridQ int
+
 	pol policy.Bundle
 
 	// dec counts the run's policy decisions, each where it is taken (the
@@ -188,6 +186,7 @@ func New(eng *sim.Engine, plat *device.Platform, functional bool, opt Options) *
 		window:  make([]int, n),
 		estLoad: make([]sim.Time, n),
 	}
+	rt.gridP, rt.gridQ = defaultGrid(n)
 	rt.SetOptions(opt)
 	rt.stallHist = metrics.NewHistogram(StallBuckets)
 	rt.windowFull = func() bool { return rt.live >= rt.Opt.StreamWindow }
@@ -195,17 +194,13 @@ func New(eng *sim.Engine, plat *device.Platform, functional bool, opt Options) *
 }
 
 // SetOptions installs opt: the policy bundle (source selector, scheduler,
-// evictor), the pipeline and stream windows and the owner grid, derived
-// from the GPU count when unset. New applies its options through it, and a
+// evictor) and the pipeline and stream windows. New applies its options through it, and a
 // recycled runtime takes another configuration through it after Reset, so
 // a retargeted runtime runs exactly like one built with opt. Call it
 // between runs only. Invalid options panic, as in New.
 func (rt *Runtime) SetOptions(opt Options) {
 	if err := opt.Validate(); err != nil {
 		panic(err)
-	}
-	if opt.GridP == 0 || opt.GridQ == 0 {
-		opt.GridP, opt.GridQ = defaultGrid(len(rt.Plat.GPUs))
 	}
 	rt.Opt = opt
 	rt.pol = *opt.Policy
@@ -409,7 +404,7 @@ func (s schedState) EstimateExec(t policy.SchedTask) sim.Time {
 }
 
 // Grid implements policy.SchedState.
-func (s schedState) Grid() (p, q int) { return s.rt.Opt.GridP, s.rt.Opt.GridQ }
+func (s schedState) Grid() (p, q int) { return s.rt.gridP, s.rt.gridQ }
 
 // NextRoundRobin implements policy.SchedState.
 func (s schedState) NextRoundRobin() topology.DeviceID {
