@@ -32,15 +32,20 @@ golden-check:
 
 # Audit gate: the quick sweep plus the three experiments -exp all leaves
 # out (bign, batch, and the xkserve replay), each under the coherence
-# auditor. Unlike golden-check's pooled handles, -check runs build fresh
-# handles, and the auditor verifies every cache and scheduler transition
-# they drive; any violation exits nonzero. Prints each run's
-# drain/violation summary (xkserve writes it on stderr).
+# auditor, and one BLASX GEMM whose 45% memory reservation forces
+# capacity evictions, which none of the others reach. Unlike
+# golden-check's pooled handles, -check runs build fresh handles, and the
+# auditor verifies every cache and scheduler transition they drive; any
+# violation exits nonzero. Prints each run's drain/violation summary
+# (xkserve writes it on stderr) and the BLASX run's decision counters,
+# whose evict column counts the audited evictions.
 audit-check:
 	@for e in all bign batch; do \
 		$(GO) run ./cmd/xkbench -exp $$e -quick -check > .audit-check.txt || { cat .audit-check.txt; exit 1; }; \
 		echo "-exp $$e: $$(tail -n 1 .audit-check.txt)"; \
 	done; \
+	$(GO) run ./cmd/xkbench -exp sweep -libs BLASX -routines GEMM -sizes 57344 -tiles 4096 -runs 1 -decisions -check > .audit-check.txt || { cat .audit-check.txt; exit 1; }; \
+	echo "-exp sweep (BLASX eviction):"; tail -n 3 .audit-check.txt; \
 	$(GO) run ./cmd/xkserve -requests 300 -check 2> .audit-check.txt > /dev/null || { cat .audit-check.txt; exit 1; }; \
 	echo "xkserve: $$(tail -n 1 .audit-check.txt)"; rm -f .audit-check.txt
 

@@ -15,7 +15,6 @@ import (
 	"xkblas/internal/baseline"
 	"xkblas/internal/bench"
 	"xkblas/internal/blasops"
-	"xkblas/internal/device"
 	"xkblas/internal/policy"
 	"xkblas/internal/topology"
 	"xkblas/internal/xkrt"
@@ -225,23 +224,6 @@ func BenchmarkExtensionPinning(b *testing.B) {
 func BenchmarkExtensionScalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bench.Scalability(io.Discard, bench.Config{}, true)
-	}
-}
-
-// BenchmarkAblationLinkModel compares FIFO link serialization against
-// processor-sharing multiplexing: the headline comparison must be robust
-// to the contention model choice.
-func BenchmarkAblationLinkModel(b *testing.B) {
-	for _, lm := range []struct {
-		name string
-		m    device.LinkModel
-	}{{"fifo", device.LinksFIFO}, {"fair-share", device.LinksFairShare}} {
-		for _, lib := range []baseline.Library{baseline.XKBlas(), baseline.CuBLASXT()} {
-			b.Run(lm.name+"/"+lib.Name(), func(b *testing.B) {
-				runLib(b, lib, baseline.Request{
-					Routine: blasops.Gemm, N: benchN, NB: benchNB, Links: lm.m})
-			})
-		}
 	}
 }
 

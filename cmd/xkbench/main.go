@@ -39,6 +39,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,48 +58,60 @@ import (
 	"xkblas/internal/topology"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment: table1,fig2,fig3,table2,fig4,fig5,fig6,fig7,fig8,fig9,scale,summit,hermitian,pinning,factor,bign,sweep,batch,all")
-	platformFlag := flag.String("platform", "",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run regenerates the selected experiments on w and returns the exit
+// status: 0 on success, 1 when a run, a sink or the audit fails, 2 on bad
+// flags or an output path that cannot be created.
+func run(args []string, w, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("xkbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: table1,fig2,fig3,table2,fig4,fig5,fig6,fig7,fig8,fig9,scale,summit,hermitian,pinning,factor,bign,sweep,batch,all")
+	platformFlag := fs.String("platform", "",
 		"simulated platform from the topology registry (empty = the DGX-1 of the paper); an unknown name lists the registered platforms and exits nonzero")
-	quick := flag.Bool("quick", false, "reduced sizes and repetitions")
-	csvPath := flag.String("csv", "", "write sweep points as CSV to this path (sweep experiments only)")
-	libsFlag := flag.String("libs", "", "custom sweep (-exp sweep): comma-separated library names; empty = Fig. 5 roster")
-	routinesFlag := flag.String("routines", "GEMM", "custom sweep: comma-separated routine names")
-	sizesFlag := flag.String("sizes", "8192,16384,32768", "custom sweep: comma-separated matrix dimensions")
-	tilesFlag := flag.String("tiles", "1024,2048,4096", "custom sweep: comma-separated tile sizes")
-	runs := flag.Int("runs", 3, "custom sweep: measured repetitions")
-	dod := flag.Bool("dod", false, "custom sweep: data-on-device scenario")
-	plot := flag.Bool("plot", false, "render sweep results as ASCII TFlop/s-vs-N charts")
-	decisions := flag.Bool("decisions", false,
+	quick := fs.Bool("quick", false, "reduced sizes and repetitions")
+	csvPath := fs.String("csv", "", "write sweep points as CSV to this path (sweep experiments only)")
+	libsFlag := fs.String("libs", "", "custom sweep (-exp sweep): comma-separated library names; empty = Fig. 5 roster")
+	routinesFlag := fs.String("routines", "GEMM", "custom sweep: comma-separated routine names")
+	sizesFlag := fs.String("sizes", "8192,16384,32768", "custom sweep: comma-separated matrix dimensions")
+	tilesFlag := fs.String("tiles", "1024,2048,4096", "custom sweep: comma-separated tile sizes")
+	runs := fs.Int("runs", 3, "custom sweep: measured repetitions")
+	dod := fs.Bool("dod", false, "custom sweep: data-on-device scenario")
+	plot := fs.Bool("plot", false, "render sweep results as ASCII TFlop/s-vs-N charts")
+	decisions := fs.Bool("decisions", false,
 		"print the policy-decision counters (transfer sources by link class, optimistic chains, evictions, steals) of each sweep point")
-	parallel := flag.Int("parallel", runtime.NumCPU(),
+	parallel := fs.Int("parallel", runtime.NumCPU(),
 		"workers for independent simulated runs, the calling goroutine included (1 = every run on the calling goroutine, in plan order; results are bit-identical at any level)")
-	checkFlag := flag.Bool("check", false,
+	checkFlag := fs.Bool("check", false,
 		"run every simulation under the coherence-invariant auditor (internal/check); violations surface as per-point errors and a non-zero exit")
-	timeout := flag.Duration("timeout", 0,
+	timeout := fs.Duration("timeout", 0,
 		"wall-clock bound for the whole run (0 = none); on expiry — or on Ctrl-C — no new simulations start, in-flight ones are aborted, completed points are flushed to every sink and the exit status is nonzero")
-	metricsFlag := flag.Bool("metrics", false,
+	metricsFlag := fs.Bool("metrics", false,
 		"collect per-run utilization metrics (resource occupancy, link-class traffic, cache and scheduler counters); prints a per-point rollup table and, with -csv out.csv, writes the full snapshots to out.metrics.json")
-	window := flag.Int("window", 0,
+	window := fs.Int("window", 0,
 		"stream every run's task DAG through a bounded admission window of this many live tasks instead of materializing it whole (0 = whole graph); numerical results never change, but a window small enough to bind delays admission and changes the timings")
-	batchCount := flag.Int("batch-count", 0,
+	batchCount := fs.Int("batch-count", 0,
 		"batch experiment: pin the batch size (instances per request) instead of sweeping the default grid (0 = sweep)")
-	batchN := flag.Int("batch-n", 0,
+	batchN := fs.Int("batch-n", 0,
 		"batch experiment: pin the square instance dimension instead of sweeping the default grid (0 = sweep)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this process to this path")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of this process to this path at exit")
-	flag.Parse()
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of this process to this path")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of this process to this path at exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if msg := flagProblem(*window, *parallel, *runs, *batchCount, *batchN, *sizesFlag, *tilesFlag, *timeout); msg != "" {
-		fmt.Fprintf(os.Stderr, "xkbench: %s\n", msg)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "xkbench: %s\n", msg)
+		fs.Usage()
+		return 2
 	}
-	// run carries every run-wide setting to the experiment drivers; its
+	// cfg carries every run-wide setting to the experiments; its
 	// Ctx is the deadline/SIGINT context built below. Its leaf memo lets
 	// every experiment of this invocation share the leaves it simulates.
-	run := bench.Config{
+	cfg := bench.Config{
 		Parallel:     *parallel,
 		Check:        *checkFlag,
 		Metrics:      *metricsFlag,
@@ -108,31 +121,15 @@ func main() {
 	if *platformFlag != "" {
 		plat, ok := topology.Lookup(*platformFlag)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "xkbench: unknown platform %q; registered platforms: %s\n",
+			fmt.Fprintf(stderr, "xkbench: unknown platform %q; registered platforms: %s\n",
 				*platformFlag, strings.Join(topology.Names(), ", "))
-			os.Exit(2)
+			return 2
 		}
-		run.Platform = plat
-	}
-	stopProfiles, err := metrics.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xkbench: %v\n", err)
-		os.Exit(2)
-	}
-	// exit ends the process through the profile writers: os.Exit skips
-	// deferred calls, so every exit from here on goes through it.
-	exit := func(code int) {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "xkbench: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-		os.Exit(code)
+		cfg.Platform = plat
 	}
 
-	// Deadline and SIGINT share one context, which run hands to every
-	// experiment driver. Without -timeout and without a signal the context
+	// Deadline and SIGINT share one context, which cfg hands to every
+	// experiment. Without -timeout and without a signal the context
 	// never fires and the run is bit-identical to an unbounded one.
 	ctx := context.Background()
 	cancel := context.CancelFunc(func() {})
@@ -142,71 +139,91 @@ func main() {
 	defer cancel()
 	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt)
 	defer stopSignals()
-	run.Ctx = ctx
+	cfg.Ctx = ctx
 
-	w := os.Stdout
+	// The custom sweep's settings fail the run only when -exp sweep runs it.
+	sweep, err := sweepConfig(w, cfg, *libsFlag, *routinesFlag, *sizesFlag, *tilesFlag, *runs, *dod)
+	if err != nil && *exp == "sweep" {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	var points []bench.Point
-	exitErr := false
-	// The experiments that report rows, each printed as it is produced.
-	rowExps := map[string]func(io.Writer, bench.Config, bool) []bench.Row{
+	// exps runs each experiment by name; row experiments print rows as
+	// they are produced.
+	exps := map[string]func(){
+		"table1": func() { bench.TableI(w, cfg) },
+		"fig2":   func() { bench.Fig2BandwidthMatrix(w, cfg) },
+		"fig3":   func() { points = append(points, bench.Fig3(w, cfg, *quick)...) },
+		"fig4":   func() { points = append(points, bench.Fig4(w, cfg, *quick)...) },
+		"fig5":   func() { points = append(points, bench.Fig5(w, cfg, *quick)...) },
+		"bign": func() {
+			for _, r := range bench.BigN(w, cfg, *quick) {
+				if r.Err != nil {
+					code = 1 // returned once every sink is written
+				}
+			}
+		},
+		"sweep": func() {
+			fmt.Fprintf(w, "Custom sweep (%s)\n", sweep.Scenario)
+			points = append(points, bench.RunSweep(sweep)...)
+		},
+		"batch": func() { bench.BatchSweep(w, cfg, *quick, *batchCount, *batchN) },
+	}
+	for name, fn := range map[string]func(io.Writer, bench.Config, bool) []bench.Row{
 		"table2": bench.TableII, "fig6": bench.Fig6, "fig7": bench.Fig7, "fig8": bench.Fig8, "fig9": bench.Fig9,
 		"scale": bench.Scalability, "summit": bench.SummitPrediction, "hermitian": bench.Hermitian,
 		"pinning": bench.PinningCost, "factor": bench.Factorizations,
+	} {
+		exps[name] = func() { fn(w, cfg, *quick) }
 	}
-	runExp := func(name string) {
-		switch name {
-		case "table1":
-			bench.TableI(w, run)
-		case "fig2":
-			bench.Fig2BandwidthMatrix(w, run)
-		case "fig3":
-			points = append(points, bench.Fig3(w, run, *quick)...)
-		case "fig4":
-			points = append(points, bench.Fig4(w, run, *quick)...)
-		case "fig5":
-			points = append(points, bench.Fig5(w, run, *quick)...)
-		case "bign":
-			for _, r := range bench.BigN(w, run, *quick) {
-				if r.Err != nil {
-					exitErr = true
-				}
-			}
-		case "sweep":
-			pts, err := customSweep(w, run, *libsFlag, *routinesFlag, *sizesFlag, *tilesFlag, *runs, *dod)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit(2)
-			}
-			points = append(points, pts...)
-		case "batch":
-			bench.BatchSweep(w, run, *quick, *batchCount, *batchN)
-		default:
-			fn, ok := rowExps[name]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-				flag.Usage()
-				exit(2)
-			}
-			fn(w, run, *quick)
-		}
-		fmt.Fprintln(w)
-	}
-
+	names := []string{*exp}
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig2", "fig3", "table2", "fig4", "fig5",
-			"fig6", "fig7", "fig8", "fig9", "scale", "summit", "hermitian", "pinning", "factor"} {
-			fmt.Fprintf(w, "==== %s ====\n", strings.ToUpper(name))
-			runExp(name)
+		names = []string{"table1", "fig2", "fig3", "table2", "fig4", "fig5",
+			"fig6", "fig7", "fig8", "fig9", "scale", "summit", "hermitian", "pinning", "factor"}
+	} else if exps[*exp] == nil {
+		fmt.Fprintf(stderr, "unknown experiment %q\n", *exp)
+		fs.Usage()
+		return 2
+	}
+	// The sinks are created (empty) before the first simulation, so an
+	// unusable path fails at once; the points are written at the end.
+	if *csvPath != "" {
+		if err := os.WriteFile(*csvPath, nil, 0o666); err != nil {
+			fmt.Fprintf(stderr, "csv: %v\n", err)
+			return 2
 		}
-	} else {
-		runExp(*exp)
+		if *metricsFlag {
+			if err := os.WriteFile(metricsPath(*csvPath), nil, 0o666); err != nil {
+				fmt.Fprintf(stderr, "metrics json: %v\n", err)
+				return 2
+			}
+		}
+	}
+	stopProfiles, err := metrics.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(stderr, "xkbench: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(stderr, "xkbench: %v\n", err)
+			code = max(code, 1)
+		}
+	}()
+
+	for _, name := range names {
+		if *exp == "all" {
+			fmt.Fprintf(w, "==== %s ====\n", strings.ToUpper(name))
+		}
+		exps[name]()
+		fmt.Fprintln(w)
 	}
 
 	if *plot && len(points) > 0 {
 		fmt.Fprintln(w)
 		if err := bench.PlotSweep(w, points, 90, 18); err != nil {
-			fmt.Fprintf(os.Stderr, "plot: %v\n", err)
-			exit(1)
+			fmt.Fprintf(stderr, "plot: %v\n", err)
+			return 1
 		}
 	}
 
@@ -214,8 +231,8 @@ func main() {
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "Policy decision counters (best tile, first measured run):")
 		if err := bench.WriteDecisions(w, points); err != nil {
-			fmt.Fprintf(os.Stderr, "decisions: %v\n", err)
-			exit(1)
+			fmt.Fprintf(stderr, "decisions: %v\n", err)
+			return 1
 		}
 	}
 
@@ -223,22 +240,22 @@ func main() {
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "Resource utilization (best tile, first measured run):")
 		if err := bench.WriteMetricsTable(w, points); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			exit(1)
+			fmt.Fprintf(stderr, "metrics: %v\n", err)
+			return 1
 		}
 	}
 
 	if *csvPath != "" {
 		if err := writeCSVFile(*csvPath, points); err != nil {
-			fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-			exit(1)
+			fmt.Fprintf(stderr, "csv: %v\n", err)
+			return 1
 		}
 		fmt.Fprintf(w, "wrote %d points to %s\n", len(points), *csvPath)
 		if *metricsFlag {
 			mp := metricsPath(*csvPath)
 			if err := writeMetricsJSONFile(mp, points); err != nil {
-				fmt.Fprintf(os.Stderr, "metrics json: %v\n", err)
-				exit(1)
+				fmt.Fprintf(stderr, "metrics json: %v\n", err)
+				return 1
 			}
 			fmt.Fprintf(w, "wrote metrics snapshots to %s\n", mp)
 		}
@@ -248,19 +265,16 @@ func main() {
 		drains, violations := check.Stats()
 		fmt.Fprintf(w, "coherence audit: %d clean drains, %d violations\n", drains, violations)
 		if violations > 0 {
-			exit(1)
+			return 1
 		}
 	}
 
 	if err := ctx.Err(); err != nil {
 		// All sinks above have been flushed with the completed prefix.
-		fmt.Fprintf(os.Stderr, "xkbench: run aborted: %v\n", err)
-		exit(1)
+		fmt.Fprintf(stderr, "xkbench: run aborted: %v\n", err)
+		return 1
 	}
-	if exitErr {
-		exit(1)
-	}
-	exit(0)
+	return code
 }
 
 // maxWholeGraphTasks bounds the whole-graph DAG one -sizes × -tiles pair
@@ -369,9 +383,9 @@ func writeMetricsJSONFile(path string, points []bench.Point) error {
 	return writeMetricsJSONTo(f, points)
 }
 
-// customSweep runs a user-specified sweep over the library roster with the
-// run-wide settings of run.
-func customSweep(w *os.File, run bench.Config, libsSpec, routinesSpec, sizesSpec, tilesSpec string, runs int, dod bool) ([]bench.Point, error) {
+// sweepConfig builds the custom sweep (-exp sweep) over the run-wide
+// settings of run; w receives its progress lines.
+func sweepConfig(w io.Writer, run bench.Config, libsSpec, routinesSpec, sizesSpec, tilesSpec string, runs int, dod bool) (bench.Config, error) {
 	cfg := run
 	cfg.Runs = runs
 	cfg.NoiseAmp = 0.02
@@ -380,33 +394,50 @@ func customSweep(w *os.File, run bench.Config, libsSpec, routinesSpec, sizesSpec
 	if dod {
 		cfg.Scenario = baseline.DataOnDevice
 	}
-	if libsSpec == "" {
-		cfg.Libs = bench.Roster()
-	} else {
-		for _, name := range strings.Split(libsSpec, ",") {
-			lib := bench.LibraryByName(strings.TrimSpace(name))
-			if lib == nil {
-				return nil, fmt.Errorf("unknown library %q", name)
-			}
-			cfg.Libs = append(cfg.Libs, lib)
+	cfg.Libs = bench.Roster()
+	var err error
+	if libsSpec != "" {
+		if cfg.Libs, err = parseLibs(libsSpec); err != nil {
+			return cfg, err
 		}
 	}
 	for _, rn := range strings.Split(routinesSpec, ",") {
 		r, err := blasops.ParseRoutine(strings.TrimSpace(rn))
 		if err != nil {
-			return nil, err
+			return cfg, err
 		}
 		cfg.Routines = append(cfg.Routines, r)
 	}
-	var err error
 	if cfg.Sizes, err = parseInts(sizesSpec); err != nil {
-		return nil, fmt.Errorf("sizes: %w", err)
+		return cfg, fmt.Errorf("sizes: %w", err)
 	}
 	if cfg.Tiles, err = parseInts(tilesSpec); err != nil {
-		return nil, fmt.Errorf("tiles: %w", err)
+		return cfg, fmt.Errorf("tiles: %w", err)
 	}
-	fmt.Fprintf(w, "Custom sweep (%s)\n", cfg.Scenario)
-	return bench.RunSweep(cfg), nil
+	return cfg, nil
+}
+
+// parseLibs resolves a -libs list. A library name may itself contain ", "
+// (the Fig. 3 ablations), so each library takes the longest run of
+// comma-separated pieces that bench.LibraryByName knows, trimmed and
+// joined with ", ".
+func parseLibs(spec string) (libs []baseline.Library, err error) {
+	pieces := strings.Split(spec, ",")
+	for i := 0; i < len(pieces); {
+		var lib baseline.Library
+		n, name := 0, ""
+		for j, p := range pieces[i:] {
+			name += ", " + strings.TrimSpace(p)
+			if l := bench.LibraryByName(name[2:]); l != nil {
+				lib, n = l, j+1
+			}
+		}
+		if lib == nil {
+			return nil, fmt.Errorf("unknown library %q", pieces[i])
+		}
+		libs, i = append(libs, lib), i+n
+	}
+	return libs, nil
 }
 
 // parseInts parses a comma-separated list of positive integers (matrix

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -231,5 +233,120 @@ func TestFlagProblemRejectsBadConcurrency(t *testing.T) {
 		if !strings.Contains(msg, tc.bad) {
 			t.Errorf("flagProblem(%+v) = %q, want mention of %s", tc, msg, tc.bad)
 		}
+	}
+}
+
+// runCmd runs the command with args and returns its exit status, stdout
+// and stderr.
+func runCmd(args ...string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// TestRunRejectsBadFlags: each bad flag exits 2 with its diagnostic on
+// stderr, before anything reaches stdout.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-exp", "bogus"}, `unknown experiment "bogus"`},
+		{[]string{"-parallel", "0"}, "-parallel must be >= 1"},
+		{[]string{"-sizes", "4096", "-tiles", "3"}, "-window"},
+		{[]string{"-exp", "sweep", "-libs", "XKBlas, bogus"}, `unknown library " bogus"`},
+		{[]string{"-platform", "bogus"}, `unknown platform "bogus"`},
+	} {
+		code, out, errOut := runCmd(tc.args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, tc.msg) {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit 2, no stdout, stderr naming %s",
+				tc.args, code, out, errOut, tc.msg)
+		}
+	}
+}
+
+// TestRunTableI: -exp table1 exits 0 and prints the Table I block of the
+// committed quick results.
+func TestRunTableI(t *testing.T) {
+	code, out, errOut := runCmd("-exp", "table1")
+	if code != 0 || errOut != "" {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	results, err := os.ReadFile("../../results_quick.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, _ := strings.Cut(string(results), "==== TABLE1 ====\n")
+	block, _, _ = strings.Cut(block, "==== FIG2 ====")
+	if !strings.HasPrefix(out, "Table I") || out != block {
+		t.Fatalf("-exp table1 printed\n%s\nwant\n%s", out, block)
+	}
+}
+
+// TestParseLibs: -libs reaches the two Fig. 3 ablations, whose names
+// contain ", ", and still splits distinct libraries on commas.
+func TestParseLibs(t *testing.T) {
+	for spec, want := range map[string][]string{
+		"XKBlas,Slate":                        {"XKBlas", "Slate"},
+		" XKBlas , Slate ":                    {"XKBlas", "Slate"},
+		"XKBlas, no heuristic":                {"XKBlas, no heuristic"},
+		"XKBlas,no heuristic":                 {"XKBlas, no heuristic"},
+		"XKBlas, no heuristic, no topo,Slate": {"XKBlas, no heuristic, no topo", "Slate"},
+		"XKBlas, no heuristic,XKBlas":         {"XKBlas, no heuristic", "XKBlas"},
+	} {
+		libs, err := parseLibs(spec)
+		if err != nil {
+			t.Fatalf("parseLibs(%q): %v", spec, err)
+		}
+		var got []string
+		for _, l := range libs {
+			got = append(got, l.Name())
+		}
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("parseLibs(%q) = %q, want %q", spec, got, want)
+		}
+	}
+	for spec, piece := range map[string]string{"XKBlas,bogus": "bogus", "no heuristic": "no heuristic", "XKBlas,": ""} {
+		if _, err := parseLibs(spec); err == nil || err.Error() != fmt.Sprintf("unknown library %q", piece) {
+			t.Errorf("parseLibs(%q) error = %v, want unknown library %q", spec, err, piece)
+		}
+	}
+}
+
+// TestRunSweepAblation: a custom sweep of a Fig. 3 ablation runs to the
+// end.
+func TestRunSweepAblation(t *testing.T) {
+	code, out, errOut := runCmd("-exp", "sweep", "-libs", "XKBlas, no heuristic", "-sizes", "4096", "-tiles", "1024", "-runs", "1", "-parallel", "1")
+	if code != 0 || errOut != "" {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	if !strings.Contains(out, "GEMM     XKBlas, no heuristic         N=4096") {
+		t.Fatalf("no ablation row in\n%s", out)
+	}
+}
+
+// TestRunUnusableSinkFailsFirst: a -csv path, or under -metrics its
+// metrics path, that cannot be created exits 2 before the first
+// simulation, so nothing reaches stdout; an invalid -exp creates no file.
+func TestRunUnusableSinkFailsFirst(t *testing.T) {
+	dir := t.TempDir()
+	code, out, errOut := runCmd("-exp", "fig3", "-quick", "-csv", filepath.Join(dir, "missing", "x.csv"))
+	if code != 2 || out != "" || !strings.HasPrefix(errOut, "csv: open ") {
+		t.Fatalf("missing directory: exit %d, stdout %q, stderr %q; want exit 2, no stdout, a csv error", code, out, errOut)
+	}
+	csv := filepath.Join(dir, "x.csv")
+	if err := os.Mkdir(metricsPath(csv), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut = runCmd("-exp", "fig3", "-quick", "-metrics", "-csv", csv)
+	if code != 2 || out != "" || !strings.HasPrefix(errOut, "metrics json: open ") {
+		t.Fatalf("directory as metrics path: exit %d, stdout %q, stderr %q; want exit 2, no stdout, a metrics json error", code, out, errOut)
+	}
+	bad := filepath.Join(dir, "bad.csv")
+	if code, _, _ := runCmd("-exp", "bogus", "-csv", bad); code != 2 {
+		t.Fatalf("-exp bogus: exit %d, want 2", code)
+	}
+	if _, err := os.Stat(bad); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("-exp bogus created %s (stat: %v)", bad, err)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"xkblas/internal/blasops"
 	"xkblas/internal/cache"
 	"xkblas/internal/core"
-	"xkblas/internal/device"
 	"xkblas/internal/matrix"
 	"xkblas/internal/metrics"
 	"xkblas/internal/policy"
@@ -66,9 +65,6 @@ type Request struct {
 
 	// Platform defaults to the 8-GPU DGX-1.
 	Platform *topology.Platform
-
-	// Links selects the interconnect contention model (FIFO default).
-	Links device.LinkModel
 
 	// NoiseAmp/NoiseSeed add deterministic kernel-time jitter so repeated
 	// "runs" (different seeds) yield the paper's error bars.
@@ -141,18 +137,17 @@ var idle sync.Pool
 // simContext is one timing-mode library context — engine, platform,
 // runtime and their arenas — with the request key it was built for.
 type simContext struct {
-	h     *core.Handle
-	plat  *topology.Platform // the request's Platform; nil is the default DGX-1
-	links device.LinkModel
+	h    *core.Handle
+	plat *topology.Platform // the request's Platform; nil is the default DGX-1
 }
 
 // acquire returns a context for req shaped as opts and reserve: an idle
-// context built for the same platform pointer and link model, reset, or
-// else a fresh build. Options and the memory reservation take the same
-// path either way (xkrt.Runtime.SetOptions, device.Platform.ReserveMemory),
-// as does kernel noise, which a zero amplitude disarms. Check runs never
-// reuse: the auditor is attached at build time and must observe the
-// context's whole life.
+// context built for the same platform pointer, reset, or else a fresh
+// build. Options and the memory reservation take the same path either way
+// (xkrt.Runtime.SetOptions, device.Platform.ReserveMemory), as does kernel
+// noise, which a zero amplitude disarms. Check runs never reuse: the
+// auditor is attached at build time and must observe the context's whole
+// life.
 func acquire(req Request, opts xkrt.Options, reserve float64) *simContext {
 	if req.StreamWindow > 0 {
 		opts.StreamWindow = req.StreamWindow
@@ -160,7 +155,7 @@ func acquire(req Request, opts xkrt.Options, reserve float64) *simContext {
 	var c *simContext
 	if !req.Check {
 		// An idle context built for another key is dropped, never reused.
-		if v, _ := idle.Get().(*simContext); v != nil && v.plat == req.Platform && v.links == req.Links {
+		if v, _ := idle.Get().(*simContext); v != nil && v.plat == req.Platform {
 			c = v
 		}
 	}
@@ -173,8 +168,8 @@ func acquire(req Request, opts xkrt.Options, reserve float64) *simContext {
 		if plat == nil {
 			plat = topology.DGX1()
 		}
-		h := core.NewHandle(core.Config{Platform: plat, TileSize: req.NB, Options: opts, Links: req.Links, Check: req.Check})
-		c = &simContext{h: h, plat: req.Platform, links: req.Links}
+		h := core.NewHandle(core.Config{Platform: plat, TileSize: req.NB, Options: opts, Check: req.Check})
+		c = &simContext{h: h, plat: req.Platform}
 	}
 	c.h.Plat.ReserveMemory(reserve)
 	c.h.Plat.Model.EnableNoise(req.NoiseAmp, req.NoiseSeed)

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"xkblas/internal/blasops"
-	"xkblas/internal/device"
 	"xkblas/internal/policy"
 	"xkblas/internal/topology"
 	"xkblas/internal/xkrt"
@@ -228,10 +227,9 @@ func TestHandlePoolReleaseSemantics(t *testing.T) {
 	}
 }
 
-// TestIdleContextKey: a context is reused only for the platform pointer
-// and link model it was built for. A DGX-2 request never receives a DGX-1
-// context, a fair-share request never a FIFO one, and the mismatched idle
-// context is dropped rather than kept.
+// TestIdleContextKey: a context is reused only for the platform pointer it
+// was built for. A DGX-2 request never receives a DGX-1 context, and the
+// mismatched idle context is dropped rather than kept.
 func TestIdleContextKey(t *testing.T) {
 	holdIdle(t)
 	dgx1, dgx2 := freshPlatform(), topology.DGX2()
@@ -242,8 +240,6 @@ func TestIdleContextKey(t *testing.T) {
 	}{
 		{"dgx1 to dgx2", Request{Platform: dgx1, NB: 1024}, Request{Platform: dgx2, NB: 1024}},
 		{"dgx1 to default", Request{Platform: dgx1, NB: 1024}, Request{NB: 1024}},
-		{"fifo to fair-share", Request{Platform: dgx1, NB: 1024}, Request{Platform: dgx1, NB: 1024, Links: device.LinksFairShare}},
-		{"fair-share to fifo", Request{Platform: dgx1, NB: 1024, Links: device.LinksFairShare}, Request{Platform: dgx1, NB: 1024}},
 	} {
 		c := acquire(tc.from, xk, 0)
 		c.release(tc.from, nil)
@@ -255,8 +251,8 @@ func TestIdleContextKey(t *testing.T) {
 		if want == nil {
 			want = got.h.Plat.Topo // built for the default DGX-1
 		}
-		if got.h.Plat.Topo != want || got.h.Plat.Links != tc.to.Links || got.plat != tc.to.Platform {
-			t.Fatalf("%s: got a context for %s/%v", tc.name, got.h.Plat.Topo.Name, got.h.Plat.Links)
+		if got.h.Plat.Topo != want || got.plat != tc.to.Platform {
+			t.Fatalf("%s: got a context for %s", tc.name, got.h.Plat.Topo.Name)
 		}
 		if peekIdle() == c {
 			t.Fatalf("%s: the mismatched context stayed idle", tc.name)

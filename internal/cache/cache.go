@@ -21,7 +21,6 @@ import (
 	"xkblas/internal/device"
 	"xkblas/internal/matrix"
 	"xkblas/internal/metrics"
-	"xkblas/internal/policy"
 	"xkblas/internal/sim"
 	"xkblas/internal/topology"
 )
@@ -255,10 +254,6 @@ type Cache struct {
 	Functional bool
 	Observer   Observer
 
-	// Evictor decides which replicas leave device memory; nil behaves as
-	// policy.LRUReadOnlyFirst (XKaapi's default).
-	Evictor policy.Evictor
-
 	// Audit, when non-nil, receives every state transition for coherence
 	// verification (the `internal/check` invariant auditor). Auditing is
 	// pure observation and never perturbs timings.
@@ -286,7 +281,7 @@ type Cache struct {
 // New creates a cache over a simulated platform. functional selects whether
 // tile payloads carry real data.
 func New(plat *device.Platform, functional bool) *Cache {
-	c := &Cache{Plat: plat, Functional: functional, Evictor: policy.LRUReadOnlyFirst{}}
+	c := &Cache{Plat: plat, Functional: functional}
 	c.lru = make([]lruList, len(plat.GPUs))
 	return c
 }
@@ -611,41 +606,23 @@ func (c *Cache) ensureReplica(t *Tile, dev topology.DeviceID) (*replica, error) 
 	return r, nil
 }
 
-// evict frees up to need bytes on dev by walking replicas in LRU order
-// and consulting the eviction policy (default policy.LRUReadOnlyFirst:
-// read-only data first; dirty replicas are never dropped silently since
-// they hold the only copy). It frees what it can; the caller re-checks
-// the pool.
+// evict frees up to need bytes on dev by XKaapi's rule (§III-A): in LRU
+// order, drop each replica that is clean, unpinned and not the target of a
+// transfer, and count each dirty one (the only copy) as skipped. It frees
+// what it can; the caller re-checks the pool.
 func (c *Cache) evict(dev topology.DeviceID, need int64) {
 	pool := c.Plat.GPU(dev).Mem
-	ev := c.evictor()
 	for r := c.lru[dev].head; r != nil && pool.Available() < need; {
 		next := r.next
-		cand := policy.EvictCandidate{
-			Dirty:    r.dirty,
-			Pinned:   r.pins > 0,
-			Inflight: r.tile.InflightTo(dev),
-		}
-		if ev.ShouldEvict(cand) {
-			if cand.Dirty {
-				panic(fmt.Sprintf("cache: evictor %q would drop dirty replica %v@%d",
-					ev.Name(), r.tile.Key, dev))
-			}
+		switch {
+		case r.dirty:
+			c.dirtySkips++
+		case r.pins == 0 && !r.tile.InflightTo(dev):
 			c.dropReplica(r.tile, dev, "eviction")
 			c.stats.Evictions++
-		} else if cand.Dirty {
-			c.dirtySkips++
 		}
 		r = next
 	}
-}
-
-// evictor resolves the active eviction policy (nil → XKaapi default).
-func (c *Cache) evictor() policy.Evictor {
-	if c.Evictor == nil {
-		return policy.LRUReadOnlyFirst{}
-	}
-	return c.Evictor
 }
 
 // dropReplica removes the replica record and frees its memory. reason

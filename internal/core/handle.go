@@ -50,8 +50,6 @@ type Config struct {
 	TileSize int
 	// Functional enables real-data mode.
 	Functional bool
-	// Links selects the interconnect contention model (FIFO default).
-	Links device.LinkModel
 	// Options are the runtime options: the policy bundle (heuristics,
 	// scheduler, evictor) plus the pipeline and stream windows. The zero
 	// value means xkrt.DefaultOptions(), the full XKBLAS configuration.
@@ -84,7 +82,7 @@ func NewHandle(cfg Config) *Handle {
 		cfg.Options = xkrt.DefaultOptions()
 	}
 	eng := sim.NewEngine()
-	plat := device.NewPlatformWithLinks(eng, cfg.Platform, cfg.Links)
+	plat := device.NewPlatform(eng, cfg.Platform)
 	rt := xkrt.New(eng, plat, cfg.Functional, cfg.Options)
 	if cfg.Check {
 		rt.AttachAuditor(check.New(true))

@@ -263,47 +263,6 @@ func TestSummitHostLinkFasterThanDGX1(t *testing.T) {
 	}
 }
 
-func TestFairShareLinkModel(t *testing.T) {
-	eng := sim.NewEngine()
-	p := NewPlatformWithLinks(eng, topology.DGX1(), LinksFairShare)
-	if p.Links != LinksFairShare {
-		t.Fatal("link model not recorded")
-	}
-	// Two concurrent H2D transfers to GPUs on the same switch must share
-	// the uplink and finish together (fair sharing), unlike FIFO where one
-	// completes at half the makespan.
-	const bytes = 512 << 20
-	var e0, e1 sim.Time
-	p.Transfer(topology.Host, 0, bytes, sim.JobFunc(func(_, en sim.Time) { e0 = en }))
-	p.Transfer(topology.Host, 1, bytes, sim.JobFunc(func(_, en sim.Time) { e1 = en }))
-	eng.Run()
-	diff := float64(e0 - e1)
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 1e-6 {
-		t.Fatalf("fair-shared transfers should finish together: %v vs %v", e0, e1)
-	}
-	// And the shared makespan matches the FIFO aggregate.
-	eng2 := sim.NewEngine()
-	p2 := NewPlatform(eng2, topology.DGX1())
-	var f0, f1 sim.Time
-	p2.Transfer(topology.Host, 0, bytes, sim.JobFunc(func(_, en sim.Time) { f0 = en }))
-	p2.Transfer(topology.Host, 1, bytes, sim.JobFunc(func(_, en sim.Time) { f1 = en }))
-	eng2.Run()
-	last := f0
-	if f1 > last {
-		last = f1
-	}
-	agg := float64(e0 - last)
-	if agg < 0 {
-		agg = -agg
-	}
-	if agg > float64(last)*0.05 {
-		t.Fatalf("aggregate throughput should match FIFO: PS %v vs FIFO %v", e0, last)
-	}
-}
-
 // TestPlatformMetricsPublication drives identical transfers on two fresh
 // platforms and checks the published utilization metrics: per-resource
 // counters exist, the class rollups aggregate them, and two identically

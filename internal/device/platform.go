@@ -11,20 +11,6 @@ import (
 // engine programming).
 const TransferOverhead = sim.Time(10e-6)
 
-// LinkModel selects how contended interconnect resources serve concurrent
-// transfers.
-type LinkModel int
-
-const (
-	// LinksFIFO serializes transfers per resource (default; matches the
-	// paper's measured per-transfer bandwidths).
-	LinksFIFO LinkModel = iota
-	// LinksFairShare multiplexes concurrent transfers at equal rates
-	// (processor sharing). BenchmarkAblationLinkModel shows the headline
-	// results are robust to the choice.
-	LinksFairShare
-)
-
 // GPU is one simulated accelerator.
 type GPU struct {
 	ID topology.DeviceID
@@ -40,11 +26,11 @@ type GPU struct {
 	// engines are independent per direction, which is what lets XKaapi run
 	// each operation type on its own stream (§II-B). They are the fabric
 	// graph's HostDMA edges.
-	H2D sim.Resource
-	D2H sim.Resource
+	H2D *sim.Server
+	D2H *sim.Server
 
 	// Local is the on-device copy engine (Fig. 2 diagonal).
-	Local sim.Resource
+	Local *sim.Server
 
 	// Mem is the device memory pool.
 	Mem *MemPool
@@ -82,15 +68,12 @@ type Platform struct {
 	// HostModel converts routine shapes into host CPU execution times.
 	HostModel *KernelModel
 
-	// Links reports the active link model.
-	Links LinkModel
-
-	// linkRes[e.ID] is the contended resource realizing fabric edge e
-	// (nil for virtual edges).
-	linkRes []sim.Resource
+	// linkRes[e.ID] is the FIFO server realizing fabric edge e (nil for
+	// virtual edges).
+	linkRes []*sim.Server
 	// routes[src+1][dst+1] is the precomputed hop list of the routed path
 	// (diagonal entries route over the local copy engine).
-	routes [][][]sim.Resource
+	routes [][][]*sim.Server
 
 	// resources is every contended resource of the node tagged with its
 	// class, in the deterministic construction order (kernels and copy
@@ -170,21 +153,16 @@ func classOfEdge(c topology.EdgeClass) ResourceClass {
 // ClassedResource pairs a contended resource with its traffic class.
 type ClassedResource struct {
 	Class ResourceClass
-	Res   sim.Resource
+	Res   *sim.Server
 }
 
 // Resources lists every contended resource with its class, in deterministic
 // construction order.
 func (p *Platform) Resources() []ClassedResource { return p.resources }
 
-// NewPlatform instantiates topo on a fresh simulation engine with FIFO
-// links.
+// NewPlatform instantiates topo on a fresh simulation engine. Every link
+// is a FIFO server rated at its measured per-transfer bandwidth.
 func NewPlatform(eng *sim.Engine, topo *topology.Platform) *Platform {
-	return NewPlatformWithLinks(eng, topo, LinksFIFO)
-}
-
-// NewPlatformWithLinks instantiates topo with an explicit link model.
-func NewPlatformWithLinks(eng *sim.Engine, topo *topology.Platform, links LinkModel) *Platform {
 	hostModel := DefaultHostModel()
 	p := &Platform{
 		Eng:       eng,
@@ -193,17 +171,10 @@ func NewPlatformWithLinks(eng *sim.Engine, topo *topology.Platform, links LinkMo
 		Pinner:    sim.NewServer(eng, "host.pin", PinRateGBs*1e9),
 		Host:      sim.NewServer(eng, "host.blas", hostModel.PeakFP64),
 		HostModel: hostModel,
-		Links:     links,
-	}
-	mkLink := func(name string, rate float64) sim.Resource {
-		if links == LinksFairShare {
-			return sim.NewFairServer(eng, name, rate)
-		}
-		return sim.NewServer(eng, name, rate)
 	}
 	gb := 1e9
 	edges := topo.Edges()
-	p.linkRes = make([]sim.Resource, len(edges))
+	p.linkRes = make([]*sim.Server, len(edges))
 	for _, id := range topo.GPUs() {
 		spec := topo.GPUSpecOf(id)
 		rate := spec.PeakFP64
@@ -214,9 +185,9 @@ func NewPlatformWithLinks(eng *sim.Engine, topo *topology.Platform, links LinkMo
 		g := &GPU{
 			ID:     id,
 			Kernel: sim.NewServer(eng, fmt.Sprintf("gpu%d.kernel", id), rate),
-			H2D:    mkLink(h2dE.Name, h2dE.BandwidthGBs*gb),
-			D2H:    mkLink(d2hE.Name, d2hE.BandwidthGBs*gb),
-			Local:  mkLink(fmt.Sprintf("gpu%d.local", id), spec.LocalCopyGBs*gb),
+			H2D:    sim.NewServer(eng, h2dE.Name, h2dE.BandwidthGBs*gb),
+			D2H:    sim.NewServer(eng, d2hE.Name, d2hE.BandwidthGBs*gb),
+			Local:  sim.NewServer(eng, fmt.Sprintf("gpu%d.local", id), spec.LocalCopyGBs*gb),
 			Mem:    NewMemPool(spec.MemoryBytes),
 		}
 		p.linkRes[h2dE.ID] = g.H2D
@@ -229,7 +200,7 @@ func NewPlatformWithLinks(eng *sim.Engine, topo *topology.Platform, links LinkMo
 		if e.Class == topology.EdgeVirtual || p.linkRes[e.ID] != nil {
 			continue
 		}
-		p.linkRes[e.ID] = mkLink(e.Name, e.BandwidthGBs*gb)
+		p.linkRes[e.ID] = sim.NewServer(eng, e.Name, e.BandwidthGBs*gb)
 	}
 	for _, g := range p.GPUs {
 		p.resources = append(p.resources,
@@ -250,19 +221,19 @@ func NewPlatformWithLinks(eng *sim.Engine, topo *topology.Platform, links LinkMo
 	// Precompute every route's hop list so the transfer hot path never
 	// allocates and every transfer charges every hop of its fabric path.
 	n := topo.NumGPUs
-	p.routes = make([][][]sim.Resource, n+1)
+	p.routes = make([][][]*sim.Server, n+1)
 	for si := 0; si <= n; si++ {
-		p.routes[si] = make([][]sim.Resource, n+1)
+		p.routes[si] = make([][]*sim.Server, n+1)
 		for di := 0; di <= n; di++ {
 			src, dst := topology.DeviceID(si-1), topology.DeviceID(di-1)
 			if src == dst {
 				if src != topology.Host {
-					p.routes[si][di] = []sim.Resource{p.GPUs[src].Local}
+					p.routes[si][di] = []*sim.Server{p.GPUs[src].Local}
 				}
 				continue
 			}
 			path := topo.Route(src, dst)
-			hops := make([]sim.Resource, len(path.Hops))
+			hops := make([]*sim.Server, len(path.Hops))
 			for k, e := range path.Hops {
 				hops[k] = p.linkRes[e.ID]
 			}
@@ -310,7 +281,7 @@ func (p *Platform) ReserveMemory(frac float64) {
 // queues the full payload; completion is the latest hop completion (see
 // sim.Transfer). dst == src routes over the local copy engine. Callers
 // must not mutate the returned slice.
-func (p *Platform) Route(src, dst topology.DeviceID) []sim.Resource {
+func (p *Platform) Route(src, dst topology.DeviceID) []*sim.Server {
 	hops := p.routes[int(src)+1][int(dst)+1]
 	if hops == nil {
 		panic("device: host-to-host transfer")

@@ -1,6 +1,7 @@
 // Package policy is the pluggable decision layer of the runtime: which
 // replica a transfer reads from (SourceSelector), where a ready task runs
-// (Scheduler) and which replicas leave device memory (Evictor).
+// (Scheduler) and whether read operands stay on the device after use
+// (Evictor).
 //
 // The paper's whole claim structure is "same kernels, different
 // data-movement policy wins" (§III-B/§III-C versus the §II libraries), so

@@ -35,20 +35,25 @@ func Seconds(s float64) Time { return Time(s) }
 // Microseconds converts microseconds to a Time delta.
 func Microseconds(us float64) Time { return Time(us * 1e-6) }
 
-// Handler is the allocation-free form of an event callback: scheduling a
-// pooled object that implements Handler (AtHandler) stores a two-word
-// interface value instead of forcing a fresh closure per event, which is
-// what keeps steady-state resource completions heap-allocation free.
+// Handler is an event callback. Scheduling a pooled object that implements
+// Handler (AtHandler) stores a two-word interface value instead of forcing
+// a fresh closure per event, which is what keeps steady-state resource
+// completions heap-allocation free.
 type Handler interface {
 	Fire()
 }
 
-// event is a single scheduled callback: either a closure (fn) or a pooled
-// Handler (h), never both.
+// funcHandler lets At and After schedule a closure as a Handler. A func
+// value is pointer-shaped, so the conversion allocates nothing.
+type funcHandler func()
+
+// Fire implements Handler.
+func (f funcHandler) Fire() { f() }
+
+// event is a single scheduled callback.
 type event struct {
 	at  Time
 	seq uint64 // tie-break: submission order
-	fn  func()
 	h   Handler
 }
 
@@ -64,7 +69,7 @@ type Engine struct {
 	now      Time
 	seq      uint64
 	events   []*event   // 4-ary min-heap
-	free     []*event   // recycled events, reused by At/After
+	free     []*event   // recycled events, reused by AtHandler
 	joinFree []*hopJoin // recycled multi-hop transfer joins (Transfer)
 	fired    uint64
 	running  bool
@@ -121,7 +126,6 @@ func (e *Engine) Reset() {
 		panic("sim: Reset called from an event handler")
 	}
 	for i, ev := range e.events {
-		ev.fn = nil
 		ev.h = nil
 		e.free = append(e.free, ev)
 		e.events[i] = nil
@@ -139,15 +143,15 @@ func (e *Engine) Reset() {
 }
 
 // acquire takes an event from the free list, or allocates one.
-func (e *Engine) acquire(at Time, seq uint64, fn func()) *event {
+func (e *Engine) acquire(at Time, seq uint64, h Handler) *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn = at, seq, fn
+		ev.at, ev.seq, ev.h = at, seq, h
 		return ev
 	}
-	return &event{at: at, seq: seq, fn: fn}
+	return &event{at: at, seq: seq, h: h}
 }
 
 // newJoin pops a recycled multi-hop join record, or allocates one.
@@ -163,18 +167,8 @@ func (e *Engine) newJoin() *hopJoin {
 
 // recycle clears a fired event and returns it to the free list.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
 	ev.h = nil
 	e.free = append(e.free, ev)
-}
-
-// fire runs the event's callback, whichever form it carries.
-func (ev *event) fire() {
-	if ev.h != nil {
-		ev.h.Fire()
-		return
-	}
-	ev.fn()
 }
 
 // eventLess orders events by time, then submission sequence.
@@ -231,30 +225,20 @@ func (e *Engine) pop() *event {
 	return root
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would silently reorder causality. So does a NaN time, which
-// compares false against every other time and would break the heap's
-// (time, sequence) order.
-func (e *Engine) At(t Time, fn func()) {
-	if !(t >= e.now) {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.push(e.acquire(t, e.seq, fn))
-}
+// At schedules fn to run at absolute virtual time t, as AtHandler does.
+func (e *Engine) At(t Time, fn func()) { e.AtHandler(t, funcHandler(fn)) }
 
-// AtHandler schedules h.Fire to run at absolute virtual time t. It is the
-// allocation-free counterpart of At: h is typically a pooled object, so
-// steady-state scheduling touches the heap nowhere. Ordering relative to
-// At-scheduled events follows the same (time, sequence) rule.
+// AtHandler schedules h.Fire to run at absolute virtual time t. h is
+// typically a pooled object, so steady-state scheduling touches the heap
+// nowhere. Scheduling in the past panics: it would silently reorder
+// causality. So does a NaN time, which compares false against every other
+// time and would break the heap's (time, sequence) order.
 func (e *Engine) AtHandler(t Time, h Handler) {
 	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	ev := e.acquire(t, e.seq, nil)
-	ev.h = h
-	e.push(ev)
+	e.push(e.acquire(t, e.seq, h))
 }
 
 // After schedules fn to run d seconds of virtual time from now. Negative
@@ -292,7 +276,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		e.pop()
 		e.now = next.at
 		e.fired++
-		next.fire()
+		next.h.Fire()
 		e.recycle(next)
 	}
 	if deadline != Infinity && e.now < deadline && !e.stop.Load() {
@@ -341,7 +325,7 @@ func (e *Engine) RunWhile(cond func() bool) Time {
 		next := e.pop()
 		e.now = next.at
 		e.fired++
-		next.fire()
+		next.h.Fire()
 		e.recycle(next)
 	}
 	return e.now

@@ -9,10 +9,9 @@ import "fmt"
 //
 // Both models yield identical aggregate throughput; they differ in
 // completion-time distribution (FIFO finishes jobs one by one, fair
-// sharing finishes similar jobs together). The platform uses FIFO by
-// default — it matches the paper's measured per-transfer bandwidths more
-// closely — and the BenchmarkAblationLinkModel bench shows the headline
-// results are robust to either choice.
+// sharing finishes similar jobs together). The platform's links are FIFO
+// Servers, which match the paper's measured per-transfer bandwidths; the
+// serving layer shares each fleet capacity through a FairServer.
 type FairServer struct {
 	eng  *Engine
 	name string
@@ -61,12 +60,6 @@ func NewFairServer(eng *Engine, name string, rate float64) *FairServer {
 		rate: rate,
 	}
 }
-
-// Name reports the server's diagnostic name.
-func (s *FairServer) Name() string { return s.name }
-
-// Rate reports the total service rate.
-func (s *FairServer) Rate() float64 { return s.rate }
 
 // Submit adds a job of the given size; done (may be nil) fires when the
 // job's share of the capacity has delivered all its units.
@@ -239,33 +232,8 @@ func (s *FairServer) reschedule() {
 	s.eng.AtHandler(s.eng.Now()+eta, w)
 }
 
-// ServiceTime reports the unloaded duration of a job (Resource).
-func (s *FairServer) ServiceTime(size float64, overhead Time) Time {
-	return overhead + Time(size/s.rate)
-}
-
-// AvailableAt reports when a new job could start service: immediately,
-// since processor sharing always admits (Resource).
-func (s *FairServer) AvailableAt() Time { return s.eng.Now() }
-
-// Stats reports the utilization counters accumulated so far (Resource).
+// Stats reports the utilization counters accumulated so far.
 func (s *FairServer) Stats() ResourceStats { return s.stats }
-
-// Reset returns the server to its initial idle state (Resource). In-flight
-// jobs are dropped: their wake-up events are assumed gone via Engine.Reset.
-func (s *FairServer) Reset() {
-	for i, j := range s.jobs {
-		j.done = nil
-		s.jobFree = append(s.jobFree, j)
-		s.jobs[i] = nil
-	}
-	s.jobs = s.jobs[:0]
-	s.lastUpd = 0
-	s.wakeToken = 0
-	s.seq = 0
-	s.advancing = false
-	s.stats = ResourceStats{}
-}
 
 // Active reports the number of in-flight jobs.
 func (s *FairServer) Active() int { return len(s.jobs) }

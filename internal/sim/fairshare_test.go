@@ -131,12 +131,6 @@ func TestFairServerDeterministic(t *testing.T) {
 	}
 }
 
-// Compile-time Resource compliance for both contention models.
-var (
-	_ Resource = (*Server)(nil)
-	_ Resource = (*FairServer)(nil)
-)
-
 func TestFairServerOverheadFolded(t *testing.T) {
 	e := NewEngine()
 	s := NewFairServer(e, "ps", 100)
@@ -146,9 +140,6 @@ func TestFairServerOverheadFolded(t *testing.T) {
 	// 100 units at 100/s + 0.5s overhead folded into units.
 	if math.Abs(float64(end-1.5)) > 1e-9 {
 		t.Fatalf("end = %v, want 1.5", end)
-	}
-	if st := s.ServiceTime(100, Time(0.5)); math.Abs(float64(st-1.5)) > 1e-9 {
-		t.Fatalf("service time = %v, want 1.5", st)
 	}
 }
 

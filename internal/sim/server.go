@@ -2,34 +2,6 @@ package sim
 
 import "fmt"
 
-// Resource is the common surface of the contended-resource models (FIFO
-// Server and processor-sharing FairServer): transfers submit jobs, cost
-// models ask for unloaded service times and congestion hints, the metrics
-// layer reads unified utilization statistics.
-//
-// Submit is the only submission form. Its completion is a JobDone (may be
-// nil), normally a record that already exists — a task, an under-transfer
-// record, a pooled join — so the hot path allocates no callback per job;
-// cold callers wrap a closure in JobFunc.
-type Resource interface {
-	Name() string
-	Rate() float64
-	Submit(size float64, overhead Time, done JobDone)
-	// ServiceTime reports how long a job would take unloaded.
-	ServiceTime(size float64, overhead Time) Time
-	// AvailableAt reports the earliest instant a new job could start
-	// service (now, for sharing models).
-	AvailableAt() Time
-	// Stats reports the utilization counters accumulated so far.
-	Stats() ResourceStats
-	// Reset returns the resource to its initial idle state (clock
-	// bookkeeping zeroed, statistics cleared) while keeping any internal
-	// pools, so a platform can be reused across repetitions and reproduce
-	// the event order of a fresh one. Call only with the owning engine
-	// quiescent (after Engine.Reset dropped pending completions).
-	Reset()
-}
-
 // JobDone is a job's completion callback. It receives the virtual start
 // and end of the job's service interval.
 type JobDone interface {
@@ -45,7 +17,7 @@ type JobFunc func(start, end Time)
 // JobDone implements JobDone.
 func (f JobFunc) JobDone(start, end Time) { f(start, end) }
 
-// ResourceStats is the unified utilization report of every resource model.
+// ResourceStats is the utilization report of both resource models.
 // Served/Units/Busy cover *delivered* service only: when the engine aborts
 // mid-run (Engine.Stop, Runtime.Cancel), jobs still in the queue appear in
 // Submitted but never in the served-work counters. For the FIFO Server,
@@ -137,9 +109,6 @@ func NewServer(eng *Engine, name string, rate float64) *Server {
 // Name reports the server's diagnostic name.
 func (s *Server) Name() string { return s.name }
 
-// Rate reports the service rate in units per second.
-func (s *Server) Rate() float64 { return s.rate }
-
 // Submit enqueues a job of the given size with a fixed per-job overhead.
 // done (may be nil) is notified when the job finishes, with the virtual
 // start and end times of its service interval. The server's own completion
@@ -189,12 +158,12 @@ func (s *Server) AvailableAt() Time {
 	return s.busyUntil
 }
 
-// Stats reports the utilization counters accumulated so far (Resource).
+// Stats reports the utilization counters accumulated so far.
 func (s *Server) Stats() ResourceStats { return s.stats }
 
 // Reset returns the server to its initial idle state while keeping the
-// completion-record pool (Resource). The owning engine must be quiescent:
-// pending completion events are assumed dropped by Engine.Reset.
+// completion-record pool. The owning engine must be quiescent: pending
+// completion events are assumed dropped by Engine.Reset.
 func (s *Server) Reset() {
 	s.busyUntil = 0
 	s.stats = ResourceStats{}
@@ -213,7 +182,7 @@ func (s *Server) Reset() {
 // when the last hop lands, so a warm transfer allocates nothing. The list
 // belongs to the engine, not to a sync.Pool: engines on different
 // goroutines never share records, and reuse order stays deterministic.
-func Transfer(eng *Engine, path []Resource, size float64, overhead Time, done JobDone) {
+func Transfer(eng *Engine, path []*Server, size float64, overhead Time, done JobDone) {
 	switch len(path) {
 	case 0:
 		panic("sim: Transfer over empty path")

@@ -344,7 +344,7 @@ func TestTransferWaitsForAllHops(t *testing.T) {
 	slow := NewServer(e, "slow", 10)
 	var start, end Time
 	done := false
-	Transfer(e, []Resource{fast, slow}, 100, 0, JobFunc(func(st, en Time) {
+	Transfer(e, []*Server{fast, slow}, 100, 0, JobFunc(func(st, en Time) {
 		start, end, done = st, en, true
 	}))
 	e.Run()
@@ -376,7 +376,7 @@ func TestTransferJoinStaggeredHops(t *testing.T) {
 	r.Submit(30, 0, nil)  // busy [0, 0.5]
 	var start, end, firedAt Time
 	calls := 0
-	Transfer(e, []Resource{p, r, q}, 150, 0, JobFunc(func(st, en Time) {
+	Transfer(e, []*Server{p, r, q}, 150, 0, JobFunc(func(st, en Time) {
 		start, end, firedAt = st, en, e.Now()
 		calls++
 	}))
@@ -398,7 +398,7 @@ func TestTransferNilDoneServesEveryHop(t *testing.T) {
 	e := NewEngine()
 	a := NewServer(e, "a", 100)
 	b := NewServer(e, "b", 10)
-	Transfer(e, []Resource{a, b}, 100, 0, nil)
+	Transfer(e, []*Server{a, b}, 100, 0, nil)
 	if end := e.Run(); end != 10 {
 		t.Fatalf("engine drained at %v, want 10 (the slow hop's completion)", end)
 	}
@@ -417,7 +417,7 @@ func TestTransferMultiHopAllocFree(t *testing.T) {
 	a := NewServer(e, "a", 100)
 	b := NewServer(e, "b", 50)
 	c := NewServer(e, "c", 200)
-	path := []Resource{a, b, c}
+	path := []*Server{a, b, c}
 	n := 0
 	done := JobFunc(func(_, _ Time) { n++ })
 	run := func() {
@@ -450,8 +450,8 @@ func TestTransferContendsPerHop(t *testing.T) {
 	e := NewEngine()
 	shared := NewServer(e, "switch", 100)
 	var e1, e2 Time
-	Transfer(e, []Resource{shared}, 100, 0, JobFunc(func(_, en Time) { e1 = en }))
-	Transfer(e, []Resource{shared}, 100, 0, JobFunc(func(_, en Time) { e2 = en }))
+	Transfer(e, []*Server{shared}, 100, 0, JobFunc(func(_, en Time) { e1 = en }))
+	Transfer(e, []*Server{shared}, 100, 0, JobFunc(func(_, en Time) { e2 = en }))
 	e.Run()
 	if e1 != 1 || e2 != 2 {
 		t.Fatalf("ends = %v,%v, want 1,2 (serialized on shared hop)", e1, e2)

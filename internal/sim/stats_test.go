@@ -89,15 +89,19 @@ func TestFairServerStatsUnderCancellation(t *testing.T) {
 	}
 }
 
-// TestResourceStatsUnifiedInterface pins that both models satisfy the
-// Resource interface's Stats with identical semantics on a clean run.
+// TestResourceStatsUnifiedInterface pins that both models report Stats
+// with identical semantics on a clean run.
 func TestResourceStatsUnifiedInterface(t *testing.T) {
+	type resource interface {
+		Submit(size float64, overhead Time, done JobDone)
+		Stats() ResourceStats
+	}
 	for _, tc := range []struct {
 		name string
-		mk   func(e *Engine) Resource
+		mk   func(e *Engine) resource
 	}{
-		{"fifo", func(e *Engine) Resource { return NewServer(e, "r", 10) }},
-		{"fair", func(e *Engine) Resource { return NewFairServer(e, "r", 10) }},
+		{"fifo", func(e *Engine) resource { return NewServer(e, "r", 10) }},
+		{"fair", func(e *Engine) resource { return NewFairServer(e, "r", 10) }},
 	} {
 		e := NewEngine()
 		r := tc.mk(e)

@@ -218,49 +218,3 @@ func runAuditStress(t *testing.T, b policy.Bundle, topoName string,
 	}
 	return false
 }
-
-// evilEvictor approves eviction of pinned and under-transfer replicas —
-// transitions the real policies never request. It only spares dirty
-// candidates because the cache itself panics on those before the auditor
-// can record the drop.
-type evilEvictor struct{}
-
-func (evilEvictor) Name() string                             { return "evil" }
-func (evilEvictor) ShouldEvict(c policy.EvictCandidate) bool { return !c.Dirty }
-func (evilEvictor) RetainAfterRead() bool                    { return true }
-
-// TestAuditCatchesEvilEvictor is the harness-level mutation self-test: an
-// eviction policy that drops a pinned replica must be caught by the
-// drop-pinned invariant, proving the auditor guards the eviction gate and
-// not just the transition bookkeeping.
-func TestAuditCatchesEvilEvictor(t *testing.T) {
-	eng := sim.NewEngine()
-	plat := device.NewPlatform(eng, topology.DGX1())
-	tileBytes := int64(64 * 64 * matrix.WordSize)
-	plat.GPUs[0].Mem = device.NewMemPool(tileBytes + 64)
-	c := cache.New(plat, false)
-	audit := check.New(false)
-	c.Audit = audit
-	c.Evictor = evilEvictor{}
-
-	a := c.NewTile(cache.TileKey{Mat: c.NewMatrixID()}, matrix.NewShape(64, 64))
-	b := c.NewTile(cache.TileKey{Mat: c.NewMatrixID()}, matrix.NewShape(64, 64))
-	if err := c.StartTransfer(a, topology.Host, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	c.Pin(a, 0)
-	// b does not fit next to a; the evil evictor drops the pinned replica.
-	if err := c.StartTransfer(b, topology.Host, 0, nil); err != nil {
-		t.Fatalf("evil eviction did not free space: %v", err)
-	}
-	found := false
-	for _, v := range audit.Violations() {
-		if v.Code == "drop-pinned" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("auditor missed the pinned eviction; recorded: %v", audit.Violations())
-	}
-}

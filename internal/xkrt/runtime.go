@@ -204,7 +204,6 @@ func (rt *Runtime) SetOptions(opt Options) {
 	}
 	rt.Opt = opt
 	rt.pol = *opt.Policy
-	rt.Cache.Evictor = rt.pol.Evictor
 }
 
 // Reset returns the runtime (and its cache) to the freshly built state so
@@ -218,7 +217,6 @@ func (rt *Runtime) SetOptions(opt Options) {
 // build bit for bit.
 func (rt *Runtime) Reset() {
 	rt.Cache.Reset()
-	rt.Cache.Evictor = rt.pol.Evictor
 	rt.nextID = 0
 	for i := range rt.deps {
 		rt.deps[i].clear()
